@@ -21,7 +21,7 @@ from reldistill.training import TrainConfig
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--n-values", type=int, nargs="+", default=[5, 10, 20, 30, 50])
+    parser.add_argument("--n-values", type=int, nargs="+", default=[5, 10, 20, 30])
     parser.add_argument("--out", default="results/sweep.csv")
     args = parser.parse_args()
 

@@ -8,26 +8,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .corpus import Document, ingest_corpus
-from .evaluation import (
-    EvalReport,
-    GoldAnnotation,
-    evaluate,
-    extract_document,
-    load_gold,
-    run_baseline,
-)
+from .evaluation import EvalReport, GoldAnnotation, evaluate, load_gold, run_baseline
 from .features import FeatureConfig, Mention
-from .kb import RelationSchema, load_concept_seeds, load_schema, load_triples
+from .kb import load_concept_seeds, load_schema, load_triples
 from .mentions import MentionSets, build_mention_sets, corpus_mentions
+from .pipeline import extract_all, fit_model
 from .propagation import (
     PropagationConfig,
     RankedLabeling,
     VariantSpec,
     build_graph,
     multirankwalk,
+    relation_seeds,
 )
 from .synthetic import BenchmarkPaths
-from .training import TrainConfig, build_training_set, distill, train
+from .training import TrainConfig
 
 
 @dataclass
@@ -40,19 +35,14 @@ class BenchmarkArtifacts:
     labeled_ids: set[str]
     eval_docs: list[Document]
     gold: list[GoldAnnotation]
-    schema: RelationSchema
     feature_config: FeatureConfig
     prop_config: PropagationConfig
     rankings: dict[str, RankedLabeling] = field(default_factory=dict)
 
 
-def prepare(
-    paths: BenchmarkPaths,
-    feature_config: FeatureConfig | None = None,
-    prop_config: PropagationConfig | None = None,
-) -> BenchmarkArtifacts:
-    feature_config = feature_config or FeatureConfig()
-    prop_config = prop_config or PropagationConfig()
+def prepare(paths: BenchmarkPaths) -> BenchmarkArtifacts:
+    feature_config = FeatureConfig()
+    prop_config = PropagationConfig()
     schema = load_schema(paths.schema)
     triples = load_triples(paths.triples, schema)
     seeds = load_concept_seeds(paths.concept_seeds, schema)
@@ -67,7 +57,6 @@ def prepare(
         labeled_ids={lm.mention.mention_id for lm in sets.Rs + sets.Rt},
         eval_docs=ingest_corpus(paths.eval_corpus, "target"),
         gold=load_gold(paths.gold, schema),
-        schema=schema,
         feature_config=feature_config,
         prop_config=prop_config,
     )
@@ -78,20 +67,14 @@ def ranking_for(art: BenchmarkArtifacts, variant: list[str]) -> RankedLabeling:
     spec = VariantSpec.parse(variant)
     if spec.name not in art.rankings:
         graph = build_graph(art.sets, spec)
-        node_set = set(graph.mention_nodes)
-        seeds_by_relation: dict[str, set[str]] = {}
-        for lm in art.sets.Rs:
-            if lm.mention.mention_id in node_set:
-                seeds_by_relation.setdefault(lm.label, set()).add(lm.mention.mention_id)
-        art.rankings[spec.name] = multirankwalk(graph, seeds_by_relation, art.prop_config)
+        art.rankings[spec.name] = multirankwalk(
+            graph, relation_seeds(graph, art.sets.Rs), art.prop_config
+        )
     return art.rankings[spec.name]
 
 
 def _score(art: BenchmarkArtifacts, model) -> EvalReport:
-    predictions = []
-    for doc in art.eval_docs:
-        predictions.extend(extract_document(doc, model, art.feature_config))
-    return evaluate(predictions, art.gold)
+    return evaluate(extract_all(art.eval_docs, model, art.feature_config), art.gold)
 
 
 def distilled_report(
@@ -100,12 +83,7 @@ def distilled_report(
     """Full propagate-distill-train-extract-evaluate run for one variant
     and train config."""
     ranking = ranking_for(art, variant)
-    positives, shortfalls = distill(ranking, art.sets, config)
-    training_set = build_training_set(
-        positives, art.pool, art.labeled_ids, config, shortfalls
-    )
-    model = train(training_set, config, art.feature_config)
-    return _score(art, model)
+    return _score(art, fit_model(ranking, art.sets, art.pool, config, art.feature_config))
 
 
 def baseline_report(art: BenchmarkArtifacts, kind: str, config: TrainConfig) -> EvalReport:

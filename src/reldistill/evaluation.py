@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from .corpus import Document
 from .features import FeatureConfig, Mention
 from .kb import RelationSchema
-from .mentions import LabeledMention, MentionSets, corpus_mentions
+from .mentions import LabeledMention, MentionSets
 from .norm import normalize
 from .training import LinearModel, TrainConfig, build_training_set, classify_scored, train
 

@@ -153,7 +153,3 @@ def load_concept_seeds(
                 out.append(s)
     return sorted(out, key=lambda s: (s.concept, s.instance))
 
-
-def match_value(np_surface: str, values: set[str]) -> bool:
-    """Exact match after normalization; `values` must already be normalized."""
-    return normalize(np_surface) in values

@@ -105,7 +105,6 @@ def build_relation_mentions(
     for t in triples:
         by_subject.setdefault(t.subject, []).append(t)
 
-    source_set = None
     out = []
     seen = set()
     for m in sorted(mentions, key=lambda m: m.mention_id):
@@ -236,63 +235,41 @@ def mention_from_dict(obj: dict) -> Mention:
     )
 
 
-def write_mentions(mentions: list[Mention], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for m in mentions:
-            fh.write(json.dumps(mention_to_dict(m), sort_keys=True) + "\n")
-
-
-def read_mentions(path: str) -> list[Mention]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(mention_from_dict(json.loads(line)))
-    return out
-
-
 def labeled_mention_to_dict(lm: LabeledMention) -> dict:
-    m = lm.mention
-    return {
-        "mention_id": m.mention_id,
-        "label": lm.label,
-        "source_set": lm.source_set,
-        "doc_id": m.doc_id,
-        "title_entity": m.title_entity,
-        "section": m.section_title,
-        "kind": m.kind,
-        "surfaces": list(m.item_surfaces),
-        "corpus_tag": m.corpus_tag,
-        "features": {f: c for f, c in m.features},
-    }
+    return {**mention_to_dict(lm.mention), "label": lm.label, "source_set": lm.source_set}
 
 
 def labeled_mention_from_dict(obj: dict) -> LabeledMention:
-    mention = Mention(
-        mention_id=obj["mention_id"],
-        doc_id=obj["doc_id"],
-        title_entity=obj["title_entity"],
-        section_title=obj["section"],
-        kind=obj["kind"],
-        item_surfaces=tuple(obj["surfaces"]),
-        features=tuple(sorted(obj["features"].items())),
-        corpus_tag=obj["corpus_tag"],
-    )
-    return LabeledMention(mention, obj["label"], obj["source_set"])
+    return LabeledMention(mention_from_dict(obj), obj["label"], obj["source_set"])
 
 
-def write_labeled_mentions(lms: list[LabeledMention], path: str) -> None:
+def _write_jsonl(records, to_dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for lm in lms:
-            fh.write(json.dumps(labeled_mention_to_dict(lm), sort_keys=True) + "\n")
+        for record in records:
+            fh.write(json.dumps(to_dict(record), sort_keys=True) + "\n")
 
 
-def read_labeled_mentions(path: str) -> list[LabeledMention]:
-    out = []
+def _read_jsonl(path: str):
+    """Yield one decoded object per non-blank line, so that callers build
+    their records without holding every decoded dict at once."""
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
-                out.append(labeled_mention_from_dict(json.loads(line)))
-    return out
+                yield json.loads(line)
+
+
+def write_mentions(mentions: list[Mention], path: str) -> None:
+    _write_jsonl(mentions, mention_to_dict, path)
+
+
+def read_mentions(path: str) -> list[Mention]:
+    return [mention_from_dict(obj) for obj in _read_jsonl(path)]
+
+
+def write_labeled_mentions(lms: list[LabeledMention], path: str) -> None:
+    _write_jsonl(lms, labeled_mention_to_dict, path)
+
+
+def read_labeled_mentions(path: str) -> list[LabeledMention]:
+    return [labeled_mention_from_dict(obj) for obj in _read_jsonl(path)]

@@ -2,26 +2,32 @@
 provenance manifest. Each stage reads the previous stage's files, writes
 its own, and records input/output hashes plus the run-config hash so
 incompatible artifacts cannot be mixed.
+
+`fit_model` and `extract_all` are the in-process core of the method
+(distill, train, extract). They do no I/O; the stages wrap them with
+artifact reads and writes, and `benchmark` calls them directly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .corpus import ingest_corpus, write_corpus
+from .corpus import Document, ingest_corpus, write_corpus
 from .evaluation import (
+    Prediction,
     evaluate,
     extract_document,
     load_gold,
     pr_curve,
+    read_predictions,
     write_pr_curve,
     write_predictions,
     write_report,
 )
-from .features import FeatureConfig
+from .features import FeatureConfig, Mention
 from .kb import load_concept_seeds, load_schema, load_triples
 from .mentions import (
     MentionSets,
@@ -34,14 +40,17 @@ from .mentions import (
 )
 from .propagation import (
     PropagationConfig,
+    RankedLabeling,
     VariantSpec,
     build_graph,
     multirankwalk,
     read_ranking,
+    relation_seeds,
     write_graph_dump,
     write_ranking,
 )
 from .training import (
+    LinearModel,
     TrainConfig,
     build_training_set,
     distill,
@@ -53,6 +62,35 @@ from .training import (
 
 class StageError(ValueError):
     """Missing upstream artifact or config mismatch between stages."""
+
+
+_PATH_KEYS = (
+    "structured_corpus",
+    "target_corpus",
+    "eval_corpus",
+    "schema",
+    "triples",
+    "concept_seeds",
+    "gold",
+)
+
+
+def _check_keys(obj, cls, prefix: str) -> None:
+    """Reject a run-config object that is not a JSON object or that has a
+    key `cls` has no field for; `prefix` names the enclosing section."""
+    if not isinstance(obj, dict):
+        where = prefix.rstrip(".") or "the config"
+        raise StageError(f"run config: {where} must be a JSON object")
+    known = {f.name for f in fields(cls)}
+    for key in sorted(obj):
+        if key not in known:
+            raise StageError(f"run config: unknown key {prefix + key!r}")
+
+
+def _section(obj: dict, key: str, cls):
+    section = obj.get(key, {})
+    _check_keys(section, cls, key + ".")
+    return cls.from_dict(section)
 
 
 @dataclass
@@ -72,13 +110,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {
-            "structured_corpus": self.structured_corpus,
-            "target_corpus": self.target_corpus,
-            "eval_corpus": self.eval_corpus,
-            "schema": self.schema,
-            "triples": self.triples,
-            "concept_seeds": self.concept_seeds,
-            "gold": self.gold,
+            **{key: getattr(self, key) for key in _PATH_KEYS},
             "variant": list(self.variant),
             "propagation": self.propagation.to_dict(),
             "features": self.features.to_dict(),
@@ -88,18 +120,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
+        _check_keys(obj, cls, "")
+        for key in _PATH_KEYS:
+            if key not in obj:
+                raise StageError(f"run config: missing required key {key!r}")
         return cls(
-            structured_corpus=obj["structured_corpus"],
-            target_corpus=obj["target_corpus"],
-            eval_corpus=obj["eval_corpus"],
-            schema=obj["schema"],
-            triples=obj["triples"],
-            concept_seeds=obj["concept_seeds"],
-            gold=obj["gold"],
+            **{key: obj[key] for key in _PATH_KEYS},
             variant=obj.get("variant", ["Rs", "Rt"]),
-            propagation=PropagationConfig.from_dict(obj.get("propagation", {})),
-            features=FeatureConfig.from_dict(obj.get("features", {})),
-            training=TrainConfig.from_dict(obj.get("training", {})),
+            propagation=_section(obj, "propagation", PropagationConfig),
+            features=_section(obj, "features", FeatureConfig),
+            training=_section(obj, "training", TrainConfig),
             sweep_n=obj.get("sweep_n", [5, 10, 20]),
         )
 
@@ -108,15 +138,7 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
     def validate_paths(self) -> None:
-        for name in (
-            "structured_corpus",
-            "target_corpus",
-            "eval_corpus",
-            "schema",
-            "triples",
-            "concept_seeds",
-            "gold",
-        ):
+        for name in _PATH_KEYS:
             path = getattr(self, name)
             if not Path(path).is_file():
                 raise StageError(f"config path {name} does not exist: {path}")
@@ -181,6 +203,32 @@ class Workspace:
         return path
 
 
+def fit_model(
+    ranking: RankedLabeling,
+    sets: MentionSets,
+    pool: list[Mention],
+    train_config: TrainConfig,
+    feature_config: FeatureConfig,
+) -> LinearModel:
+    """Distill the top-N positives from a propagation ranking, sample
+    negatives from the mentions no Rs/Rt label touches, and train."""
+    positives, shortfalls = distill(ranking, sets, train_config)
+    labeled_ids = {lm.mention.mention_id for lm in sets.Rs + sets.Rt}
+    training_set = build_training_set(
+        positives, pool, labeled_ids, train_config, shortfalls
+    )
+    return train(training_set, train_config, feature_config)
+
+
+def extract_all(
+    docs: list[Document], model: LinearModel, feature_config: FeatureConfig
+) -> list[Prediction]:
+    predictions = []
+    for doc in docs:
+        predictions.extend(extract_document(doc, model, feature_config))
+    return predictions
+
+
 def stage_ingest(ws: Workspace) -> None:
     cfg = ws.config
     cfg.validate_paths()
@@ -238,19 +286,17 @@ def _load_sets(ws: Workspace) -> MentionSets:
     return sets
 
 
+def _load_pool(ws: Workspace) -> list[Mention]:
+    pool = read_mentions(str(ws.require("pool_structured.jsonl", "mentions")))
+    pool += read_mentions(str(ws.require("pool_target.jsonl", "mentions")))
+    return pool
+
+
 def stage_propagate(ws: Workspace) -> None:
     cfg = ws.config
     sets = _load_sets(ws)
-    variant = VariantSpec.parse(cfg.variant)
-    graph = build_graph(sets, variant)
-    seeds_by_relation: dict[str, set[str]] = {}
-    node_set = set(graph.mention_nodes)
-    for lm in sets.Rs:
-        if lm.mention.mention_id in node_set:
-            seeds_by_relation.setdefault(lm.label, set()).add(lm.mention.mention_id)
-    if not seeds_by_relation:
-        raise StageError("no Rs seed mentions survive in the propagation graph")
-    ranking = multirankwalk(graph, seeds_by_relation, cfg.propagation)
+    graph = build_graph(sets, VariantSpec.parse(cfg.variant))
+    ranking = multirankwalk(graph, relation_seeds(graph, sets.Rs), cfg.propagation)
 
     ranking_path = ws.out / "ranking.tsv"
     graph_path = ws.out / "graph.tsv"
@@ -266,16 +312,8 @@ def stage_propagate(ws: Workspace) -> None:
 def stage_train(ws: Workspace) -> None:
     cfg = ws.config
     ranking_path = ws.require("ranking.tsv", "propagate")
-    sets = _load_sets(ws)
-    pool = read_mentions(str(ws.require("pool_structured.jsonl", "mentions")))
-    pool += read_mentions(str(ws.require("pool_target.jsonl", "mentions")))
     ranking = read_ranking(str(ranking_path))
-
-    positives, shortfalls = distill(ranking, sets, cfg.training)
-    labeled_ids = {lm.mention.mention_id for lm in sets.Rs + sets.Rt}
-    training_set = build_training_set(positives, pool, labeled_ids, cfg.training, shortfalls)
-    model = train(training_set, cfg.training, cfg.features)
-
+    model = fit_model(ranking, _load_sets(ws), _load_pool(ws), cfg.training, cfg.features)
     model_path = ws.out / "model.json"
     save_model(model, str(model_path))
     ws.record_stage("train", [ranking_path], [model_path])
@@ -285,11 +323,8 @@ def stage_extract(ws: Workspace) -> None:
     cfg = ws.config
     model_path = ws.require("model.json", "train")
     eval_path = ws.require("documents_eval.jsonl", "ingest")
-    model = load_model(str(model_path))
     docs = ingest_corpus(str(eval_path), "target")
-    predictions = []
-    for doc in docs:
-        predictions.extend(extract_document(doc, model, cfg.features))
+    predictions = extract_all(docs, load_model(str(model_path)), cfg.features)
     pred_path = ws.out / "predictions.tsv"
     write_predictions(predictions, str(pred_path))
     ws.record_stage("extract", [model_path, eval_path], [pred_path])
@@ -298,8 +333,6 @@ def stage_extract(ws: Workspace) -> None:
 def stage_eval(ws: Workspace) -> None:
     cfg = ws.config
     pred_path = ws.require("predictions.tsv", "extract")
-    from .evaluation import read_predictions
-
     schema = load_schema(cfg.schema)
     gold = load_gold(cfg.gold, schema)
     predictions = read_predictions(str(pred_path))
@@ -315,48 +348,30 @@ def stage_eval(ws: Workspace) -> None:
 
 def stage_sweep(ws: Workspace) -> None:
     """Re-run distill+train+extract+eval across N values and both
-    strategies; emits F1-vs-N rows for the configured variant."""
-    import dataclasses
-
+    strategies; emits F1-vs-N rows for the configured variant. The CSV is
+    written only after every cell has succeeded."""
     cfg = ws.config
     ranking_path = ws.require("ranking.tsv", "propagate")
-    sets = _load_sets(ws)
-    pool = read_mentions(str(ws.require("pool_structured.jsonl", "mentions")))
-    pool += read_mentions(str(ws.require("pool_target.jsonl", "mentions")))
     ranking = read_ranking(str(ranking_path))
-    labeled_ids = {lm.mention.mention_id for lm in sets.Rs + sets.Rt}
+    sets = _load_sets(ws)
+    pool = _load_pool(ws)
     eval_docs = ingest_corpus(str(ws.require("documents_eval.jsonl", "ingest")), "target")
-    schema = load_schema(cfg.schema)
-    gold = load_gold(cfg.gold, schema)
+    gold = load_gold(cfg.gold, load_schema(cfg.schema))
     variant_name = VariantSpec.parse(cfg.variant).name
 
     rows = []
     for strategy in ("Both", "Target"):
         for n in cfg.sweep_n:
-            tc = dataclasses.replace(cfg.training, n=n, strategy=strategy)
-            positives, shortfalls = distill(ranking, sets, tc)
-            training_set = build_training_set(positives, pool, labeled_ids, tc, shortfalls)
-            model = train(training_set, tc, cfg.features)
-            predictions = []
-            for doc in eval_docs:
-                predictions.extend(extract_document(doc, model, cfg.features))
-            report = evaluate(predictions, gold)
-            rows.append(
-                (
-                    variant_name,
-                    strategy,
-                    n,
-                    report.micro.precision,
-                    report.micro.recall,
-                    report.micro.f1,
-                )
-            )
+            tc = replace(cfg.training, n=n, strategy=strategy)
+            model = fit_model(ranking, sets, pool, tc, cfg.features)
+            micro = evaluate(extract_all(eval_docs, model, cfg.features), gold).micro
+            rows.append((strategy, n, micro.precision, micro.recall, micro.f1))
 
     sweep_path = ws.out / "sweep.csv"
     with open(sweep_path, "w", encoding="utf-8") as fh:
         fh.write("variant,strategy,n,precision,recall,f1\n")
-        for variant, strategy, n, p, r, f1 in rows:
-            fh.write(f"{variant},{strategy},{n},{p:.12g},{r:.12g},{f1:.12g}\n")
+        for strategy, n, p, r, f1 in rows:
+            fh.write(f"{variant_name},{strategy},{n},{p:.12g},{r:.12g},{f1:.12g}\n")
     ws.record_stage("sweep", [ranking_path], [sweep_path])
 
 

@@ -60,7 +60,6 @@ class PropagationConfig:
     tolerance: float = 1e-10
     concept_score_floor: float = 0.0
     concept_top_k: int = 10000
-    class_normalize: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -75,7 +74,6 @@ class PropagationConfig:
             "tolerance": self.tolerance,
             "concept_score_floor": self.concept_score_floor,
             "concept_top_k": self.concept_top_k,
-            "class_normalize": self.class_normalize,
         }
 
     @classmethod
@@ -99,13 +97,6 @@ class BipartiteGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.mention_nodes) + len(self.feature_nodes)
-
-    def edge_weight(self, mention_id: str, feature_id: str) -> float:
-        i = self.node_index.get(mention_id)
-        j = self.node_index.get(feature_id)
-        if i is None or j is None:
-            return 0.0
-        return self.adjacency[i, j]
 
     def edges(self):
         """Iterate (mention_id, feature_id, weight); for debugging dumps."""
@@ -222,6 +213,19 @@ def personalized_pagerank(
     return {node: float(p[i]) for i, node in enumerate(nodes)}
 
 
+def relation_seeds(graph: BipartiteGraph, rs: list[LabeledMention]) -> dict[str, set[str]]:
+    """The Rs mentions that are nodes of `graph`, grouped by relation: the
+    restart sets of relation propagation."""
+    node_set = set(graph.mention_nodes)
+    seeds: dict[str, set[str]] = {}
+    for lm in rs:
+        if lm.mention.mention_id in node_set:
+            seeds.setdefault(lm.label, set()).add(lm.mention.mention_id)
+    if not seeds:
+        raise ValueError("no Rs seed mentions survive in the propagation graph")
+    return seeds
+
+
 @dataclass
 class RankedLabeling:
     per_class: dict[str, list[tuple[str, float]]]
@@ -238,13 +242,10 @@ def multirankwalk(
     mentions assigned to that class, best first."""
     if not seeds_by_class:
         raise ValueError("no classes given")
-    scores: dict[str, dict[str, float]] = {}
-    for cls in sorted(seeds_by_class):
-        vec = personalized_pagerank(graph, seeds_by_class[cls], config)
-        if config.class_normalize:
-            top = max(vec[m] for m in graph.mention_nodes) or 1.0
-            vec = {node: v / top for node, v in vec.items()}
-        scores[cls] = vec
+    scores = {
+        cls: personalized_pagerank(graph, seeds_by_class[cls], config)
+        for cls in sorted(seeds_by_class)
+    }
 
     classes = sorted(scores)
     assignment = {}

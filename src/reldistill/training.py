@@ -80,7 +80,10 @@ class RelationModel:
         if self.platt is None:
             return m
         a, b = self.platt
-        return 1.0 / (1.0 + math.exp(a * m + b))
+        try:
+            return 1.0 / (1.0 + math.exp(a * m + b))
+        except OverflowError:  # a*m + b past about 709: the score's limit is 0
+            return 0.0
 
 
 @dataclass

@@ -10,6 +10,7 @@ import random
 import statistics
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +61,7 @@ FROZEN_BASELINE_MEAN_F1 = 0.8447
 FROZEN_GAP = FROZEN_DISTILLED_MEAN_F1 - FROZEN_BASELINE_MEAN_F1
 BENCH_VARIANT = ["Rs", "Rt"]
 BENCH_CONFIG = dataclasses.replace(TrainConfig(), n=20, strategy="Both")
+RESULTS = Path(__file__).resolve().parents[1] / "results"
 
 
 def random_connected_bipartite(rng: random.Random) -> BipartiteGraph:
@@ -213,9 +215,56 @@ def test_benchmark_distilled_beats_direct_baseline():
 
 
 @pytest.fixture(scope="module")
-def bench0(tmp_path_factory):
-    paths = generate_benchmark(str(tmp_path_factory.mktemp("bench0")), seed=0)
-    return benchmark.prepare(paths)
+def bench0_paths(tmp_path_factory):
+    return generate_benchmark(str(tmp_path_factory.mktemp("bench0")), seed=0)
+
+
+@pytest.fixture(scope="module")
+def bench0(bench0_paths):
+    return benchmark.prepare(bench0_paths)
+
+
+def test_cli_sweep_and_harness_reproduce_committed_sweep(bench0_paths, bench0, tmp_path):
+    """The CLI stages and the in-process harness share one pipeline core:
+    both give the committed RsRt N=20 rows of results/sweep.csv."""
+    committed = {}
+    with open(RESULTS / "sweep.csv", encoding="utf-8") as fh:
+        for line in fh:
+            variant, strategy, n, *prf = line.strip().split(",")
+            if variant == "RsRt" and n == "20":
+                committed[strategy] = ",".join(prf)
+    assert set(committed) == {"Both", "Target"}
+
+    def fmt(p, r, f1):
+        return f"{p:.6f},{r:.6f},{f1:.6f}"
+
+    harness = {}
+    for strategy in committed:
+        config = dataclasses.replace(BENCH_CONFIG, strategy=strategy)
+        m = benchmark.distilled_report(bench0, BENCH_VARIANT, config).micro
+        harness[strategy] = fmt(m.precision, m.recall, m.f1)
+    assert harness == committed
+
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        **{key: getattr(bench0_paths, key) for key in (
+            "structured_corpus", "target_corpus", "eval_corpus", "schema",
+            "triples", "concept_seeds", "gold",
+        )},
+        "variant": BENCH_VARIANT,
+        "sweep_n": [20],
+    }))
+    out = tmp_path / "out"
+    for cmd in ("ingest", "mentions", "propagate", "sweep"):
+        assert cli_main(["--config", str(config_path), "--out", str(out), cmd]) == 0
+    cli = {}
+    for line in (out / "sweep.csv").read_text().splitlines()[1:]:
+        variant, strategy, n, *prf = line.split(",")
+        assert (variant, n) == ("RsRt", "20")
+        cli[strategy] = fmt(*map(float, prf))
+    assert cli == committed
+    ok(f"CLI sweep and benchmark harness both reproduce the committed RsRt "
+       f"N=20 rows (Both {committed['Both']}, Target {committed['Target']})")
 
 
 def test_distillation_strategy_semantics(bench0):

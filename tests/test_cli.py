@@ -129,6 +129,20 @@ class TestErrors:
         assert run(bad, tmp_path / "out", "run") == 1
         assert "target_corpus" in capsys.readouterr().err
 
+    def test_unknown_nested_key(self, run_config_file, tmp_path, capsys):
+        cfg = json.loads(run_config_file.read_text())
+        cfg["propagation"] = {"alpah": 0.2}
+        run_config_file.write_text(json.dumps(cfg))
+        assert run(run_config_file, tmp_path / "out", "run") == 1
+        assert "'propagation.alpah'" in capsys.readouterr().err
+
+    def test_missing_required_path(self, run_config_file, tmp_path, capsys):
+        cfg = json.loads(run_config_file.read_text())
+        del cfg["gold"]
+        run_config_file.write_text(json.dumps(cfg))
+        assert run(run_config_file, tmp_path / "out", "run") == 1
+        assert "'gold'" in capsys.readouterr().err
+
     def test_unknown_command_exits_nonzero(self, run_config_file, tmp_path):
         with pytest.raises(SystemExit):
             run(run_config_file, tmp_path / "out", "bogus")

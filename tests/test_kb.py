@@ -2,14 +2,15 @@ import json
 
 import pytest
 
+from reldistill.features import Mention
 from reldistill.kb import (
     SchemaError,
     Triple,
     load_concept_seeds,
     load_schema,
     load_triples,
-    match_value,
 )
+from reldistill.mentions import build_relation_mentions
 
 
 def test_schema_loaded(schema):
@@ -128,11 +129,29 @@ def test_concept_seeds_loaded(concept_seeds):
 
 
 class TestMatchValue:
+    """A KB value matches a mention surface the way distant labeling
+    applies it: after normalization, and only as the whole surface."""
+
+    @staticmethod
+    def labels(surface, value):
+        mention = Mention(
+            mention_id="d|s0|t0|0-1",
+            doc_id="d",
+            title_entity="aspirin",
+            section_title="side effects",
+            kind="singleton",
+            item_surfaces=(surface,),
+            features=(),
+            corpus_tag="target",
+        )
+        triples = [Triple("sideEffect", "aspirin", value)]
+        return build_relation_mentions([mention], triples, None, enforce_sections=False)
+
     def test_case_normalization(self):
-        assert match_value("Nausea", {"nausea"})
+        assert [lm.label for lm in self.labels("Nausea", "nausea")] == ["sideEffect"]
 
     def test_exact_match_only(self):
-        assert not match_value("nausea and vomiting", {"nausea"})
+        assert self.labels("nausea and vomiting", "nausea") == []
 
     def test_whitespace_collapse(self):
-        assert match_value("stomach  upset", {"stomach upset"})
+        assert len(self.labels("stomach  upset", "stomach upset")) == 1

@@ -67,7 +67,8 @@ class TestBuildGraph:
             make_mention("m2", {"g": 1, "h": 1}),
         ]
         graph = build_graph_from_mentions(mentions)
-        assert graph.edge_weight("m1", "f") == pytest.approx(2 * math.log(2))
+        weights = {(m, f): w for m, f, w in graph.edges()}
+        assert weights[("m1", "f")] == pytest.approx(2 * math.log(2))
         # g occurs in every mention: idf 0, no edge, feature node dropped
         assert "g" not in graph.feature_nodes
 

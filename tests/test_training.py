@@ -264,6 +264,19 @@ class TestClassify:
         assert classify(model, make_mention("m", {"f": 1})) == "a_rel"
 
 
+class TestScore:
+    def test_platt_score_past_exp_range_is_zero(self):
+        # a*m + b = 1500 overflows math.exp; the sigmoid's limit there is 0
+        rm = RelationModel(weights={"f": -300.0}, bias=0.0, platt=(-5.0, 0.0))
+        assert rm.score({"f": 1}) == 0.0
+        model = LinearModel(
+            relations={"rel": rm},
+            feature_config=FeatureConfig(),
+            train_config=TrainConfig(),
+        )
+        assert classify(model, make_mention("m", {"f": 1})) == "other"
+
+
 def test_model_file_roundtrip(tmp_path, separable_mentions):
     pos, neg = separable_mentions
     vectors = [m.feature_counts() for m in pos + neg]
