@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .corpus import Document, ingest_corpus, write_corpus
 from .evaluation import (
@@ -87,10 +88,44 @@ def _check_keys(obj, cls, prefix: str) -> None:
             raise StageError(f"run config: unknown key {prefix + key!r}")
 
 
+_JSON_KINDS = {
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    str: "a string",
+    type(None): "null",
+}
+
+
+def _is_kind(value, kind) -> bool:
+    if kind in (int, float) and isinstance(value, bool):
+        return False  # JSON true/false are not numbers
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
 def _section(obj: dict, key: str, cls):
+    """Build a config section, checking each value against the type
+    annotation of its field."""
     section = obj.get(key, {})
     _check_keys(section, cls, key + ".")
+    hints = get_type_hints(cls)
+    for name, value in sorted(section.items()):
+        kinds = get_args(hints[name]) or (hints[name],)
+        if not any(_is_kind(value, k) for k in kinds):
+            raise StageError(
+                f"run config: {key + '.' + name!r} must be "
+                f"{' or '.join(_JSON_KINDS[k] for k in kinds)}, got {value!r}"
+            )
     return cls.from_dict(section)
+
+
+def _list_of(obj: dict, key: str, default: list, item_ok, items: str) -> list:
+    value = obj.get(key, default)
+    if not isinstance(value, list) or not all(item_ok(v) for v in value):
+        raise StageError(f"run config: {key!r} must be a list of {items}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -124,13 +159,20 @@ class RunConfig:
         for key in _PATH_KEYS:
             if key not in obj:
                 raise StageError(f"run config: missing required key {key!r}")
+            if not isinstance(obj[key], str):
+                raise StageError(f"run config: {key!r} must be a string, got {obj[key]!r}")
         return cls(
             **{key: obj[key] for key in _PATH_KEYS},
-            variant=obj.get("variant", ["Rs", "Rt"]),
+            variant=_list_of(
+                obj, "variant", ["Rs", "Rt"], lambda v: isinstance(v, str), "strings"
+            ),
             propagation=_section(obj, "propagation", PropagationConfig),
             features=_section(obj, "features", FeatureConfig),
             training=_section(obj, "training", TrainConfig),
-            sweep_n=obj.get("sweep_n", [5, 10, 20]),
+            sweep_n=_list_of(
+                obj, "sweep_n", [5, 10, 20],
+                lambda v: _is_kind(v, int) and v > 0, "positive integers",
+            ),
         )
 
     def config_hash(self) -> str:
@@ -163,6 +205,7 @@ class Workspace:
         "Cs": "mentions_Cs.jsonl",
         "Ct": "mentions_Ct.jsonl",
     }
+    POOL_FILES = ("pool_structured.jsonl", "pool_target.jsonl")
 
     def __init__(self, out_dir: str, config: RunConfig):
         self.out = Path(out_dir)
@@ -264,10 +307,7 @@ def stage_mentions(ws: Workspace) -> None:
         path = ws.out / filename
         write_labeled_mentions(sets.get(name), str(path))
         outputs.append(path)
-    for pool, filename in (
-        (structured, "pool_structured.jsonl"),
-        (target, "pool_target.jsonl"),
-    ):
+    for pool, filename in zip((structured, target), Workspace.POOL_FILES):
         path = ws.out / filename
         write_mentions(pool, str(path))
         outputs.append(path)
@@ -287,9 +327,16 @@ def _load_sets(ws: Workspace) -> MentionSets:
 
 
 def _load_pool(ws: Workspace) -> list[Mention]:
-    pool = read_mentions(str(ws.require("pool_structured.jsonl", "mentions")))
-    pool += read_mentions(str(ws.require("pool_target.jsonl", "mentions")))
+    pool = []
+    for filename in Workspace.POOL_FILES:
+        pool += read_mentions(str(ws.require(filename, "mentions")))
     return pool
+
+
+def _mention_artifacts(ws: Workspace) -> list[Path]:
+    """The files `_load_sets` and `_load_pool` read."""
+    names = [*Workspace.MENTION_SET_FILES.values(), *Workspace.POOL_FILES]
+    return [ws.out / name for name in names]
 
 
 def stage_propagate(ws: Workspace) -> None:
@@ -316,7 +363,7 @@ def stage_train(ws: Workspace) -> None:
     model = fit_model(ranking, _load_sets(ws), _load_pool(ws), cfg.training, cfg.features)
     model_path = ws.out / "model.json"
     save_model(model, str(model_path))
-    ws.record_stage("train", [ranking_path], [model_path])
+    ws.record_stage("train", [ranking_path, *_mention_artifacts(ws)], [model_path])
 
 
 def stage_extract(ws: Workspace) -> None:
@@ -355,7 +402,8 @@ def stage_sweep(ws: Workspace) -> None:
     ranking = read_ranking(str(ranking_path))
     sets = _load_sets(ws)
     pool = _load_pool(ws)
-    eval_docs = ingest_corpus(str(ws.require("documents_eval.jsonl", "ingest")), "target")
+    eval_path = ws.require("documents_eval.jsonl", "ingest")
+    eval_docs = ingest_corpus(str(eval_path), "target")
     gold = load_gold(cfg.gold, load_schema(cfg.schema))
     variant_name = VariantSpec.parse(cfg.variant).name
 
@@ -372,7 +420,11 @@ def stage_sweep(ws: Workspace) -> None:
         fh.write("variant,strategy,n,precision,recall,f1\n")
         for strategy, n, p, r, f1 in rows:
             fh.write(f"{variant_name},{strategy},{n},{p:.12g},{r:.12g},{f1:.12g}\n")
-    ws.record_stage("sweep", [ranking_path], [sweep_path])
+    ws.record_stage(
+        "sweep",
+        [ranking_path, *_mention_artifacts(ws), eval_path, Path(cfg.gold)],
+        [sweep_path],
+    )
 
 
 STAGES = {

@@ -102,7 +102,7 @@ class BipartiteGraph:
         """Iterate (mention_id, feature_id, weight); for debugging dumps."""
         m = len(self.mention_nodes)
         coo = sp.triu(self.adjacency).tocoo()
-        for i, j, w in zip(coo.row, coo.col, coo.data):
+        for i, j, w in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
             yield self.mention_nodes[i], self.feature_nodes[j - m], w
 
 
@@ -124,41 +124,41 @@ def build_graph_from_mentions(mentions: list[Mention]) -> BipartiteGraph:
             df[feat] = df.get(feat, 0) + 1
 
     kept_features = sorted(f for f, d in df.items() if d < total)
-    feat_index = {f: i for i, f in enumerate(kept_features)}
+    # math.log, not np.log: a vectorized log may differ in the last bit
+    feat_idf = {f: (i, math.log(total / df[f])) for i, f in enumerate(kept_features)}
 
-    rows, cols, data = [], [], []
-    mention_degree = np.zeros(total)
-    feature_degree = np.zeros(len(kept_features))
+    rows, cols, tfs, idfs = [], [], [], []
     for mi, mid in enumerate(mention_ids):
         for feat, tf in by_id[mid].features:
-            fi = feat_index.get(feat)
-            if fi is None:
-                continue
-            w = tf * math.log(total / df[feat])
-            rows.append(mi)
-            cols.append(fi)
-            data.append(w)
-            mention_degree[mi] += 1
-            feature_degree[fi] += 1
+            hit = feat_idf.get(feat)
+            if hit is not None:
+                rows.append(mi)
+                cols.append(hit[0])
+                tfs.append(tf)
+                idfs.append(hit[1])
+    rows = np.array(rows, dtype=np.intp)
+    cols = np.array(cols, dtype=np.intp)
+    weights = np.array(tfs, dtype=float) * np.array(idfs, dtype=float)
 
-    live_m = [i for i in range(total) if mention_degree[i] > 0]
-    live_f = [i for i in range(len(kept_features)) if feature_degree[i] > 0]
-    m_remap = {old: new for new, old in enumerate(live_m)}
-    f_remap = {old: new for new, old in enumerate(live_f)}
+    live_m = np.flatnonzero(np.bincount(rows, minlength=total))
+    live_f = np.flatnonzero(np.bincount(cols, minlength=len(kept_features)))
     n_m, n_f = len(live_m), len(live_f)
+    m_remap = np.zeros(total, dtype=np.intp)
+    m_remap[live_m] = np.arange(n_m)
+    f_remap = np.zeros(len(kept_features), dtype=np.intp)
+    f_remap[live_f] = np.arange(n_m, n_m + n_f)
 
-    r2, c2, d2 = [], [], []
-    for r, c, w in zip(rows, cols, data):
-        mi, fi = m_remap[r], f_remap[c] + n_m
-        r2.extend((mi, fi))
-        c2.extend((fi, mi))
-        d2.extend((w, w))
+    # each edge then its mirror: duplicate entries are summed in this order
+    mi, fi = m_remap[rows], f_remap[cols]
+    r2 = np.column_stack((mi, fi)).ravel()
+    c2 = np.column_stack((fi, mi)).ravel()
+    d2 = np.repeat(weights, 2)
     adjacency = sp.csr_matrix(
         (d2, (r2, c2)), shape=(n_m + n_f, n_m + n_f)
     )
     return BipartiteGraph(
-        mention_nodes=[mention_ids[i] for i in live_m],
-        feature_nodes=[kept_features[i] for i in live_f],
+        mention_nodes=[mention_ids[i] for i in live_m.tolist()],
+        feature_nodes=[kept_features[i] for i in live_f.tolist()],
         adjacency=adjacency,
     )
 
@@ -175,42 +175,62 @@ def build_graph(sets: MentionSets, variant: VariantSpec) -> BipartiteGraph:
     return build_graph_from_mentions(list(pool.values()))
 
 
-def personalized_pagerank(
-    graph: BipartiteGraph, seeds: set[str], config: PropagationConfig
-) -> dict[str, float]:
-    """Power iteration for p = alpha*s + (1-alpha)*T'p with s uniform
-    over the seeds; returns scores for every node (sums to 1)."""
-    if not seeds:
-        raise ValueError("seed set is empty")
-    idx = []
-    for seed in sorted(seeds):
-        i = graph.node_index.get(seed)
-        if i is None:
-            raise ValueError(f"seed {seed!r} is not a node in the graph")
-        idx.append(i)
+def _ppr_columns(
+    graph: BipartiteGraph, seed_sets: list[set[str]], config: PropagationConfig
+) -> list[np.ndarray]:
+    """Power iteration for p = alpha*s + (1-alpha)*T'p, one seed set per
+    class, s uniform over the seeds. Every seed set is checked first; T'
+    is built once and each class then iterates with its own matvec and
+    stopping rule. A class that has not met the tolerance after
+    `max_iters` steps raises ValueError."""
+    nodes = graph.mention_nodes + graph.feature_nodes
     # graph construction drops degree-0 nodes, but guard imported graphs
     degrees = np.asarray(graph.adjacency.sum(axis=1)).ravel()
-    for i in idx:
-        if degrees[i] == 0:
-            raise ValueError(f"seed {graph.mention_nodes[i]!r} is isolated")
-
-    n = graph.n_nodes
-    s = np.zeros(n)
-    s[idx] = 1.0 / len(idx)
+    restarts = []
+    for seeds in seed_sets:
+        if not seeds:
+            raise ValueError("seed set is empty")
+        idx = []
+        for seed in sorted(seeds):
+            i = graph.node_index.get(seed)
+            if i is None:
+                raise ValueError(f"seed {seed!r} is not a node in the graph")
+            idx.append(i)
+        for i in idx:
+            if degrees[i] == 0:
+                raise ValueError(f"seed {nodes[i]!r} is isolated")
+        restarts.append(idx)
 
     inv_deg = np.divide(1.0, degrees, out=np.zeros_like(degrees), where=degrees > 0)
     t_transpose = (graph.adjacency.multiply(inv_deg[:, None])).T.tocsr()
+    walk = 1.0 - config.alpha
 
-    p = s.copy()
-    for _ in range(config.max_iters):
-        p_next = config.alpha * s + (1.0 - config.alpha) * (t_transpose @ p)
-        if np.max(np.abs(p_next - p)) <= config.tolerance:
+    columns = []
+    for idx in restarts:
+        p = np.zeros(graph.n_nodes)
+        p[idx] = 1.0 / len(idx)
+        restart = config.alpha * p
+        for _ in range(config.max_iters):
+            p_next = restart + walk * (t_transpose @ p)
+            residual = np.max(np.abs(p_next - p))
             p = p_next
-            break
-        p = p_next
+            if residual <= config.tolerance:
+                break
+        else:
+            raise ValueError(
+                f"personalized PageRank did not converge in {config.max_iters} "
+                f"iterations (residual {residual:.3g} > tolerance {config.tolerance:g})"
+            )
+        columns.append(p)
+    return columns
 
-    nodes = graph.mention_nodes + graph.feature_nodes
-    return {node: float(p[i]) for i, node in enumerate(nodes)}
+
+def personalized_pagerank(
+    graph: BipartiteGraph, seeds: set[str], config: PropagationConfig
+) -> dict[str, float]:
+    """Scores of every node (summing to 1) for one restart set."""
+    (p,) = _ppr_columns(graph, [seeds], config)
+    return dict(zip(graph.mention_nodes + graph.feature_nodes, p.tolist()))
 
 
 def relation_seeds(graph: BipartiteGraph, rs: list[LabeledMention]) -> dict[str, set[str]]:
@@ -242,20 +262,19 @@ def multirankwalk(
     mentions assigned to that class, best first."""
     if not seeds_by_class:
         raise ValueError("no classes given")
-    scores = {
-        cls: personalized_pagerank(graph, seeds_by_class[cls], config)
-        for cls in sorted(seeds_by_class)
-    }
+    classes = sorted(seeds_by_class)
+    columns = _ppr_columns(graph, [seeds_by_class[c] for c in classes], config)
+    n_m = len(graph.mention_nodes)
+    scores = np.column_stack([p[:n_m] for p in columns])  # mentions x classes
+    # np.argmax takes the first maximum: ties go to the first class
+    best = np.argmax(scores, axis=1)
+    best_scores = scores[np.arange(n_m), best]
 
-    classes = sorted(scores)
     assignment = {}
     per_class: dict[str, list[tuple[str, float]]] = {c: [] for c in classes}
-    for mid in graph.mention_nodes:
-        # ties go to the lexicographically first class reaching the max
-        best_score = max(scores[c][mid] for c in classes)
-        best = next(c for c in classes if scores[c][mid] == best_score)
-        assignment[mid] = best
-        per_class[best].append((mid, best_score))
+    for mid, k, score in zip(graph.mention_nodes, best.tolist(), best_scores.tolist()):
+        assignment[mid] = classes[k]
+        per_class[classes[k]].append((mid, score))
     for cls in classes:
         per_class[cls].sort(key=lambda t: (-t[1], t[0]))
     return RankedLabeling(per_class=per_class, assignment=assignment)

@@ -172,6 +172,13 @@ def hinge_objective(
     return 0.5 * reg_lambda * float(w @ w) + float(hinge.mean())
 
 
+def _row_dot(idx: np.ndarray, val: np.ndarray, w: np.ndarray) -> float:
+    """One CSR row times `w`, summed left to right from 0.0 as scipy's
+    row product sums it. A BLAS dot (`val @ w[idx]`) reassociates and can
+    differ in the last bit, which would move SGD off its trajectory."""
+    return (val * w[idx]).cumsum()[-1] if len(idx) else 0.0
+
+
 def _sgd_hinge(
     x: sp.csr_matrix,
     y: np.ndarray,
@@ -185,6 +192,11 @@ def _sgd_hinge(
     given, the objective of the averaged iterate is appended per epoch of
     the averaging window."""
     n, dim = x.shape
+    bounds = x.indptr.tolist()
+    rows = [
+        (x.indices[lo:hi], x.data[lo:hi], yi)
+        for lo, hi, yi in zip(bounds, bounds[1:], y.tolist())
+    ]
     w = np.zeros(dim)
     bias = 0.0
     rng = np.random.default_rng(rng_seed)
@@ -195,15 +207,15 @@ def _sgd_hinge(
     avg_from = max(1, epochs // 2)
     for epoch in range(epochs):
         order = rng.permutation(n)
-        for i in order:
+        for i in order.tolist():
             t += 1
             eta = 1.0 / (reg_lambda * (t + 1.0 / reg_lambda))
-            xi = x.getrow(i)
-            margin = y[i] * ((xi @ w).item() + bias)
+            idx, val, yi = rows[i]
+            margin = yi * (_row_dot(idx, val, w) + bias)
             w *= 1.0 - eta * reg_lambda
             if margin < 1.0:
-                w[xi.indices] += eta * y[i] * xi.data
-                bias += eta * y[i]
+                w[idx] += eta * yi * val
+                bias += eta * yi
         if epoch >= avg_from:
             avg_w += w
             avg_b += bias

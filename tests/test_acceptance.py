@@ -4,6 +4,7 @@ test prints a single PASS line on success (visible with pytest -v -s).
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -224,6 +225,20 @@ def bench0(bench0_paths):
     return benchmark.prepare(bench0_paths)
 
 
+def write_bench0_config(paths, directory: Path, **extra) -> Path:
+    """The run config scripts/make_benchmark.py writes, plus `extra`."""
+    config_path = directory / "config.json"
+    config_path.write_text(json.dumps({
+        **{key: getattr(paths, key) for key in (
+            "structured_corpus", "target_corpus", "eval_corpus", "schema",
+            "triples", "concept_seeds", "gold",
+        )},
+        "variant": BENCH_VARIANT,
+        **extra,
+    }))
+    return config_path
+
+
 def test_cli_sweep_and_harness_reproduce_committed_sweep(bench0_paths, bench0, tmp_path):
     """The CLI stages and the in-process harness share one pipeline core:
     both give the committed RsRt N=20 rows of results/sweep.csv."""
@@ -245,15 +260,7 @@ def test_cli_sweep_and_harness_reproduce_committed_sweep(bench0_paths, bench0, t
         harness[strategy] = fmt(m.precision, m.recall, m.f1)
     assert harness == committed
 
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({
-        **{key: getattr(bench0_paths, key) for key in (
-            "structured_corpus", "target_corpus", "eval_corpus", "schema",
-            "triples", "concept_seeds", "gold",
-        )},
-        "variant": BENCH_VARIANT,
-        "sweep_n": [20],
-    }))
+    config_path = write_bench0_config(bench0_paths, tmp_path, sweep_n=[20])
     out = tmp_path / "out"
     for cmd in ("ingest", "mentions", "propagate", "sweep"):
         assert cli_main(["--config", str(config_path), "--out", str(out), cmd]) == 0
@@ -265,6 +272,64 @@ def test_cli_sweep_and_harness_reproduce_committed_sweep(bench0_paths, bench0, t
     assert cli == committed
     ok(f"CLI sweep and benchmark harness both reproduce the committed RsRt "
        f"N=20 rows (Both {committed['Both']}, Target {committed['Target']})")
+
+
+# sha256 of the seed-0 artifacts of `reldistill run` (+ `sweep`) with the
+# config scripts/make_benchmark.py writes, recorded before the array
+# kernels of propagation and training replaced the per-element loops.
+GOLDEN_SHA256 = {
+    "graph.tsv": "e6119951db695a0992e487068a0f3c817c86759727ad4bca7c3b197537a445ae",
+    "ranking.tsv": "b1c085953f54fd8f3ecf8d2ab86628b641db6e2330664a5c6f52b3177abae85c",
+    "model.json": "368c580f621c5898d428383dc5bb1392380ecc39bcf6931346d61c36d8b678c6",
+    "predictions.tsv": "c23acb039ac552139fb7b5c44a3e9a6b7e6848ef868c6314a91a6576b033fb7d",
+    "report.json": "d76d1b12416e88a9ec7c911b34b97a6ddf080c393fd2f3b35599d6245a904ba3",
+    "pr_curve.csv": "4a1dc6cae34d111ff4912eddc528c5952a806daba64f47c8f7f5120890c4c768",
+    "sweep.csv": "ffe5874d007b7f89ca59d47f3e83065dade302492fbdda7c7854c468746666d4",
+}
+
+
+@pytest.fixture(scope="module")
+def bench0_run(bench0_paths, tmp_path_factory):
+    """`reldistill run` then `sweep` on the seed-0 benchmark."""
+    tmp = tmp_path_factory.mktemp("bench0_run")
+    config_path = write_bench0_config(bench0_paths, tmp)
+    out = tmp / "out"
+    for cmd in ("run", "sweep"):
+        assert cli_main(["--config", str(config_path), "--out", str(out), cmd]) == 0
+    return out
+
+
+def test_seed0_artifacts_match_golden_hashes(bench0_run):
+    got = {
+        name: hashlib.sha256((bench0_run / name).read_bytes()).hexdigest()
+        for name in GOLDEN_SHA256
+    }
+    assert got == GOLDEN_SHA256
+    ok(f"seed-0 run + sweep reproduce the golden sha256 of {len(got)} artifacts")
+
+
+def test_manifest_records_every_file_train_and_sweep_read(bench0_paths, bench0_run):
+    manifest = json.loads((bench0_run / "manifest.json").read_text())
+    read = {
+        name: bench0_run / name
+        for name in (
+            "ranking.tsv", "mentions_Rs.jsonl", "mentions_Rt.jsonl",
+            "mentions_Cs.jsonl", "mentions_Ct.jsonl", "pool_structured.jsonl",
+            "pool_target.jsonl",
+        )
+    }
+    gold = Path(bench0_paths.gold)
+    expected = {
+        "train": read,
+        "sweep": {**read, "documents_eval.jsonl": bench0_run / "documents_eval.jsonl",
+                  gold.name: gold},
+    }
+    for stage, files in expected.items():
+        inputs = manifest["stages"][stage]["inputs"]
+        assert set(inputs) == set(files), stage
+        for name, path in files.items():
+            assert inputs[name] == hashlib.sha256(path.read_bytes()).hexdigest(), name
+    ok("manifest inputs of train and sweep name and hash every file they read")
 
 
 def test_distillation_strategy_semantics(bench0):

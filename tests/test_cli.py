@@ -3,6 +3,7 @@ import json
 import pytest
 
 from reldistill.cli import main
+from reldistill.pipeline import RunConfig
 
 
 def run(config, out, *args):
@@ -142,6 +143,48 @@ class TestErrors:
         run_config_file.write_text(json.dumps(cfg))
         assert run(run_config_file, tmp_path / "out", "run") == 1
         assert "'gold'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "patch, named",
+        [
+            pytest.param({"propagation": {"alpha": "0.2"}}, "'propagation.alpha'", id="alpha-str"),
+            pytest.param({"propagation": {"max_iters": 10.5}}, "'propagation.max_iters'", id="max_iters-float"),
+            pytest.param({"training": {"reg_lambda": True}}, "'training.reg_lambda'", id="reg_lambda-bool"),
+            pytest.param({"training": {"negatives": "5"}}, "'training.negatives'", id="negatives-str"),
+            pytest.param(
+                {"features": {"dependency_features": "yes"}},
+                "'features.dependency_features'",
+                id="dependency_features-str",
+            ),
+            pytest.param({"variant": "RsRt"}, "'variant'", id="variant-str"),
+            pytest.param({"variant": ["Rs", 1]}, "'variant'", id="variant-int-item"),
+            pytest.param({"sweep_n": [5, 0]}, "'sweep_n'", id="sweep_n-zero"),
+            pytest.param({"sweep_n": [5, True]}, "'sweep_n'", id="sweep_n-bool"),
+            pytest.param({"schema": 3}, "'schema'", id="path-int"),
+        ],
+    )
+    def test_wrongly_typed_value(self, run_config_file, tmp_path, capsys, patch, named):
+        cfg = json.loads(run_config_file.read_text())
+        cfg.update(patch)
+        run_config_file.write_text(json.dumps(cfg))
+        assert run(run_config_file, tmp_path / "out", "run") == 1
+        err = capsys.readouterr().err
+        assert named in err and "must be" in err
+
+    def test_json_number_kinds_accepted(self, run_config_file):
+        cfg = json.loads(run_config_file.read_text())
+        cfg["training"] = {"negatives": None, "reg_lambda": 1}
+        cfg["propagation"] = {"concept_score_floor": 0, "alpha": 0.2}
+        config = RunConfig.from_dict(cfg)
+        assert config.training.negatives is None and config.training.reg_lambda == 1
+        assert config.propagation.alpha == 0.2
+
+    def test_unconverged_propagation(self, run_config_file, tmp_path, capsys):
+        cfg = json.loads(run_config_file.read_text())
+        cfg["propagation"] = {"max_iters": 1}
+        run_config_file.write_text(json.dumps(cfg))
+        assert run(run_config_file, tmp_path / "out", "run") == 1
+        assert "did not converge in 1 iterations" in capsys.readouterr().err
 
     def test_unknown_command_exits_nonzero(self, run_config_file, tmp_path):
         with pytest.raises(SystemExit):

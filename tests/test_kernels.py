@@ -1,0 +1,307 @@
+"""The array kernels of `training` and `propagation` against the
+per-element loops they replaced, kept here as oracles. Every artifact
+depends on these kernels, so each must agree with its oracle bit for
+bit, not just to a tolerance."""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
+
+from reldistill.propagation import (
+    BipartiteGraph,
+    PropagationConfig,
+    RankedLabeling,
+    build_graph_from_mentions,
+    multirankwalk,
+    personalized_pagerank,
+    write_graph_dump,
+)
+from reldistill.training import _row_dot, _sgd_hinge
+
+from test_propagation import make_mention
+
+
+# --- oracles: the loops the kernels replaced --------------------------------
+
+
+def sgd_hinge_getrow_oracle(x, y, reg_lambda, epochs, rng_seed):
+    n, dim = x.shape
+    w = np.zeros(dim)
+    bias = 0.0
+    rng = np.random.default_rng(rng_seed)
+    t = 0
+    avg_w = np.zeros(dim)
+    avg_b = 0.0
+    n_avg = 0
+    avg_from = max(1, epochs // 2)
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        for i in order:
+            t += 1
+            eta = 1.0 / (reg_lambda * (t + 1.0 / reg_lambda))
+            xi = x.getrow(i)
+            margin = y[i] * ((xi @ w).item() + bias)
+            w *= 1.0 - eta * reg_lambda
+            if margin < 1.0:
+                w[xi.indices] += eta * y[i] * xi.data
+                bias += eta * y[i]
+        if epoch >= avg_from:
+            avg_w += w
+            avg_b += bias
+            n_avg += 1
+    if n_avg:
+        return avg_w / n_avg, avg_b / n_avg
+    return w, bias
+
+
+def build_graph_loop_oracle(mentions):
+    by_id = {m.mention_id: m for m in mentions}
+    mention_ids = sorted(by_id)
+    total = len(mention_ids)
+    df = {}
+    for mid in mention_ids:
+        for feat, _ in by_id[mid].features:
+            df[feat] = df.get(feat, 0) + 1
+    kept_features = sorted(f for f, d in df.items() if d < total)
+    feat_index = {f: i for i, f in enumerate(kept_features)}
+    rows, cols, data = [], [], []
+    mention_degree = np.zeros(total)
+    feature_degree = np.zeros(len(kept_features))
+    for mi, mid in enumerate(mention_ids):
+        for feat, tf in by_id[mid].features:
+            fi = feat_index.get(feat)
+            if fi is None:
+                continue
+            rows.append(mi)
+            cols.append(fi)
+            data.append(tf * math.log(total / df[feat]))
+            mention_degree[mi] += 1
+            feature_degree[fi] += 1
+    live_m = [i for i in range(total) if mention_degree[i] > 0]
+    live_f = [i for i in range(len(kept_features)) if feature_degree[i] > 0]
+    m_remap = {old: new for new, old in enumerate(live_m)}
+    f_remap = {old: new for new, old in enumerate(live_f)}
+    n_m, n_f = len(live_m), len(live_f)
+    r2, c2, d2 = [], [], []
+    for r, c, w in zip(rows, cols, data):
+        mi, fi = m_remap[r], f_remap[c] + n_m
+        r2.extend((mi, fi))
+        c2.extend((fi, mi))
+        d2.extend((w, w))
+    adjacency = sp.csr_matrix((d2, (r2, c2)), shape=(n_m + n_f, n_m + n_f))
+    return BipartiteGraph(
+        mention_nodes=[mention_ids[i] for i in live_m],
+        feature_nodes=[kept_features[i] for i in live_f],
+        adjacency=adjacency,
+    )
+
+
+def multirankwalk_dict_oracle(graph, seeds_by_class, config):
+    scores = {
+        cls: personalized_pagerank(graph, seeds_by_class[cls], config)
+        for cls in sorted(seeds_by_class)
+    }
+    classes = sorted(scores)
+    assignment = {}
+    per_class = {c: [] for c in classes}
+    for mid in graph.mention_nodes:
+        best_score = max(scores[c][mid] for c in classes)
+        best = next(c for c in classes if scores[c][mid] == best_score)
+        assignment[mid] = best
+        per_class[best].append((mid, best_score))
+    for cls in classes:
+        per_class[cls].sort(key=lambda t: (-t[1], t[0]))
+    return RankedLabeling(per_class=per_class, assignment=assignment)
+
+
+def graph_dump_edges_oracle(graph, path):
+    m = len(graph.mention_nodes)
+    coo = sp.triu(graph.adjacency).tocoo()
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, j, w in zip(coo.row, coo.col, coo.data):
+            fh.write(f"{graph.mention_nodes[i]}\t{graph.feature_nodes[j - m]}\t{w:.12g}\n")
+
+
+# --- generators --------------------------------------------------------------
+
+
+@st.composite
+def sparse_problems(draw):
+    n = draw(st.integers(1, 14))
+    dim = draw(st.integers(1, 30))
+    values = st.one_of(
+        st.integers(1, 3).map(float),
+        st.floats(-10.0, 10.0, allow_nan=False).filter(lambda v: v != 0.0),
+    )
+    dense = np.zeros((n, dim))
+    for i in range(n):  # some rows stay empty
+        cols = draw(st.lists(st.integers(0, dim - 1), max_size=dim, unique=True))
+        for j in cols:
+            dense[i, j] = draw(values)
+    y = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+    return sp.csr_matrix(dense), y
+
+
+@st.composite
+def mention_lists(draw):
+    """Mentions over a small vocabulary. `u` may sit in every mention
+    (idf 0), and a mention whose only features are universal has degree
+    0 and is dropped."""
+    n_m = draw(st.integers(1, 9))
+    n_f = draw(st.integers(1, 7))
+    universal = draw(st.booleans())
+    mentions = []
+    for i in range(n_m):
+        feats = draw(
+            st.dictionaries(st.integers(0, n_f - 1), st.integers(1, 4), max_size=n_f)
+        )
+        features = {f"f{j}": tf for j, tf in feats.items()}
+        if universal or not features:
+            features["u"] = draw(st.integers(1, 3))
+        mentions.append(make_mention(f"m{i:02d}", features))
+    order = draw(st.permutations(range(n_m)))
+    return [mentions[k] for k in order]
+
+
+@st.composite
+def seeded_graphs(draw):
+    """A graph of up to three components (so some mentions are reached by
+    no class and tie at 0) plus 1-3 classes seeded on its mentions."""
+    mentions = []
+    for comp in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 4))
+        for k in range(size):
+            feats = {f"c{comp}f{k}": draw(st.integers(1, 3)), f"c{comp}hub": 1}
+            if draw(st.booleans()):
+                feats[f"c{comp}f{(k + 1) % size}"] = 1
+            mentions.append(make_mention(f"c{comp}m{k}", feats))
+    graph = build_graph_from_mentions(mentions)
+    assume(graph.mention_nodes)
+    nodes = st.sampled_from(graph.mention_nodes)
+    n_classes = draw(st.integers(1, 3))
+    seeds = {
+        f"rel{c}": set(draw(st.lists(nodes, min_size=1, max_size=3)))
+        for c in range(n_classes)
+    }
+    return graph, seeds
+
+
+# --- equivalence -------------------------------------------------------------
+
+
+@given(
+    sparse_problems(),
+    st.sampled_from([1e-3, 1e-2, 0.5]),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_sgd_matches_getrow_loop_bitwise(problem, reg_lambda, epochs, rng_seed):
+    x, y = problem
+    w, bias = _sgd_hinge(x, y, reg_lambda, epochs, rng_seed)
+    w_ref, bias_ref = sgd_hinge_getrow_oracle(x, y, reg_lambda, epochs, rng_seed)
+    assert np.array_equal(w, w_ref)
+    assert bias == bias_ref
+
+
+def test_row_dot_is_scipys_row_product_not_blas_dot():
+    rng = np.random.default_rng(5)
+    x = sp.random(60, 200, density=0.3, random_state=6, format="csr")
+    x.data = rng.uniform(-3.0, 3.0, x.nnz)
+    w = rng.uniform(-3.0, 3.0, 200)
+    blas_differs = 0
+    for i in range(60):
+        lo, hi = x.indptr[i], x.indptr[i + 1]
+        idx, val = x.indices[lo:hi], x.data[lo:hi]
+        assert _row_dot(idx, val, w) == (x.getrow(i) @ w).item()
+        blas_differs += bool(val @ w[idx] != (x.getrow(i) @ w).item())
+    assert blas_differs  # the rows the sequential sum exists for
+    assert _row_dot(np.array([], dtype=np.int32), np.array([]), w) == 0.0
+
+
+def assert_same_graph(got: BipartiteGraph, want: BipartiteGraph) -> None:
+    assert got.mention_nodes == want.mention_nodes
+    assert got.feature_nodes == want.feature_nodes
+    assert got.adjacency.shape == want.adjacency.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.adjacency, name), getattr(want.adjacency, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+@given(mention_lists())
+@settings(max_examples=150, deadline=None)
+def test_graph_build_matches_loop(mentions):
+    assert_same_graph(build_graph_from_mentions(mentions), build_graph_loop_oracle(mentions))
+
+
+def test_graph_build_drops_idf0_feature_and_degree0_mention():
+    mentions = [
+        make_mention("m1", {"u": 1, "a": 2}),
+        make_mention("m2", {"u": 3}),  # only a universal feature: degree 0
+        make_mention("m3", {"u": 1, "a": 1, "b": 1}),
+    ]
+    graph = build_graph_from_mentions(mentions)
+    assert graph.mention_nodes == ["m1", "m3"]
+    assert graph.feature_nodes == ["a", "b"]
+    assert_same_graph(graph, build_graph_loop_oracle(mentions))
+
+
+def test_graph_build_with_no_edges_matches_loop():
+    mentions = [make_mention(f"m{i}", {"u": 1}) for i in range(3)]
+    graph = build_graph_from_mentions(mentions)
+    assert graph.n_nodes == 0
+    assert_same_graph(graph, build_graph_loop_oracle(mentions))
+
+
+@given(seeded_graphs())
+@settings(max_examples=100, deadline=None)
+def test_multirankwalk_matches_per_class_ppr_and_first_max(case):
+    graph, seeds = case
+    config = PropagationConfig()
+    got = multirankwalk(graph, seeds, config)
+    want = multirankwalk_dict_oracle(graph, seeds, config)
+    assert got.assignment == want.assignment
+    assert got.per_class == want.per_class
+
+
+def test_multirankwalk_ties_go_to_first_class():
+    mentions = [
+        make_mention("a1", {"f1": 1, "f2": 1}),
+        make_mention("a2", {"f2": 1, "f3": 1}),
+        make_mention("b1", {"g1": 1, "g2": 1}),
+        make_mention("b2", {"g2": 1, "g3": 1}),
+    ]
+    graph = build_graph_from_mentions(mentions)
+    # both classes seed the same component: the other one scores 0 for both
+    seeds = {"relB": {"a1"}, "relA": {"a2"}}
+    got = multirankwalk(graph, seeds, PropagationConfig())
+    assert got.assignment["b1"] == got.assignment["b2"] == "relA"
+    want = multirankwalk_dict_oracle(graph, seeds, PropagationConfig())
+    assert got.per_class == want.per_class and got.assignment == want.assignment
+
+
+@given(mention_lists())
+@settings(max_examples=60, deadline=None)
+def test_graph_dump_matches_edges_writer(tmp_path_factory, mentions):
+    graph = build_graph_from_mentions(mentions)
+    out = tmp_path_factory.mktemp("dump")
+    write_graph_dump(graph, str(out / "new.tsv"))
+    graph_dump_edges_oracle(graph, str(out / "old.tsv"))
+    assert (out / "new.tsv").read_bytes() == (out / "old.tsv").read_bytes()
+
+
+# --- non-convergence ----------------------------------------------------------
+
+
+def test_ppr_raises_when_max_iters_runs_out():
+    graph = build_graph_from_mentions(
+        [make_mention("m1", {"f": 1, "u": 1}), make_mention("m2", {"u": 1})]
+    )
+    with pytest.raises(ValueError, match=r"did not converge in 1 iterations \(residual"):
+        personalized_pagerank(graph, {"m1"}, PropagationConfig(max_iters=1))
+    with pytest.raises(ValueError, match="did not converge"):
+        multirankwalk(graph, {"r": {"m1"}}, PropagationConfig(max_iters=1))
