@@ -129,8 +129,10 @@ def expand_concept_mentions(
     concept_seeds: list[ConceptSeed],
     schema: RelationSchema,
     prop_config,
+    source_set: str,
 ) -> list[LabeledMention]:
-    """Grow each concept's seed set by label propagation.
+    """Grow each concept's seed set by label propagation; the labels
+    belong to `source_set` ("Cs" or "Ct").
 
     Seed mentions (surface matches a seed instance) are always kept; a
     non-seed mention is labeled with its argmax concept when its score
@@ -156,7 +158,6 @@ def expand_concept_mentions(
         c: ids & set(graph.mention_nodes) for c, ids in seed_ids.items()
     }
     seeds_in_graph = {c: ids for c, ids in seeds_in_graph.items() if ids}
-    source_set = "Cs" if mentions and mentions[0].corpus_tag == "structured" else "Ct"
     by_id = {m.mention_id: m for m in mentions}
 
     out = []
@@ -203,9 +204,11 @@ def build_mention_sets(
 ) -> MentionSets:
     rs = build_relation_mentions(structured_mentions, triples, schema, enforce_sections=True)
     rt = build_relation_mentions(target_mentions, triples, schema, enforce_sections=False)
-    cs_raw = expand_concept_mentions(structured_mentions, concept_seeds, schema, prop_config)
+    cs_raw = expand_concept_mentions(
+        structured_mentions, concept_seeds, schema, prop_config, "Cs"
+    )
     cs = filter_concept_sections(cs_raw, schema)
-    ct = expand_concept_mentions(target_mentions, concept_seeds, schema, prop_config)
+    ct = expand_concept_mentions(target_mentions, concept_seeds, schema, prop_config, "Ct")
     return MentionSets(Rs=rs, Rt=rt, Cs=cs, Ct=ct)
 
 

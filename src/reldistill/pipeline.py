@@ -1,7 +1,14 @@
 """Staged pipeline orchestration with checkpointed artifacts and a
 provenance manifest. Each stage reads the previous stage's files, writes
 its own, and records input/output hashes plus the run-config hash so
-incompatible artifacts cannot be mixed.
+incompatible artifacts cannot be mixed. A stage refuses an artifact
+whose sha256 is not the one its producing stage recorded. Every artifact
+is written through a temp file and `os.replace`, so a failed write
+leaves the previous file whole.
+
+A `Workspace` holds the records it wrote for the documents, mention sets
+and pools; a later stage on the same workspace whose verified file hash
+equals the held one takes those records instead of decoding the file.
 
 `fit_model` and `extract_all` are the in-process core of the method
 (distill, train, extract). They do no I/O; the stages wrap them with
@@ -12,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -196,8 +204,23 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _write_atomic(path: Path, write) -> None:
+    """Let `write(tmp)` fill a temp file beside `path`, then move it into
+    place: a reader sees the old file or the whole new one. A failed
+    write removes the temp file and leaves `path` as it was."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(str(tmp))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class Workspace:
-    """Output directory plus the provenance manifest."""
+    """Output directory plus the provenance manifest, and the records of
+    the artifacts this workspace wrote with `write`, keyed on filename
+    with the sha256 of the bytes written."""
 
     MENTION_SET_FILES = {
         "Rs": "mentions_Rs.jsonl",
@@ -212,6 +235,7 @@ class Workspace:
         self.out.mkdir(parents=True, exist_ok=True)
         self.config = config
         self.manifest_path = self.out / "manifest.json"
+        self._held: dict[str, tuple[str, list]] = {}
 
     def _load_manifest(self) -> dict:
         if self.manifest_path.is_file():
@@ -226,11 +250,38 @@ class Workspace:
             "inputs": {p.name: _sha256(p) for p in sorted(inputs)},
             "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
         }
-        self.manifest_path.write_text(
-            json.dumps(manifest, sort_keys=True, indent=1) + "\n"
-        )
+        text = json.dumps(manifest, sort_keys=True, indent=1) + "\n"
+        _write_atomic(self.manifest_path, lambda tmp: Path(tmp).write_text(text))
+
+    def emit(self, filename: str, write) -> Path:
+        """Write one artifact atomically; `write(path)` fills the file."""
+        path = self.out / filename
+        _write_atomic(path, write)
+        return path
+
+    def write(self, filename: str, records, writer) -> Path:
+        """`writer(records, path)` writes the artifact atomically; the
+        records are held for `read` under the sha256 of the bytes."""
+        records = list(records)
+        path = self.emit(filename, lambda tmp: writer(records, tmp))
+        self._held[filename] = (_sha256(path), records)
+        return path
+
+    def read(self, filename: str, produced_by: str, reader) -> list:
+        """The records of a verified artifact: those `write` held when
+        the file still has the bytes written, else `reader(path)`."""
+        path, digest = self._verified(filename, produced_by)
+        held = self._held.get(filename)
+        if held is not None and held[0] == digest:
+            return list(held[1])
+        return reader(str(path))
 
     def require(self, filename: str, produced_by: str) -> Path:
+        return self._verified(filename, produced_by)[0]
+
+    def _verified(self, filename: str, produced_by: str) -> tuple[Path, str]:
+        """The path and sha256 of an artifact that exists, was produced
+        under this config and has the hash its stage recorded."""
         path = self.out / filename
         if not path.is_file():
             raise StageError(
@@ -243,7 +294,19 @@ class Workspace:
                 f"artifact {filename!r} was produced with a different config; "
                 f"re-run {produced_by!r}"
             )
-        return path
+        recorded = stage["outputs"].get(filename) if stage else None
+        if recorded is None:
+            raise StageError(
+                f"artifact {filename!r} is not recorded as an output of the "
+                f"{produced_by!r} stage in manifest.json; re-run {produced_by!r}"
+            )
+        digest = _sha256(path)
+        if digest != recorded:
+            raise StageError(
+                f"artifact {filename!r} has changed since the {produced_by!r} stage "
+                f"wrote it (sha256 differs from manifest.json); re-run {produced_by!r}"
+            )
+        return path, digest
 
 
 def fit_model(
@@ -283,37 +346,42 @@ def stage_ingest(ws: Workspace) -> None:
     ):
         src = Path(getattr(cfg, name))
         docs = ingest_corpus(str(src), tag)
-        dst = ws.out / f"documents_{name.removesuffix('_corpus')}.jsonl"
-        write_corpus(docs, str(dst))
+        filename = f"documents_{name.removesuffix('_corpus')}.jsonl"
+        outputs.append(ws.write(filename, docs, write_corpus))
         inputs.append(src)
-        outputs.append(dst)
     ws.record_stage("ingest", inputs, outputs)
+
+
+def _load_documents(ws: Workspace, filename: str, tag: str) -> list[Document]:
+    return ws.read(filename, "ingest", lambda path: ingest_corpus(path, tag))
 
 
 def stage_mentions(ws: Workspace) -> None:
     cfg = ws.config
-    structured_path = ws.require("documents_structured.jsonl", "ingest")
-    target_path = ws.require("documents_target.jsonl", "ingest")
+    structured_docs = _load_documents(ws, "documents_structured.jsonl", "structured")
+    target_docs = _load_documents(ws, "documents_target.jsonl", "target")
     schema = load_schema(cfg.schema)
     triples = load_triples(cfg.triples, schema)
     seeds = load_concept_seeds(cfg.concept_seeds, schema)
 
-    structured = corpus_mentions(ingest_corpus(str(structured_path), "structured"), cfg.features)
-    target = corpus_mentions(ingest_corpus(str(target_path), "target"), cfg.features)
+    structured = corpus_mentions(structured_docs, cfg.features)
+    target = corpus_mentions(target_docs, cfg.features)
     sets = build_mention_sets(structured, target, triples, seeds, schema, cfg.propagation)
 
     outputs = []
     for name, filename in Workspace.MENTION_SET_FILES.items():
-        path = ws.out / filename
-        write_labeled_mentions(sets.get(name), str(path))
-        outputs.append(path)
+        outputs.append(ws.write(filename, sets.get(name), write_labeled_mentions))
     for pool, filename in zip((structured, target), Workspace.POOL_FILES):
-        path = ws.out / filename
-        write_mentions(pool, str(path))
-        outputs.append(path)
+        outputs.append(ws.write(filename, pool, write_mentions))
     ws.record_stage(
         "mentions",
-        [structured_path, target_path, Path(cfg.schema), Path(cfg.triples), Path(cfg.concept_seeds)],
+        [
+            ws.out / "documents_structured.jsonl",
+            ws.out / "documents_target.jsonl",
+            Path(cfg.schema),
+            Path(cfg.triples),
+            Path(cfg.concept_seeds),
+        ],
         outputs,
     )
 
@@ -321,15 +389,14 @@ def stage_mentions(ws: Workspace) -> None:
 def _load_sets(ws: Workspace) -> MentionSets:
     sets = MentionSets()
     for name, filename in Workspace.MENTION_SET_FILES.items():
-        path = ws.require(filename, "mentions")
-        setattr(sets, name, read_labeled_mentions(str(path)))
+        setattr(sets, name, ws.read(filename, "mentions", read_labeled_mentions))
     return sets
 
 
 def _load_pool(ws: Workspace) -> list[Mention]:
     pool = []
     for filename in Workspace.POOL_FILES:
-        pool += read_mentions(str(ws.require(filename, "mentions")))
+        pool += ws.read(filename, "mentions", read_mentions)
     return pool
 
 
@@ -345,10 +412,8 @@ def stage_propagate(ws: Workspace) -> None:
     graph = build_graph(sets, VariantSpec.parse(cfg.variant))
     ranking = multirankwalk(graph, relation_seeds(graph, sets.Rs), cfg.propagation)
 
-    ranking_path = ws.out / "ranking.tsv"
-    graph_path = ws.out / "graph.tsv"
-    write_ranking(ranking, str(ranking_path))
-    write_graph_dump(graph, str(graph_path))
+    ranking_path = ws.emit("ranking.tsv", lambda path: write_ranking(ranking, path))
+    graph_path = ws.emit("graph.tsv", lambda path: write_graph_dump(graph, path))
     ws.record_stage(
         "propagate",
         [ws.out / f for f in Workspace.MENTION_SET_FILES.values()],
@@ -361,20 +426,17 @@ def stage_train(ws: Workspace) -> None:
     ranking_path = ws.require("ranking.tsv", "propagate")
     ranking = read_ranking(str(ranking_path))
     model = fit_model(ranking, _load_sets(ws), _load_pool(ws), cfg.training, cfg.features)
-    model_path = ws.out / "model.json"
-    save_model(model, str(model_path))
+    model_path = ws.emit("model.json", lambda path: save_model(model, path))
     ws.record_stage("train", [ranking_path, *_mention_artifacts(ws)], [model_path])
 
 
 def stage_extract(ws: Workspace) -> None:
     cfg = ws.config
     model_path = ws.require("model.json", "train")
-    eval_path = ws.require("documents_eval.jsonl", "ingest")
-    docs = ingest_corpus(str(eval_path), "target")
+    docs = _load_documents(ws, "documents_eval.jsonl", "target")
     predictions = extract_all(docs, load_model(str(model_path)), cfg.features)
-    pred_path = ws.out / "predictions.tsv"
-    write_predictions(predictions, str(pred_path))
-    ws.record_stage("extract", [model_path, eval_path], [pred_path])
+    pred_path = ws.emit("predictions.tsv", lambda path: write_predictions(predictions, path))
+    ws.record_stage("extract", [model_path, ws.out / "documents_eval.jsonl"], [pred_path])
 
 
 def stage_eval(ws: Workspace) -> None:
@@ -386,10 +448,8 @@ def stage_eval(ws: Workspace) -> None:
     report = evaluate(predictions, gold)
     points = pr_curve(predictions, gold)
 
-    report_path = ws.out / "report.json"
-    curve_path = ws.out / "pr_curve.csv"
-    write_report(report, str(report_path))
-    write_pr_curve(points, str(curve_path))
+    report_path = ws.emit("report.json", lambda path: write_report(report, path))
+    curve_path = ws.emit("pr_curve.csv", lambda path: write_pr_curve(points, path))
     ws.record_stage("eval", [pred_path, Path(cfg.gold)], [report_path, curve_path])
 
 
@@ -402,8 +462,7 @@ def stage_sweep(ws: Workspace) -> None:
     ranking = read_ranking(str(ranking_path))
     sets = _load_sets(ws)
     pool = _load_pool(ws)
-    eval_path = ws.require("documents_eval.jsonl", "ingest")
-    eval_docs = ingest_corpus(str(eval_path), "target")
+    eval_docs = _load_documents(ws, "documents_eval.jsonl", "target")
     gold = load_gold(cfg.gold, load_schema(cfg.schema))
     variant_name = VariantSpec.parse(cfg.variant).name
 
@@ -415,14 +474,21 @@ def stage_sweep(ws: Workspace) -> None:
             micro = evaluate(extract_all(eval_docs, model, cfg.features), gold).micro
             rows.append((strategy, n, micro.precision, micro.recall, micro.f1))
 
-    sweep_path = ws.out / "sweep.csv"
-    with open(sweep_path, "w", encoding="utf-8") as fh:
-        fh.write("variant,strategy,n,precision,recall,f1\n")
-        for strategy, n, p, r, f1 in rows:
-            fh.write(f"{variant_name},{strategy},{n},{p:.12g},{r:.12g},{f1:.12g}\n")
+    def write_sweep(path: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("variant,strategy,n,precision,recall,f1\n")
+            for strategy, n, p, r, f1 in rows:
+                fh.write(f"{variant_name},{strategy},{n},{p:.12g},{r:.12g},{f1:.12g}\n")
+
+    sweep_path = ws.emit("sweep.csv", write_sweep)
     ws.record_stage(
         "sweep",
-        [ranking_path, *_mention_artifacts(ws), eval_path, Path(cfg.gold)],
+        [
+            ranking_path,
+            *_mention_artifacts(ws),
+            ws.out / "documents_eval.jsonl",
+            Path(cfg.gold),
+        ],
         [sweep_path],
     )
 

@@ -19,6 +19,7 @@ import scipy.sparse as sp
 
 from reldistill import benchmark
 from reldistill.cli import main as cli_main
+from reldistill.corpus import ingest_corpus
 from reldistill.evaluation import (
     GoldAnnotation,
     Prediction,
@@ -27,7 +28,12 @@ from reldistill.evaluation import (
     ranking_metrics,
 )
 from reldistill.features import FeatureConfig
-from reldistill.mentions import build_relation_mentions
+from reldistill.mentions import (
+    build_relation_mentions,
+    read_labeled_mentions,
+    read_mentions,
+)
+from reldistill.pipeline import Workspace, load_run_config, run_all
 from reldistill.propagation import (
     BipartiteGraph,
     PropagationConfig,
@@ -277,7 +283,19 @@ def test_cli_sweep_and_harness_reproduce_committed_sweep(bench0_paths, bench0, t
 # sha256 of the seed-0 artifacts of `reldistill run` (+ `sweep`) with the
 # config scripts/make_benchmark.py writes, recorded before the array
 # kernels of propagation and training replaced the per-element loops.
+# The documents, mention sets and pools were recorded before `run` began
+# to hand their decoded records from stage to stage instead of reading
+# the files back, so the bytes of the files it no longer reads stay pinned.
 GOLDEN_SHA256 = {
+    "documents_structured.jsonl": "34814ca706abe842dccfcfe9ee8557a6b89004b03a92b96d1abdd693dde3a932",
+    "documents_target.jsonl": "b5c30c2afc0fd88d2f8edddf6999f2cdda4b516edb09093d37a31ccda27c2f49",
+    "documents_eval.jsonl": "af8daeb5e72f43d67349d777b56d937d3d35767be684282a20c951ba1c3eb925",
+    "mentions_Rs.jsonl": "c77f23ddd1b316e147268b1249fadf99984d367bf54e9db052b5e5120bf171af",
+    "mentions_Rt.jsonl": "14d0a959cd16a6a7d93a31d8c408bb2aaba70ad8a6be3126bf6413e430adc6cc",
+    "mentions_Cs.jsonl": "32bd70453ac979387cc10ca1ff54018a1d8c5866c06a05027332fb5b986997fb",
+    "mentions_Ct.jsonl": "e115ba7bd3c02345e0868d1009f5c39bae5dff4cee9e0034160d4b02f4d05473",
+    "pool_structured.jsonl": "efa4954d04b25efc9c86d57eee9b072f834cbb007d18b8fc8f3260e2a7a86894",
+    "pool_target.jsonl": "81fe0e15c9cc5507f20c40fc1442368af398e3939d417cec7cab2a4c33b3f504",
     "graph.tsv": "e6119951db695a0992e487068a0f3c817c86759727ad4bca7c3b197537a445ae",
     "ranking.tsv": "b1c085953f54fd8f3ecf8d2ab86628b641db6e2330664a5c6f52b3177abae85c",
     "model.json": "368c580f621c5898d428383dc5bb1392380ecc39bcf6931346d61c36d8b678c6",
@@ -306,6 +324,40 @@ def test_seed0_artifacts_match_golden_hashes(bench0_run):
     }
     assert got == GOLDEN_SHA256
     ok(f"seed-0 run + sweep reproduce the golden sha256 of {len(got)} artifacts")
+
+
+def test_run_hands_on_records_equal_to_their_files(bench0_paths, tmp_path):
+    """After `run_all` the workspace serves the documents, mention sets
+    and pools it wrote without decoding them, and what it serves equals
+    a fresh decode of the file: no stage mutates the records it hands
+    on. Each file's sha256 is the one its stage recorded."""
+    config = load_run_config(str(write_bench0_config(bench0_paths, tmp_path)))
+    ws = Workspace(str(tmp_path / "out"), config)
+    run_all(ws)
+    manifest = json.loads(ws.manifest_path.read_text())
+
+    def documents(tag):
+        return lambda path: ingest_corpus(path, tag)
+
+    readers = {
+        "documents_structured.jsonl": ("ingest", documents("structured")),
+        "documents_target.jsonl": ("ingest", documents("target")),
+        "documents_eval.jsonl": ("ingest", documents("target")),
+        **{name: ("mentions", read_labeled_mentions)
+           for name in Workspace.MENTION_SET_FILES.values()},
+        **{name: ("mentions", read_mentions) for name in Workspace.POOL_FILES},
+    }
+
+    def must_not_decode(path):
+        raise AssertionError(f"{path} was decoded, not handed on")
+
+    for name, (stage, reader) in readers.items():
+        held = ws.read(name, stage, must_not_decode)
+        assert held == reader(str(ws.out / name)), name
+        digest = hashlib.sha256((ws.out / name).read_bytes()).hexdigest()
+        assert digest == manifest["stages"][stage]["outputs"][name], name
+    ok(f"run hands on {len(readers)} artifacts whose records equal a fresh "
+       f"decode and whose sha256 the manifest records")
 
 
 def test_manifest_records_every_file_train_and_sweep_read(bench0_paths, bench0_run):

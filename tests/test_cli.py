@@ -2,12 +2,31 @@ import json
 
 import pytest
 
+from reldistill import pipeline
 from reldistill.cli import main
 from reldistill.pipeline import RunConfig
+from reldistill.synthetic import generate_benchmark
 
 
 def run(config, out, *args):
     return main(["--config", str(config), "--out", str(out), *args])
+
+
+@pytest.fixture(scope="module")
+def bench0_config(tmp_path_factory):
+    """The run config scripts/make_benchmark.py writes for seed 0."""
+    tmp = tmp_path_factory.mktemp("bench0")
+    paths = generate_benchmark(str(tmp), seed=0)
+    config = {
+        key: getattr(paths, key)
+        for key in (
+            "structured_corpus", "target_corpus", "eval_corpus", "schema",
+            "triples", "concept_seeds", "gold",
+        )
+    }
+    config_path = tmp / "config.json"
+    config_path.write_text(json.dumps({**config, "variant": ["Rs", "Rt"]}))
+    return config_path
 
 
 class TestFullPipeline:
@@ -34,13 +53,18 @@ class TestFullPipeline:
         ):
             assert (out / name).is_file(), name
 
-    def test_staged_commands_match_run(self, run_config_file, tmp_path):
-        staged, whole = tmp_path / "staged", tmp_path / "whole"
-        for cmd in ("ingest", "mentions", "propagate", "train", "extract", "eval"):
-            assert run(run_config_file, staged, cmd) == 0
-        assert run(run_config_file, whole, "run") == 0
-        for name in ("ranking.tsv", "model.json", "predictions.tsv", "report.json"):
-            assert (staged / name).read_bytes() == (whole / name).read_bytes()
+    def test_staged_commands_match_run(self, run_config_file, bench0_config, tmp_path):
+        # one command per stage decodes every artifact it reads; `run`
+        # hands the decoded records on: both must write the same bytes
+        for key, config in (("toy", run_config_file), ("seed0", bench0_config)):
+            staged, whole = tmp_path / key / "staged", tmp_path / key / "whole"
+            for cmd in ("ingest", "mentions", "propagate", "train", "extract", "eval"):
+                assert run(config, staged, cmd) == 0
+            assert run(config, whole, "run") == 0
+            names = sorted(p.name for p in whole.iterdir())
+            assert names == sorted(p.name for p in staged.iterdir())
+            for name in names:
+                assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
 
     def test_rerun_is_byte_identical(self, run_config_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -91,6 +115,26 @@ class TestStaging:
         assert run(run_config_file, tmp_path / "out", "mentions") == 1
         assert "ingest" in capsys.readouterr().err
 
+    def test_truncated_artifact_is_refused(self, run_config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(run_config_file, out, "ingest") == 0
+        assert run(run_config_file, out, "mentions") == 0
+        path = out / "mentions_Ct.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) > 1
+        path.write_text("".join(lines[:-1]))
+        assert run(run_config_file, out, "propagate") == 1
+        err = capsys.readouterr().err
+        assert "mentions_Ct.jsonl" in err and "'mentions'" in err and "sha256" in err
+
+    def test_artifact_without_manifest_record_is_refused(self, run_config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(run_config_file, out, "ingest") == 0
+        (out / "manifest.json").unlink()
+        assert run(run_config_file, out, "mentions") == 1
+        err = capsys.readouterr().err
+        assert "documents_structured.jsonl" in err and "not recorded" in err
+
     def test_config_change_invalidates_artifacts(self, run_config_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(run_config_file, out, "run") == 0
@@ -99,6 +143,36 @@ class TestStaging:
         run_config_file.write_text(json.dumps(cfg))
         assert run(run_config_file, out, "train") == 1
         assert "different config" in capsys.readouterr().err
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize(
+        "stage, writer",
+        [
+            ("ingest", "write_corpus"),
+            ("mentions", "write_labeled_mentions"),
+            ("propagate", "write_graph_dump"),
+            ("train", "save_model"),
+            ("extract", "write_predictions"),
+            ("eval", "write_pr_curve"),
+        ],
+    )
+    def test_failed_write_keeps_previous_artifact(
+        self, run_config_file, tmp_path, monkeypatch, stage, writer
+    ):
+        out = tmp_path / "out"
+        assert run(run_config_file, out, "run") == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def fail_partway(records, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("partial line")
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(pipeline, writer, fail_partway)
+        assert run(run_config_file, out, stage) == 2
+        assert not list(out.glob("*.tmp"))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestSweep:

@@ -104,7 +104,7 @@ class TestConceptExpansion:
             make_mention("d3|s0|t0|0-1", ["pain"], {"tok=pain": 1, "bow=treats": 1}),
         ]
         config = PropagationConfig()
-        out = expand_concept_mentions(mentions, concept_seeds, schema, config)
+        out = expand_concept_mentions(mentions, concept_seeds, schema, config, "Ct")
         symptom_ids = {lm.mention.mention_id for lm in out if lm.label == "Symptom"}
         assert "d1|s0|t0|0-1" in symptom_ids  # seed retained
         assert "d1|s0|t1|0-1" in symptom_ids  # reached by propagation
@@ -132,7 +132,7 @@ class TestConceptExpansion:
 
     def test_zero_seeds_empty_expansion(self, schema):
         mentions = [make_mention("d1|s0|t0|0-1", ["x"], {"tok=x": 1, "bow=y": 1})]
-        assert expand_concept_mentions(mentions, [], schema, PropagationConfig()) == []
+        assert expand_concept_mentions(mentions, [], schema, PropagationConfig(), "Ct") == []
 
     def test_seeds_always_included(self, schema, concept_seeds):
         mentions = [
@@ -140,11 +140,25 @@ class TestConceptExpansion:
             make_mention("d1|s0|t1|0-1", ["other thing"], {"tok=other": 1, "bow=a": 1}),
         ]
         out = expand_concept_mentions(
-            mentions, concept_seeds, schema, PropagationConfig(concept_score_floor=2.0)
+            mentions, concept_seeds, schema, PropagationConfig(concept_score_floor=2.0), "Ct"
         )
         assert ("d1|s0|t0|0-1", "Symptom") in {
             (lm.mention.mention_id, lm.label) for lm in out
         }
+
+    @pytest.mark.parametrize("source_set", ["Cs", "Ct"])
+    def test_set_name_is_the_one_given(self, schema, concept_seeds, source_set):
+        # a target mention sorts first, so its corpus tag cannot name the set
+        mentions = [
+            make_mention("a|s0|t0|0-1", ["nausea"], {"tok=nausea": 1, "bow=a": 1}),
+            make_mention("b|s0|t0|0-1", ["headache"], {"tok=headache": 1, "bow=a": 1},
+                         tag="structured"),
+        ]
+        out = expand_concept_mentions(
+            mentions, concept_seeds, schema, PropagationConfig(), source_set
+        )
+        assert out
+        assert {lm.source_set for lm in out} == {source_set}
 
 
 class TestSectionFilter:
