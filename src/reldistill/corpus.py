@@ -35,11 +35,8 @@ class CorpusFormatError(ValueError):
     """Raised for malformed corpus files; message names line and field."""
 
 
-def map_pos(tag: str, pos_map: dict[str, str] | None = None) -> str:
-    tag = tag.strip()
-    if pos_map and tag in pos_map:
-        return pos_map[tag]
-    upper = tag.upper()
+def map_pos(tag: str) -> str:
+    upper = tag.strip().upper()
     if upper in POS_TAGS:
         return upper
     for prefix, coarse in _DEFAULT_POS_PREFIXES:
@@ -143,7 +140,7 @@ def detect_coordinate_lists(sentence: Sentence) -> list[CoordinateList]:
     return lists
 
 
-def _parse_sentence(obj: dict, line_no: int, pos_map: dict[str, str] | None) -> Sentence:
+def _parse_sentence(obj: dict, line_no: int) -> Sentence:
     if "tokens" not in obj:
         raise CorpusFormatError(f"line {line_no}: sentence missing 'tokens'")
     tokens = []
@@ -151,7 +148,7 @@ def _parse_sentence(obj: dict, line_no: int, pos_map: dict[str, str] | None) -> 
         surface = t.get("surface")
         if not surface:
             raise CorpusFormatError(f"line {line_no}: token {ti} missing 'surface'")
-        pos = map_pos(t["pos"], pos_map) if t.get("pos") is not None else None
+        pos = map_pos(t["pos"]) if t.get("pos") is not None else None
         dep_head = t.get("dep_head")
         if dep_head is not None:
             if not (0 <= dep_head < len(obj["tokens"])) or dep_head == ti:
@@ -188,9 +185,7 @@ def _parse_sentence(obj: dict, line_no: int, pos_map: dict[str, str] | None) -> 
     return sent
 
 
-def ingest_corpus(
-    path: str, corpus_tag: str, pos_map: dict[str, str] | None = None
-) -> list[Document]:
+def ingest_corpus(path: str, corpus_tag: str) -> list[Document]:
     """Load one Document per JSONL line, preserving order."""
     if corpus_tag not in ("structured", "target"):
         raise ValueError(f"corpus_tag must be 'structured' or 'target', got {corpus_tag!r}")
@@ -222,9 +217,7 @@ def ingest_corpus(
                 sec_title = sec["title"]
                 if not normalize(sec_title):
                     raise CorpusFormatError(f"line {line_no}: empty section title")
-                sentences = [
-                    _parse_sentence(s, line_no, pos_map) for s in sec.get("sentences", [])
-                ]
+                sentences = [_parse_sentence(s, line_no) for s in sec.get("sentences", [])]
                 sections.append(Section(title=sec_title, sentences=sentences))
             docs.append(Document(doc_id, title, sections, corpus_tag))
     return docs

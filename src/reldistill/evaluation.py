@@ -6,7 +6,7 @@ baselines (no propagation step).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .corpus import Document
 from .features import FeatureConfig, Mention
@@ -98,20 +98,19 @@ def extract_document(
     doc: Document,
     model: LinearModel,
     feature_config: FeatureConfig,
-    threshold: float = 0.5,
 ) -> list[Prediction]:
     """Classify every mention; list predictions fan out to one pair per
     item; duplicates by (relation, normalized surface) keep the max score."""
     if feature_config != model.feature_config:
         raise ValueError(
             "feature config mismatch: model was trained with "
-            f"{model.feature_config.to_dict()}, got {feature_config.to_dict()}"
+            f"{asdict(model.feature_config)}, got {asdict(feature_config)}"
         )
     from .mentions import enumerate_mentions
 
     best: dict[tuple[str, str], float] = {}
     for mention in enumerate_mentions(doc, feature_config):
-        label, score = classify_scored(model, mention, threshold)
+        label, score = classify_scored(model, mention)
         if label == "other":
             continue
         for surface in mention.item_surfaces:

@@ -29,18 +29,6 @@ class FeatureConfig:
     affix_max: int = 4
     dependency_features: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "affix_min": self.affix_min,
-            "affix_max": self.affix_max,
-            "dependency_features": self.dependency_features,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "FeatureConfig":
-        return cls(**obj)
-
 
 @dataclass(frozen=True)
 class Mention:

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 from .norm import normalize
 
+MAX_SURFACE_LEN = 60  # longer KB objects and seed instances are dropped as noise
+
 
 class SchemaError(ValueError):
     pass
@@ -86,16 +88,11 @@ def load_schema(path: str) -> RelationSchema:
     return RelationSchema(relations=relations, concepts=concepts)
 
 
-def load_triples(
-    path: str,
-    schema: RelationSchema,
-    max_object_len: int = 60,
-    reject_commas: bool = True,
-) -> list[Triple]:
+def load_triples(path: str, schema: RelationSchema) -> list[Triple]:
     """Load TSV triples; normalized, deduplicated, noise-filtered.
 
-    The default filters drop objects longer than 60 characters or
-    containing a comma (KB noise heuristics).
+    Objects longer than `MAX_SURFACE_LEN` characters or containing a
+    comma are dropped (KB noise heuristics).
     """
     out: list[Triple] = []
     seen = set()
@@ -113,7 +110,7 @@ def load_triples(
             subj, obj = normalize(subj), normalize(obj)
             if not subj or not obj:
                 raise SchemaError(f"line {line_no}: empty subject or object")
-            if len(obj) > max_object_len or (reject_commas and "," in obj):
+            if len(obj) > MAX_SURFACE_LEN or "," in obj:
                 continue
             t = Triple(rel, subj, obj)
             if t not in seen:
@@ -122,12 +119,9 @@ def load_triples(
     return sorted(out, key=lambda t: (t.relation, t.subject, t.object))
 
 
-def load_concept_seeds(
-    path: str,
-    schema: RelationSchema,
-    max_instance_len: int = 60,
-    reject_commas: bool = True,
-) -> list[ConceptSeed]:
+def load_concept_seeds(path: str, schema: RelationSchema) -> list[ConceptSeed]:
+    """Load TSV concept seeds; normalized, deduplicated, and noise-filtered
+    as `load_triples` filters objects."""
     out: list[ConceptSeed] = []
     seen = set()
     known = set(schema.concepts)
@@ -145,7 +139,7 @@ def load_concept_seeds(
             instance = normalize(instance)
             if not instance:
                 raise SchemaError(f"line {line_no}: empty instance")
-            if len(instance) > max_instance_len or (reject_commas and "," in instance):
+            if len(instance) > MAX_SURFACE_LEN or "," in instance:
                 continue
             s = ConceptSeed(concept, instance)
             if s not in seen:

@@ -20,9 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from .corpus import Document, ingest_corpus, write_corpus
 from .evaluation import (
@@ -73,29 +73,6 @@ class StageError(ValueError):
     """Missing upstream artifact or config mismatch between stages."""
 
 
-_PATH_KEYS = (
-    "structured_corpus",
-    "target_corpus",
-    "eval_corpus",
-    "schema",
-    "triples",
-    "concept_seeds",
-    "gold",
-)
-
-
-def _check_keys(obj, cls, prefix: str) -> None:
-    """Reject a run-config object that is not a JSON object or that has a
-    key `cls` has no field for; `prefix` names the enclosing section."""
-    if not isinstance(obj, dict):
-        where = prefix.rstrip(".") or "the config"
-        raise StageError(f"run config: {where} must be a JSON object")
-    known = {f.name for f in fields(cls)}
-    for key in sorted(obj):
-        if key not in known:
-            raise StageError(f"run config: unknown key {prefix + key!r}")
-
-
 _JSON_KINDS = {
     int: "an integer",
     float: "a number",
@@ -105,39 +82,57 @@ _JSON_KINDS = {
 }
 
 
-def _is_kind(value, kind) -> bool:
-    if kind in (int, float) and isinstance(value, bool):
-        return False  # JSON true/false are not numbers
-    if kind is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, kind)
+def _fits(value, hint) -> bool:
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
+    kinds = get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in kinds  # JSON true/false are not numbers
+    return isinstance(value, kinds + ((int,) if float in kinds else ()))
 
 
-def _section(obj: dict, key: str, cls):
-    """Build a config section, checking each value against the type
-    annotation of its field."""
-    section = obj.get(key, {})
-    _check_keys(section, cls, key + ".")
+def _describe(hint) -> str:
+    if get_origin(hint) is list:
+        return f"a list, each item {_describe(get_args(hint)[0])}"
+    return " or ".join(_JSON_KINDS[k] for k in get_args(hint) or (hint,))
+
+
+def _required(f) -> bool:
+    return f.default is MISSING and f.default_factory is MISSING
+
+
+def _decode(cls, obj, prefix: str = ""):
+    """Build the dataclass `cls` from a JSON object. A dataclass-typed
+    field is decoded as a nested section, every other value is checked
+    against its field's type, a field without a default is required and
+    an unknown key is refused; `prefix` names the enclosing section."""
+    if not isinstance(obj, dict):
+        where = prefix.rstrip(".") or "the config"
+        raise StageError(f"run config: {where} must be a JSON object")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise StageError(f"run config: unknown key {prefix + unknown[0]!r}")
     hints = get_type_hints(cls)
-    for name, value in sorted(section.items()):
-        kinds = get_args(hints[name]) or (hints[name],)
-        if not any(_is_kind(value, k) for k in kinds):
+    values = {}
+    for f in fields(cls):
+        key, hint = prefix + f.name, hints[f.name]
+        if f.name not in obj:
+            if _required(f):
+                raise StageError(f"run config: missing required key {key!r}")
+        elif is_dataclass(hint):
+            values[f.name] = _decode(hint, obj[f.name], key + ".")
+        elif _fits(obj[f.name], hint):
+            values[f.name] = obj[f.name]
+        else:
             raise StageError(
-                f"run config: {key + '.' + name!r} must be "
-                f"{' or '.join(_JSON_KINDS[k] for k in kinds)}, got {value!r}"
+                f"run config: {key!r} must be {_describe(hint)}, got {obj[f.name]!r}"
             )
-    return cls.from_dict(section)
-
-
-def _list_of(obj: dict, key: str, default: list, item_ok, items: str) -> list:
-    value = obj.get(key, default)
-    if not isinstance(value, list) or not all(item_ok(v) for v in value):
-        raise StageError(f"run config: {key!r} must be a list of {items}, got {value!r}")
-    return value
+    return cls(**values)
 
 
 @dataclass
 class RunConfig:
+    # the input paths: every field without a default
     structured_corpus: str
     target_corpus: str
     eval_corpus: str
@@ -151,47 +146,24 @@ class RunConfig:
     training: TrainConfig = field(default_factory=TrainConfig)
     sweep_n: list[int] = field(default_factory=lambda: [5, 10, 20])
 
-    def to_dict(self) -> dict:
-        return {
-            **{key: getattr(self, key) for key in _PATH_KEYS},
-            "variant": list(self.variant),
-            "propagation": self.propagation.to_dict(),
-            "features": self.features.to_dict(),
-            "training": self.training.to_dict(),
-            "sweep_n": list(self.sweep_n),
-        }
+    def __post_init__(self):
+        if not all(n > 0 for n in self.sweep_n):
+            raise StageError(
+                f"run config: 'sweep_n' must be a list of positive integers, got {self.sweep_n!r}"
+            )
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
-        _check_keys(obj, cls, "")
-        for key in _PATH_KEYS:
-            if key not in obj:
-                raise StageError(f"run config: missing required key {key!r}")
-            if not isinstance(obj[key], str):
-                raise StageError(f"run config: {key!r} must be a string, got {obj[key]!r}")
-        return cls(
-            **{key: obj[key] for key in _PATH_KEYS},
-            variant=_list_of(
-                obj, "variant", ["Rs", "Rt"], lambda v: isinstance(v, str), "strings"
-            ),
-            propagation=_section(obj, "propagation", PropagationConfig),
-            features=_section(obj, "features", FeatureConfig),
-            training=_section(obj, "training", TrainConfig),
-            sweep_n=_list_of(
-                obj, "sweep_n", [5, 10, 20],
-                lambda v: _is_kind(v, int) and v > 0, "positive integers",
-            ),
-        )
+        return _decode(cls, obj)
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
     def validate_paths(self) -> None:
-        for name in _PATH_KEYS:
-            path = getattr(self, name)
-            if not Path(path).is_file():
-                raise StageError(f"config path {name} does not exist: {path}")
+        for name in (f.name for f in fields(self) if _required(f)):
+            if not Path(getattr(self, name)).is_file():
+                raise StageError(f"config path {name} does not exist: {getattr(self, name)}")
         VariantSpec.parse(self.variant)
 
 
@@ -218,9 +190,9 @@ def _write_atomic(path: Path, write) -> None:
 
 
 class Workspace:
-    """Output directory plus the provenance manifest, and the records of
-    the artifacts this workspace wrote with `write`, keyed on filename
-    with the sha256 of the bytes written."""
+    """Output directory plus the provenance manifest, the sha256 of each
+    artifact this workspace wrote or verified, and the records it wrote
+    with `write`, keyed on filename with the sha256 of the bytes."""
 
     MENTION_SET_FILES = {
         "Rs": "mentions_Rs.jsonl",
@@ -236,6 +208,11 @@ class Workspace:
         self.config = config
         self.manifest_path = self.out / "manifest.json"
         self._held: dict[str, tuple[str, list]] = {}
+        self._digests: dict[Path, str] = {}
+
+    def _hash(self, path: Path) -> str:
+        self._digests[path] = digest = _sha256(path)
+        return digest
 
     def _load_manifest(self) -> dict:
         if self.manifest_path.is_file():
@@ -243,12 +220,15 @@ class Workspace:
         return {"config_hash": self.config.config_hash(), "stages": {}}
 
     def record_stage(self, stage: str, inputs: list[Path], outputs: list[Path]) -> None:
+        """Record a stage's files with the sha256 this workspace took when
+        it wrote or verified them; only the files the config names are
+        hashed here."""
         manifest = self._load_manifest()
         manifest["config_hash"] = self.config.config_hash()
         manifest["stages"][stage] = {
             "config_hash": self.config.config_hash(),
-            "inputs": {p.name: _sha256(p) for p in sorted(inputs)},
-            "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
+            "inputs": {p.name: self._digests.get(p) or _sha256(p) for p in sorted(inputs)},
+            "outputs": {p.name: self._digests[p] for p in sorted(outputs)},
         }
         text = json.dumps(manifest, sort_keys=True, indent=1) + "\n"
         _write_atomic(self.manifest_path, lambda tmp: Path(tmp).write_text(text))
@@ -257,6 +237,7 @@ class Workspace:
         """Write one artifact atomically; `write(path)` fills the file."""
         path = self.out / filename
         _write_atomic(path, write)
+        self._hash(path)
         return path
 
     def write(self, filename: str, records, writer) -> Path:
@@ -264,7 +245,7 @@ class Workspace:
         records are held for `read` under the sha256 of the bytes."""
         records = list(records)
         path = self.emit(filename, lambda tmp: writer(records, tmp))
-        self._held[filename] = (_sha256(path), records)
+        self._held[filename] = (self._digests[path], records)
         return path
 
     def read(self, filename: str, produced_by: str, reader) -> list:
@@ -300,7 +281,7 @@ class Workspace:
                 f"artifact {filename!r} is not recorded as an output of the "
                 f"{produced_by!r} stage in manifest.json; re-run {produced_by!r}"
             )
-        digest = _sha256(path)
+        digest = self._hash(path)
         if digest != recorded:
             raise StageError(
                 f"artifact {filename!r} has changed since the {produced_by!r} stage "
@@ -450,7 +431,9 @@ def stage_eval(ws: Workspace) -> None:
 
     report_path = ws.emit("report.json", lambda path: write_report(report, path))
     curve_path = ws.emit("pr_curve.csv", lambda path: write_pr_curve(points, path))
-    ws.record_stage("eval", [pred_path, Path(cfg.gold)], [report_path, curve_path])
+    ws.record_stage(
+        "eval", [pred_path, Path(cfg.schema), Path(cfg.gold)], [report_path, curve_path]
+    )
 
 
 def stage_sweep(ws: Workspace) -> None:
@@ -487,6 +470,7 @@ def stage_sweep(ws: Workspace) -> None:
             ranking_path,
             *_mention_artifacts(ws),
             ws.out / "documents_eval.jsonl",
+            Path(cfg.schema),
             Path(cfg.gold),
         ],
         [sweep_path],

@@ -67,19 +67,6 @@ class PropagationConfig:
         if self.max_iters < 1 or self.tolerance <= 0:
             raise ValueError("max_iters must be >=1 and tolerance > 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "max_iters": self.max_iters,
-            "tolerance": self.tolerance,
-            "concept_score_floor": self.concept_score_floor,
-            "concept_top_k": self.concept_top_k,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PropagationConfig":
-        return cls(**obj)
-
 
 @dataclass
 class BipartiteGraph:
@@ -249,7 +236,7 @@ def relation_seeds(graph: BipartiteGraph, rs: list[LabeledMention]) -> dict[str,
 @dataclass
 class RankedLabeling:
     per_class: dict[str, list[tuple[str, float]]]
-    assignment: dict[str, str]  # mention_id -> argmax class
+    assignment: dict[str, str]  # mention_id -> argmax class, scored mentions only
 
 
 def multirankwalk(
@@ -259,7 +246,8 @@ def multirankwalk(
 ) -> RankedLabeling:
     """One PPR per class; each mention gets its argmax class (ties to the
     lexicographically first class); per-class rankings cover only the
-    mentions assigned to that class, best first."""
+    mentions assigned to that class, best first. A mention that scores 0
+    for every class (no walk reaches it) gets no class."""
     if not seeds_by_class:
         raise ValueError("no classes given")
     classes = sorted(seeds_by_class)
@@ -273,6 +261,8 @@ def multirankwalk(
     assignment = {}
     per_class: dict[str, list[tuple[str, float]]] = {c: [] for c in classes}
     for mid, k, score in zip(graph.mention_nodes, best.tolist(), best_scores.tolist()):
+        if score == 0.0:
+            continue
         assignment[mid] = classes[k]
         per_class[classes[k]].append((mid, score))
     for cls in classes:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,6 +16,9 @@ import scipy.sparse as sp
 from .features import FeatureConfig, FeatureFilter, Mention, build_feature_filter
 from .mentions import MentionSets
 from .propagation import RankedLabeling
+
+SCORE_THRESHOLD = 0.5  # a relation's score must reach it to beat "other"
+_PLATT_MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -41,21 +44,6 @@ class TrainConfig:
     @property
     def n_negatives(self) -> int:
         return self.n if self.negatives is None else self.negatives
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "strategy": self.strategy,
-            "negatives": self.negatives,
-            "rng_seed": self.rng_seed,
-            "reg_lambda": self.reg_lambda,
-            "epochs": self.epochs,
-            "calibration": self.calibration,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TrainConfig":
-        return cls(**obj)
 
 
 @dataclass
@@ -229,7 +217,7 @@ def _sgd_hinge(
     return w, bias
 
 
-def _fit_platt(margins: np.ndarray, labels: np.ndarray, max_iters: int = 100) -> tuple[float, float]:
+def _fit_platt(margins: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Platt's sigmoid fit (Lin/Weng/Keerthi variant) on the training
     margins; returns (A, B) with P(+) = 1/(1+exp(A*m + B))."""
     prior1 = float((labels > 0).sum())
@@ -241,7 +229,7 @@ def _fit_platt(margins: np.ndarray, labels: np.ndarray, max_iters: int = 100) ->
     eps = 1e-12
     sigma = 1e-12
     fval = None
-    for _ in range(max_iters):
+    for _ in range(_PLATT_MAX_ITERS):
         fapb = a * margins + b
         p = np.where(fapb >= 0, np.exp(-fapb) / (1.0 + np.exp(-fapb)), 1.0 / (1.0 + np.exp(fapb)))
         if fval is None:
@@ -323,29 +311,28 @@ def train(
     return LinearModel(relations=models, feature_config=feature_config, train_config=config)
 
 
-def classify(model: LinearModel, mention: Mention, threshold: float = 0.5) -> str:
-    """Argmax over relations whose calibrated score clears the threshold;
-    'other' when none does. Ties go to the lexicographically first name."""
-    label, _ = classify_scored(model, mention, threshold)
+def classify(model: LinearModel, mention: Mention) -> str:
+    """Argmax over relations whose calibrated score clears
+    `SCORE_THRESHOLD`; 'other' when none does. Ties go to the
+    lexicographically first name."""
+    label, _ = classify_scored(model, mention)
     return label
 
 
-def classify_scored(
-    model: LinearModel, mention: Mention, threshold: float = 0.5
-) -> tuple[str, float]:
+def classify_scored(model: LinearModel, mention: Mention) -> tuple[str, float]:
     counts = mention.feature_counts()
     best_label, best_score = "other", 0.0
     for relation in sorted(model.relations):
         score = model.relations[relation].score(counts)
-        if score >= threshold and score > best_score:
+        if score >= SCORE_THRESHOLD and score > best_score:
             best_label, best_score = relation, score
     return best_label, best_score
 
 
 def save_model(model: LinearModel, path: str) -> None:
     obj = {
-        "feature_config": model.feature_config.to_dict(),
-        "train_config": model.train_config.to_dict(),
+        "feature_config": asdict(model.feature_config),
+        "train_config": asdict(model.train_config),
         "relations": {
             rel: {
                 "bias": rm.bias,
@@ -371,6 +358,6 @@ def load_model(path: str) -> LinearModel:
         relations[rel] = RelationModel(weights=rm["weights"], bias=rm["bias"], platt=platt)
     return LinearModel(
         relations=relations,
-        feature_config=FeatureConfig.from_dict(obj["feature_config"]),
-        train_config=TrainConfig.from_dict(obj["train_config"]),
+        feature_config=FeatureConfig(**obj["feature_config"]),
+        train_config=TrainConfig(**obj["train_config"]),
     )

@@ -370,18 +370,20 @@ def test_manifest_records_every_file_train_and_sweep_read(bench0_paths, bench0_r
             "pool_target.jsonl",
         )
     }
-    gold = Path(bench0_paths.gold)
+    gold, schema = Path(bench0_paths.gold), Path(bench0_paths.schema)
     expected = {
         "train": read,
         "sweep": {**read, "documents_eval.jsonl": bench0_run / "documents_eval.jsonl",
-                  gold.name: gold},
+                  gold.name: gold, schema.name: schema},
+        "eval": {"predictions.tsv": bench0_run / "predictions.tsv",
+                 gold.name: gold, schema.name: schema},
     }
     for stage, files in expected.items():
         inputs = manifest["stages"][stage]["inputs"]
         assert set(inputs) == set(files), stage
         for name, path in files.items():
             assert inputs[name] == hashlib.sha256(path.read_bytes()).hexdigest(), name
-    ok("manifest inputs of train and sweep name and hash every file they read")
+    ok("manifest inputs of train, eval and sweep name and hash every file they read")
 
 
 def test_distillation_strategy_semantics(bench0):

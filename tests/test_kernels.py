@@ -109,6 +109,8 @@ def multirankwalk_dict_oracle(graph, seeds_by_class, config):
     per_class = {c: [] for c in classes}
     for mid in graph.mention_nodes:
         best_score = max(scores[c][mid] for c in classes)
+        if best_score == 0.0:  # no walk reaches it: no class
+            continue
         best = next(c for c in classes if scores[c][mid] == best_score)
         assignment[mid] = best
         per_class[best].append((mid, best_score))
@@ -270,16 +272,20 @@ def test_multirankwalk_matches_per_class_ppr_and_first_max(case):
 
 def test_multirankwalk_ties_go_to_first_class():
     mentions = [
-        make_mention("a1", {"f1": 1, "f2": 1}),
-        make_mention("a2", {"f2": 1, "f3": 1}),
+        make_mention("a1", {"f1": 1, "x": 1}),
+        make_mention("a2", {"f2": 1, "x": 1}),
+        make_mention("m", {"x": 1}),
         make_mention("b1", {"g1": 1, "g2": 1}),
         make_mention("b2", {"g2": 1, "g3": 1}),
     ]
     graph = build_graph_from_mentions(mentions)
-    # both classes seed the same component: the other one scores 0 for both
+    # `m` sits midway between the seeds of a mirror-symmetric component:
+    # an exact tie; the other component scores 0 for both and gets no class
     seeds = {"relB": {"a1"}, "relA": {"a2"}}
     got = multirankwalk(graph, seeds, PropagationConfig())
-    assert got.assignment["b1"] == got.assignment["b2"] == "relA"
+    ppr = {c: personalized_pagerank(graph, s, PropagationConfig()) for c, s in seeds.items()}
+    assert ppr["relA"]["m"] == ppr["relB"]["m"] > 0.0
+    assert got.assignment == {"a1": "relB", "a2": "relA", "m": "relA"}
     want = multirankwalk_dict_oracle(graph, seeds, PropagationConfig())
     assert got.per_class == want.per_class and got.assignment == want.assignment
 

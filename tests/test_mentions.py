@@ -134,6 +134,20 @@ class TestConceptExpansion:
         mentions = [make_mention("d1|s0|t0|0-1", ["x"], {"tok=x": 1, "bow=y": 1})]
         assert expand_concept_mentions(mentions, [], schema, PropagationConfig(), "Ct") == []
 
+    def test_mention_no_walk_reaches_is_not_labeled(self, schema, concept_seeds):
+        # "paper" shares no feature with the seed's component, so it scores
+        # 0 for every concept: the default floor of 0 must not keep it
+        mentions = [
+            make_mention("d1|s0|t0|0-1", ["nausea"], {"tok=nausea": 1, "bow=a": 1}),
+            make_mention("d1|s0|t1|0-1", ["vomiting"], {"tok=vomiting": 1, "bow=a": 1}),
+            make_mention("d2|s0|t0|0-1", ["paper"], {"tok=paper": 1, "bow=reads": 1}),
+        ]
+        out = expand_concept_mentions(mentions, concept_seeds, schema, PropagationConfig(), "Ct")
+        assert {(lm.mention.mention_id, lm.label) for lm in out} == {
+            ("d1|s0|t0|0-1", "Symptom"),
+            ("d1|s0|t1|0-1", "Symptom"),
+        }
+
     def test_seeds_always_included(self, schema, concept_seeds):
         mentions = [
             make_mention("d1|s0|t0|0-1", ["nausea"], {"tok=nausea": 1, "bow=a": 1}),

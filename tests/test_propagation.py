@@ -15,6 +15,7 @@ from reldistill.propagation import (
     multirankwalk,
     personalized_pagerank,
 )
+from reldistill.training import TrainConfig, distill
 
 
 def make_mention(mid, features, tag="target"):
@@ -245,6 +246,27 @@ class TestMultiRankWalk:
         # seeds outrank non-seeds inside their own component
         assert ranking.per_class["relA"][0][0] == "a1"
         assert ranking.per_class["relB"][0][0] == "b1"
+
+    def test_unreached_component_gets_no_class(self):
+        # seeds in one component only: b1 and b2 score 0 for every class
+        mentions = [
+            make_mention("a1", {"f1": 1, "f2": 1}),
+            make_mention("a2", {"f2": 1, "f3": 1}),
+            make_mention("b1", {"g1": 1, "g2": 1}),
+            make_mention("b2", {"g2": 1, "g3": 1}),
+        ]
+        graph = build_graph_from_mentions(mentions)
+        ranking = multirankwalk(
+            graph, {"relA": {"a1"}, "relB": {"a2"}}, PropagationConfig()
+        )
+        assert ranking.assignment == {"a1": "relA", "a2": "relB"}
+        ranked = [mid for r in ranking.per_class.values() for mid, _ in r]
+        assert sorted(ranked) == ["a1", "a2"]
+        # so distillation cannot take an unreached mention as a positive
+        sets = MentionSets(Rt=[LabeledMention(m, "relA", "Rt") for m in mentions])
+        positives, shortfalls = distill(ranking, sets, TrainConfig(n=3))
+        assert [m.mention_id for m in positives["relA"]] == ["a1"]
+        assert shortfalls == {"relA": 2, "relB": 2}
 
     def test_tie_breaks_lexicographic(self):
         # symmetric graph, symmetric seeds: the middle mention ties
