@@ -52,22 +52,7 @@ class EvalReport:
     )
 
     def to_dict(self) -> dict:
-        def _m(m: RelationMetrics) -> dict:
-            return {
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "tp": m.tp,
-                "n_pred": m.n_pred,
-                "n_gold": m.n_gold,
-            }
-
-        return {
-            "micro": _m(self.micro),
-            "per_relation": {r: _m(m) for r, m in sorted(self.per_relation.items())},
-            "macro_f1": self.macro_f1,
-            "zero_division_note": self.zero_division_note,
-        }
+        return asdict(self)
 
 
 def _prf(tp: int, n_pred: int, n_gold: int) -> RelationMetrics:
@@ -154,14 +139,22 @@ def pr_curve(
     predictions: list[Prediction], gold: list[GoldAnnotation]
 ) -> list[tuple[float, float, float]]:
     """One (threshold, precision, recall) point per distinct score,
-    descending; recall is non-decreasing along the sweep."""
+    descending; recall is non-decreasing along the sweep. A threshold
+    keeps the keys whose best score reaches it, so one pass over the keys
+    by best score, with running counts, gives every point."""
     gold_set = {(g.doc_id, g.relation, g.value) for g in gold}
-    thresholds = sorted({p.score for p in predictions}, reverse=True)
+    best: dict[tuple[str, str, str], float] = {}
+    for p in predictions:
+        key = (p.doc_id, p.relation, p.value)
+        best[key] = max(p.score, best.get(key, p.score))
+    ranked = sorted(best.items(), key=lambda kv: kv[1], reverse=True)
     points = []
-    for theta in thresholds:
-        kept = {(p.doc_id, p.relation, p.value) for p in predictions if p.score >= theta}
-        tp = len(kept & gold_set)
-        p = tp / len(kept) if kept else 0.0
+    kept = tp = 0
+    for theta in sorted({p.score for p in predictions}, reverse=True):
+        while kept < len(ranked) and ranked[kept][1] >= theta:
+            tp += ranked[kept][0] in gold_set
+            kept += 1
+        p = tp / kept  # theta is some key's best score, so kept >= 1
         r = tp / len(gold_set) if gold_set else 0.0
         points.append((theta, p, r))
     return points

@@ -15,7 +15,10 @@ ids are namespaced so no two rules can emit the same id:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.sparse as sp
 
 from .corpus import CoordinateList, Sentence
 
@@ -43,6 +46,26 @@ class Mention:
 
     def feature_counts(self) -> FeatureVector:
         return dict(self.features)
+
+
+def feature_matrix(mentions: list[Mention]) -> tuple[list[str], sp.csr_matrix]:
+    """The sorted vocabulary of `mentions` and their mention x feature
+    count matrix: CSR, float64 counts, one row per mention in the order
+    given. Column j is `vocab[j]`; `Mention.features` is sorted, so the
+    indices within each row are too."""
+    names = [f for m in mentions for f, _ in m.features]
+    vocab = sorted(set(names))
+    column = {f: j for j, f in enumerate(vocab)}
+    indptr = np.cumsum([0] + [len(m.features) for m in mentions])
+    x = sp.csr_matrix(
+        (
+            np.array([c for m in mentions for _, c in m.features], dtype=float),
+            np.array([column[f] for f in names], dtype=np.intp),
+            indptr,
+        ),
+        shape=(len(mentions), len(vocab)),
+    )
+    return vocab, x
 
 
 def _affixes(token: str, lo: int, hi: int):

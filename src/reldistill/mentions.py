@@ -127,7 +127,6 @@ def build_relation_mentions(
 def expand_concept_mentions(
     mentions: list[Mention],
     concept_seeds: list[ConceptSeed],
-    schema: RelationSchema,
     prop_config,
     source_set: str,
 ) -> list[LabeledMention]:
@@ -204,11 +203,9 @@ def build_mention_sets(
 ) -> MentionSets:
     rs = build_relation_mentions(structured_mentions, triples, schema, enforce_sections=True)
     rt = build_relation_mentions(target_mentions, triples, schema, enforce_sections=False)
-    cs_raw = expand_concept_mentions(
-        structured_mentions, concept_seeds, schema, prop_config, "Cs"
-    )
+    cs_raw = expand_concept_mentions(structured_mentions, concept_seeds, prop_config, "Cs")
     cs = filter_concept_sections(cs_raw, schema)
-    ct = expand_concept_mentions(target_mentions, concept_seeds, schema, prop_config, "Ct")
+    ct = expand_concept_mentions(target_mentions, concept_seeds, prop_config, "Ct")
     return MentionSets(Rs=rs, Rt=rt, Cs=cs, Ct=ct)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .features import Mention
+from .features import Mention, feature_matrix
 from .mentions import LabeledMention, MentionSets
 
 LEGAL_VARIANTS = [
@@ -105,48 +105,20 @@ def build_graph_from_mentions(mentions: list[Mention]) -> BipartiteGraph:
     if total == 0:
         raise ValueError("cannot build a graph from zero mentions")
 
-    df: dict[str, int] = {}
-    for mid in mention_ids:
-        for feat, _ in by_id[mid].features:
-            df[feat] = df.get(feat, 0) + 1
-
-    kept_features = sorted(f for f, d in df.items() if d < total)
+    vocab, x = feature_matrix([by_id[mid] for mid in mention_ids])
+    df = np.bincount(x.indices, minlength=len(vocab))
+    kept = np.flatnonzero(df < total)
     # math.log, not np.log: a vectorized log may differ in the last bit
-    feat_idf = {f: (i, math.log(total / df[f])) for i, f in enumerate(kept_features)}
-
-    rows, cols, tfs, idfs = [], [], [], []
-    for mi, mid in enumerate(mention_ids):
-        for feat, tf in by_id[mid].features:
-            hit = feat_idf.get(feat)
-            if hit is not None:
-                rows.append(mi)
-                cols.append(hit[0])
-                tfs.append(tf)
-                idfs.append(hit[1])
-    rows = np.array(rows, dtype=np.intp)
-    cols = np.array(cols, dtype=np.intp)
-    weights = np.array(tfs, dtype=float) * np.array(idfs, dtype=float)
-
-    live_m = np.flatnonzero(np.bincount(rows, minlength=total))
-    live_f = np.flatnonzero(np.bincount(cols, minlength=len(kept_features)))
-    n_m, n_f = len(live_m), len(live_f)
-    m_remap = np.zeros(total, dtype=np.intp)
-    m_remap[live_m] = np.arange(n_m)
-    f_remap = np.zeros(len(kept_features), dtype=np.intp)
-    f_remap[live_f] = np.arange(n_m, n_m + n_f)
-
-    # each edge then its mirror: duplicate entries are summed in this order
-    mi, fi = m_remap[rows], f_remap[cols]
-    r2 = np.column_stack((mi, fi)).ravel()
-    c2 = np.column_stack((fi, mi)).ravel()
-    d2 = np.repeat(weights, 2)
-    adjacency = sp.csr_matrix(
-        (d2, (r2, c2)), shape=(n_m + n_f, n_m + n_f)
-    )
+    idf = np.array([math.log(total / d) for d in df[kept].tolist()])
+    w = x[:, kept].multiply(idf).tocsr()
+    # every kept feature occurs in some mention, so only mentions can be
+    # left without an edge
+    live_m = np.flatnonzero(w.getnnz(axis=1))
+    w = w[live_m]
     return BipartiteGraph(
         mention_nodes=[mention_ids[i] for i in live_m.tolist()],
-        feature_nodes=[kept_features[i] for i in live_f.tolist()],
-        adjacency=adjacency,
+        feature_nodes=[vocab[j] for j in kept.tolist()],
+        adjacency=sp.bmat([[None, w], [w.T, None]], format="csr"),
     )
 
 
@@ -235,8 +207,7 @@ def relation_seeds(graph: BipartiteGraph, rs: list[LabeledMention]) -> dict[str,
 
 @dataclass
 class RankedLabeling:
-    per_class: dict[str, list[tuple[str, float]]]
-    assignment: dict[str, str]  # mention_id -> argmax class, scored mentions only
+    per_class: dict[str, list[tuple[str, float]]]  # class -> its argmax mentions, best first
 
 
 def multirankwalk(
@@ -258,16 +229,14 @@ def multirankwalk(
     best = np.argmax(scores, axis=1)
     best_scores = scores[np.arange(n_m), best]
 
-    assignment = {}
     per_class: dict[str, list[tuple[str, float]]] = {c: [] for c in classes}
     for mid, k, score in zip(graph.mention_nodes, best.tolist(), best_scores.tolist()):
         if score == 0.0:
             continue
-        assignment[mid] = classes[k]
         per_class[classes[k]].append((mid, score))
     for cls in classes:
         per_class[cls].sort(key=lambda t: (-t[1], t[0]))
-    return RankedLabeling(per_class=per_class, assignment=assignment)
+    return RankedLabeling(per_class=per_class)
 
 
 def write_ranking(ranking: RankedLabeling, path: str) -> None:
@@ -279,7 +248,6 @@ def write_ranking(ranking: RankedLabeling, path: str) -> None:
 
 def read_ranking(path: str) -> RankedLabeling:
     per_class: dict[str, list[tuple[str, float]]] = {}
-    assignment: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.rstrip("\n")
@@ -287,8 +255,7 @@ def read_ranking(path: str) -> RankedLabeling:
                 continue
             cls, _rank, mid, score = line.split("\t")
             per_class.setdefault(cls, []).append((mid, float(score)))
-            assignment[mid] = cls
-    return RankedLabeling(per_class=per_class, assignment=assignment)
+    return RankedLabeling(per_class=per_class)
 
 
 def write_graph_dump(graph: BipartiteGraph, path: str) -> None:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .features import FeatureConfig, FeatureFilter, Mention, build_feature_filter
+from .features import FeatureConfig, FeatureFilter, Mention, build_feature_filter, feature_matrix
 from .mentions import MentionSets
 from .propagation import RankedLabeling
 
@@ -263,18 +263,6 @@ def _fit_platt(margins: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     return a, b
 
 
-def _vectorize(
-    mentions: list[Mention], feature_filter: FeatureFilter, feat_index: dict[str, int]
-) -> sp.csr_matrix:
-    rows, cols, data = [], [], []
-    for i, m in enumerate(mentions):
-        for f, c in feature_filter.apply(m.feature_counts()).items():
-            rows.append(i)
-            cols.append(feat_index[f])
-            data.append(float(c))
-    return sp.csr_matrix((data, (rows, cols)), shape=(len(mentions), len(feat_index)))
-
-
 def train(
     training_set: TrainingSet,
     config: TrainConfig,
@@ -282,31 +270,32 @@ def train(
 ) -> LinearModel:
     """One binary classifier per relation: that relation's positives vs
     the other relations' positives plus the shared general negatives."""
-    feat_index = {f: i for i, f in enumerate(sorted(training_set.feature_filter.allowed))}
-    features_sorted = sorted(feat_index, key=feat_index.get)
+    allowed = sorted(training_set.feature_filter.allowed)
+    positives = training_set.positives
 
     models: dict[str, RelationModel] = {}
-    for relation in sorted(training_set.positives):
-        pos = training_set.positives[relation]
-        neg = [
-            m
-            for other, ms in sorted(training_set.positives.items())
-            if other != relation
-            for m in ms
-        ] + list(training_set.negatives)
+    for relation in sorted(positives):
+        pos = positives[relation]
+        neg = [m for other in sorted(positives) if other != relation for m in positives[other]]
+        neg += training_set.negatives
         if not pos or not neg:
-            raise ValueError(f"relation {relation!r} has an empty class side")
-        mentions = pos + neg
+            raise ValueError(
+                f"relation {relation!r} has an empty {'negative' if pos else 'positive'} "
+                f"side: distillation found {len(pos)} of n={config.n} positives with "
+                f"strategy {config.strategy!r}; {len(neg)} negatives"
+            )
         y = np.array([1.0] * len(pos) + [-1.0] * len(neg))
-        x = _vectorize(mentions, training_set.feature_filter, feat_index)
+        # pos + neg is every training mention, so every allowed feature is
+        # a column; a missing one is a KeyError, never a neighbouring column
+        vocab, counts = feature_matrix(pos + neg)
+        column = {f: j for j, f in enumerate(vocab)}
+        x = counts[:, np.array([column[f] for f in allowed], dtype=np.intp)]
         w, bias = _sgd_hinge(x, y, config.reg_lambda, config.epochs, config.rng_seed)
         platt = None
         if config.calibration == "platt":
             margins = np.asarray(x @ w) + bias
             platt = _fit_platt(margins, y)
-        weights = {
-            features_sorted[i]: float(w[i]) for i in np.nonzero(w)[0]
-        }
+        weights = {allowed[i]: float(w[i]) for i in np.nonzero(w)[0]}
         models[relation] = RelationModel(weights=weights, bias=float(bias), platt=platt)
     return LinearModel(relations=models, feature_config=feature_config, train_config=config)
 

@@ -260,6 +260,20 @@ class TestErrors:
         assert run(run_config_file, tmp_path / "out", "run") == 1
         assert "did not converge in 1 iterations" in capsys.readouterr().err
 
+    def test_empty_positive_side_names_strategy_and_shortfall(
+        self, bench0_config, tmp_path, capsys
+    ):
+        # no Cs mention of this relation comes from the target corpus
+        cfg = json.loads(bench0_config.read_text())
+        cfg["variant"] = ["Rs", "Cs"]
+        cfg["training"] = {"strategy": "Target"}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        assert run(config, tmp_path / "out", "run") == 1
+        err = capsys.readouterr().err
+        assert "relation 'conditionsThisMayPrevent' has an empty positive side" in err
+        assert "found 0 of n=20 positives with strategy 'Target'" in err
+
     def test_unknown_command_exits_nonzero(self, run_config_file, tmp_path):
         with pytest.raises(SystemExit):
             run(run_config_file, tmp_path / "out", "bogus")

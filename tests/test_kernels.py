@@ -1,15 +1,18 @@
-"""The array kernels of `training` and `propagation` against the
-per-element loops they replaced, kept here as oracles. Every artifact
-depends on these kernels, so each must agree with its oracle bit for
-bit, not just to a tolerance."""
+"""The array kernels of `training`, `propagation` and `evaluation`
+against the per-element loops they replaced, kept here as oracles.
+Every artifact depends on these kernels, so each must agree with its
+oracle bit for bit, not just to a tolerance."""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from reldistill import training
+from reldistill.evaluation import GoldAnnotation, Prediction, pr_curve
+from reldistill.features import FeatureFilter, feature_matrix
 from reldistill.propagation import (
     BipartiteGraph,
     PropagationConfig,
@@ -19,9 +22,9 @@ from reldistill.propagation import (
     personalized_pagerank,
     write_graph_dump,
 )
-from reldistill.training import _row_dot, _sgd_hinge
+from reldistill.training import TrainConfig, TrainingSet, _row_dot, _sgd_hinge
 
-from test_propagation import make_mention
+from test_propagation import assigned, make_mention
 
 
 # --- oracles: the loops the kernels replaced --------------------------------
@@ -99,24 +102,45 @@ def build_graph_loop_oracle(mentions):
     )
 
 
+def vectorize_loop_oracle(mentions, feature_filter, feat_index):
+    rows, cols, data = [], [], []
+    for i, m in enumerate(mentions):
+        for f, c in feature_filter.apply(m.feature_counts()).items():
+            rows.append(i)
+            cols.append(feat_index[f])
+            data.append(float(c))
+    return sp.csr_matrix((data, (rows, cols)), shape=(len(mentions), len(feat_index)))
+
+
+def pr_curve_rebuild_oracle(predictions, gold):
+    gold_set = {(g.doc_id, g.relation, g.value) for g in gold}
+    thresholds = sorted({p.score for p in predictions}, reverse=True)
+    points = []
+    for theta in thresholds:
+        kept = {(p.doc_id, p.relation, p.value) for p in predictions if p.score >= theta}
+        tp = len(kept & gold_set)
+        p = tp / len(kept) if kept else 0.0
+        r = tp / len(gold_set) if gold_set else 0.0
+        points.append((theta, p, r))
+    return points
+
+
 def multirankwalk_dict_oracle(graph, seeds_by_class, config):
     scores = {
         cls: personalized_pagerank(graph, seeds_by_class[cls], config)
         for cls in sorted(seeds_by_class)
     }
     classes = sorted(scores)
-    assignment = {}
     per_class = {c: [] for c in classes}
     for mid in graph.mention_nodes:
         best_score = max(scores[c][mid] for c in classes)
         if best_score == 0.0:  # no walk reaches it: no class
             continue
         best = next(c for c in classes if scores[c][mid] == best_score)
-        assignment[mid] = best
         per_class[best].append((mid, best_score))
     for cls in classes:
         per_class[cls].sort(key=lambda t: (-t[1], t[0]))
-    return RankedLabeling(per_class=per_class, assignment=assignment)
+    return RankedLabeling(per_class=per_class)
 
 
 def graph_dump_edges_oracle(graph, path):
@@ -166,6 +190,48 @@ def mention_lists(draw):
         mentions.append(make_mention(f"m{i:02d}", features))
     order = draw(st.permutations(range(n_m)))
     return [mentions[k] for k in order]
+
+
+@st.composite
+def filtered_training_sets(draw):
+    """Mentions split into two relations' positives and the negatives,
+    plus a feature filter that allows some of their features. Feature
+    ids such as `f10` < `f2` check that columns follow string order."""
+    n_f = draw(st.integers(1, 12))
+    mentions = []
+    for i in range(draw(st.integers(3, 10))):
+        feats = draw(
+            st.dictionaries(st.integers(0, n_f - 1), st.integers(1, 4), max_size=n_f)
+        )
+        mentions.append(make_mention(f"m{i:02d}", {f"f{j}": tf for j, tf in feats.items()}))
+    vocab = sorted({f for m in mentions for f, _ in m.features})
+    allowed = draw(st.sets(st.sampled_from(vocab))) if vocab else set()
+    cut_a = draw(st.integers(1, len(mentions) - 2))
+    cut_b = draw(st.integers(cut_a + 1, len(mentions) - 1))
+    return TrainingSet(
+        positives={"relA": mentions[:cut_a], "relB": mentions[cut_a:cut_b]},
+        negatives=mentions[cut_b:],
+        feature_filter=FeatureFilter(allowed=frozenset(allowed)),
+    )
+
+
+@st.composite
+def scored_predictions(draw):
+    """Predictions over a small key space, so keys repeat and scores tie,
+    and a gold set that may be empty."""
+    keys = st.tuples(
+        st.sampled_from(["d0", "d1", "d2"]),
+        st.sampled_from(["r0", "r1"]),
+        st.sampled_from(["v0", "v1", "v2"]),
+    )
+    scores = st.one_of(
+        st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0, allow_nan=False)
+    )
+    predictions = [
+        Prediction(*key, draw(scores)) for key in draw(st.lists(keys, max_size=25))
+    ]
+    gold = [GoldAnnotation(*key) for key in draw(st.sets(keys, max_size=10))]
+    return predictions, gold
 
 
 @st.composite
@@ -266,7 +332,6 @@ def test_multirankwalk_matches_per_class_ppr_and_first_max(case):
     config = PropagationConfig()
     got = multirankwalk(graph, seeds, config)
     want = multirankwalk_dict_oracle(graph, seeds, config)
-    assert got.assignment == want.assignment
     assert got.per_class == want.per_class
 
 
@@ -285,9 +350,9 @@ def test_multirankwalk_ties_go_to_first_class():
     got = multirankwalk(graph, seeds, PropagationConfig())
     ppr = {c: personalized_pagerank(graph, s, PropagationConfig()) for c, s in seeds.items()}
     assert ppr["relA"]["m"] == ppr["relB"]["m"] > 0.0
-    assert got.assignment == {"a1": "relB", "a2": "relA", "m": "relA"}
+    assert assigned(got) == {"a1": "relB", "a2": "relA", "m": "relA"}
     want = multirankwalk_dict_oracle(graph, seeds, PropagationConfig())
-    assert got.per_class == want.per_class and got.assignment == want.assignment
+    assert got.per_class == want.per_class
 
 
 @given(mention_lists())
@@ -298,6 +363,85 @@ def test_graph_dump_matches_edges_writer(tmp_path_factory, mentions):
     write_graph_dump(graph, str(out / "new.tsv"))
     graph_dump_edges_oracle(graph, str(out / "old.tsv"))
     assert (out / "new.tsv").read_bytes() == (out / "old.tsv").read_bytes()
+
+
+def design_matrices(training_set, monkeypatch):
+    """relation -> the design matrix `train` hands to SGD."""
+    seen = []
+
+    def capture(x, *args):
+        seen.append(x)
+        return np.zeros(x.shape[1]), 0.0
+
+    monkeypatch.setattr(training, "_sgd_hinge", capture)
+    training.train(training_set, TrainConfig(calibration="raw_margin"), None)
+    return dict(zip(sorted(training_set.positives), seen))
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+@given(filtered_training_sets())
+@example(  # m1 has no allowed feature
+    TrainingSet(
+        positives={"relA": [make_mention("m0", {"a": 1, "b": 2})]},
+        negatives=[make_mention("m1", {"b": 3}), make_mention("m2", {"a": 2})],
+        feature_filter=FeatureFilter(allowed=frozenset({"a"})),
+    )
+)
+@example(  # the filter allows nothing
+    TrainingSet(
+        positives={"relA": [make_mention("m0", {"a": 1})]},
+        negatives=[make_mention("m1", {"b": 3})],
+        feature_filter=FeatureFilter(allowed=frozenset()),
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_train_design_matrix_matches_vectorize_loop(training_set):
+    allowed = sorted(training_set.feature_filter.allowed)
+    feat_index = {f: i for i, f in enumerate(allowed)}
+    with pytest.MonkeyPatch.context() as mp:
+        got = design_matrices(training_set, mp)
+    for relation, x in got.items():
+        pos = training_set.positives[relation]
+        others = [
+            m for other, ms in sorted(training_set.positives.items())
+            if other != relation for m in ms
+        ]
+        mentions = pos + others + training_set.negatives
+        assert_same_csr(x, vectorize_loop_oracle(mentions, training_set.feature_filter, feat_index))
+
+
+def test_train_refuses_an_allowed_feature_no_mention_has(monkeypatch):
+    # a sorted-position lookup would quietly take a neighbouring column
+    training_set = TrainingSet(
+        positives={"relA": [make_mention("m0", {"a": 1, "c": 1})]},
+        negatives=[make_mention("m1", {"c": 2})],
+        feature_filter=FeatureFilter(allowed=frozenset({"b"})),
+    )
+    with pytest.raises(KeyError, match="'b'"):
+        design_matrices(training_set, monkeypatch)
+
+
+def test_feature_matrix_rows_follow_the_given_order():
+    mentions = [make_mention("m1", {"f2": 1, "f10": 3}), make_mention("m0", {}),
+                make_mention("m2", {"a": 2})]
+    vocab, x = feature_matrix(mentions)
+    assert vocab == ["a", "f10", "f2"]
+    assert x.dtype == np.float64 and x.has_sorted_indices
+    assert x.toarray().tolist() == [[0.0, 3.0, 1.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
+
+
+@given(scored_predictions())
+@settings(max_examples=300, deadline=None)
+def test_pr_curve_matches_rebuild_per_threshold(case):
+    predictions, gold = case
+    assert pr_curve(predictions, gold) == pr_curve_rebuild_oracle(predictions, gold)
 
 
 # --- non-convergence ----------------------------------------------------------

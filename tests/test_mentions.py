@@ -92,7 +92,7 @@ class TestDistantLabeling:
 
 
 class TestConceptExpansion:
-    def test_seed_expansion_reaches_similar_mention(self, schema, concept_seeds):
+    def test_seed_expansion_reaches_similar_mention(self, concept_seeds):
         # five mentions; "vomiting" shares context features with the
         # "nausea" seed and nothing else is near the Symptom seed
         shared = {"bow=report": 1, "win-L1=report": 1, "vrb=report": 1}
@@ -104,7 +104,7 @@ class TestConceptExpansion:
             make_mention("d3|s0|t0|0-1", ["pain"], {"tok=pain": 1, "bow=treats": 1}),
         ]
         config = PropagationConfig()
-        out = expand_concept_mentions(mentions, concept_seeds, schema, config, "Ct")
+        out = expand_concept_mentions(mentions, concept_seeds, config, "Ct")
         symptom_ids = {lm.mention.mention_id for lm in out if lm.label == "Symptom"}
         assert "d1|s0|t0|0-1" in symptom_ids  # seed retained
         assert "d1|s0|t1|0-1" in symptom_ids  # reached by propagation
@@ -130,11 +130,11 @@ class TestConceptExpansion:
         p_dis = solve(["d2|s0|t0|0-1", "d3|s0|t0|0-1"])
         assert p_sym[vomiting] > p_dis[vomiting]
 
-    def test_zero_seeds_empty_expansion(self, schema):
+    def test_zero_seeds_empty_expansion(self):
         mentions = [make_mention("d1|s0|t0|0-1", ["x"], {"tok=x": 1, "bow=y": 1})]
-        assert expand_concept_mentions(mentions, [], schema, PropagationConfig(), "Ct") == []
+        assert expand_concept_mentions(mentions, [], PropagationConfig(), "Ct") == []
 
-    def test_mention_no_walk_reaches_is_not_labeled(self, schema, concept_seeds):
+    def test_mention_no_walk_reaches_is_not_labeled(self, concept_seeds):
         # "paper" shares no feature with the seed's component, so it scores
         # 0 for every concept: the default floor of 0 must not keep it
         mentions = [
@@ -142,35 +142,33 @@ class TestConceptExpansion:
             make_mention("d1|s0|t1|0-1", ["vomiting"], {"tok=vomiting": 1, "bow=a": 1}),
             make_mention("d2|s0|t0|0-1", ["paper"], {"tok=paper": 1, "bow=reads": 1}),
         ]
-        out = expand_concept_mentions(mentions, concept_seeds, schema, PropagationConfig(), "Ct")
+        out = expand_concept_mentions(mentions, concept_seeds, PropagationConfig(), "Ct")
         assert {(lm.mention.mention_id, lm.label) for lm in out} == {
             ("d1|s0|t0|0-1", "Symptom"),
             ("d1|s0|t1|0-1", "Symptom"),
         }
 
-    def test_seeds_always_included(self, schema, concept_seeds):
+    def test_seeds_always_included(self, concept_seeds):
         mentions = [
             make_mention("d1|s0|t0|0-1", ["nausea"], {"tok=nausea": 1, "bow=a": 1}),
             make_mention("d1|s0|t1|0-1", ["other thing"], {"tok=other": 1, "bow=a": 1}),
         ]
         out = expand_concept_mentions(
-            mentions, concept_seeds, schema, PropagationConfig(concept_score_floor=2.0), "Ct"
+            mentions, concept_seeds, PropagationConfig(concept_score_floor=2.0), "Ct"
         )
         assert ("d1|s0|t0|0-1", "Symptom") in {
             (lm.mention.mention_id, lm.label) for lm in out
         }
 
     @pytest.mark.parametrize("source_set", ["Cs", "Ct"])
-    def test_set_name_is_the_one_given(self, schema, concept_seeds, source_set):
+    def test_set_name_is_the_one_given(self, concept_seeds, source_set):
         # a target mention sorts first, so its corpus tag cannot name the set
         mentions = [
             make_mention("a|s0|t0|0-1", ["nausea"], {"tok=nausea": 1, "bow=a": 1}),
             make_mention("b|s0|t0|0-1", ["headache"], {"tok=headache": 1, "bow=a": 1},
                          tag="structured"),
         ]
-        out = expand_concept_mentions(
-            mentions, concept_seeds, schema, PropagationConfig(), source_set
-        )
+        out = expand_concept_mentions(mentions, concept_seeds, PropagationConfig(), source_set)
         assert out
         assert {lm.source_set for lm in out} == {source_set}
 

@@ -75,7 +75,6 @@ class TestDistill:
             per_class={
                 "rel": [("m1", 0.9), ("m2", 0.8), ("m3", 0.7), ("m4", 0.6), ("m5", 0.5)]
             },
-            assignment={},
         )
 
     def _sets(self):
