@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from .corpus import Document, ingest_corpus
 from .evaluation import EvalReport, GoldAnnotation, evaluate, load_gold, run_baseline
 from .features import FeatureConfig, Mention
-from .kb import load_concept_seeds, load_schema, load_triples
+from .kb import RelationSchema, load_concept_seeds, load_schema, load_triples
 from .mentions import MentionSets, build_mention_sets, corpus_mentions
 from .pipeline import extract_all, fit_model
 from .propagation import (
@@ -30,6 +30,7 @@ class BenchmarkArtifacts:
     """Everything derived from one generated benchmark that is shared
     across methods and train configs."""
 
+    schema: RelationSchema
     sets: MentionSets
     pool: list[Mention]
     labeled_ids: set[str]
@@ -52,6 +53,7 @@ def prepare(paths: BenchmarkPaths) -> BenchmarkArtifacts:
     target = corpus_mentions(ingest_corpus(paths.target_corpus, "target"), feature_config)
     sets = build_mention_sets(structured, target, triples, seeds, schema, prop_config)
     return BenchmarkArtifacts(
+        schema=schema,
         sets=sets,
         pool=structured + target,
         labeled_ids={lm.mention.mention_id for lm in sets.Rs + sets.Rt},
@@ -89,6 +91,6 @@ def distilled_report(
 def baseline_report(art: BenchmarkArtifacts, kind: str, config: TrainConfig) -> EvalReport:
     """DS_Struct / DS_Target / DS_Both scored on the same evaluation set."""
     model = run_baseline(
-        kind, art.sets, art.pool, art.labeled_ids, config, art.feature_config
+        kind, art.sets, art.pool, art.labeled_ids, config, art.feature_config, art.schema
     )
     return _score(art, model)

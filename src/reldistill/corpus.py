@@ -140,6 +140,13 @@ def detect_coordinate_lists(sentence: Sentence) -> list[CoordinateList]:
     return lists
 
 
+def _field_error(line_no: int, ti: int, key: str, value) -> CorpusFormatError:
+    kind = "an integer" if key == "dep_head" else "a string"
+    return CorpusFormatError(
+        f"line {line_no}: token {ti} field {key!r} must be {kind}, got {value!r}"
+    )
+
+
 def _parse_sentence(obj: dict, line_no: int) -> Sentence:
     if "tokens" not in obj:
         raise CorpusFormatError(f"line {line_no}: sentence missing 'tokens'")
@@ -148,14 +155,25 @@ def _parse_sentence(obj: dict, line_no: int) -> Sentence:
         surface = t.get("surface")
         if not surface:
             raise CorpusFormatError(f"line {line_no}: token {ti} missing 'surface'")
-        pos = map_pos(t["pos"]) if t.get("pos") is not None else None
+        if not isinstance(surface, str):
+            raise _field_error(line_no, ti, "surface", surface)
+        pos = t.get("pos")
+        if pos is not None:
+            if not isinstance(pos, str):
+                raise _field_error(line_no, ti, "pos", pos)
+            pos = map_pos(pos)
         dep_head = t.get("dep_head")
         if dep_head is not None:
+            if type(dep_head) is not int:  # a JSON true is a Python int, not an index
+                raise _field_error(line_no, ti, "dep_head", dep_head)
             if not (0 <= dep_head < len(obj["tokens"])) or dep_head == ti:
                 raise CorpusFormatError(
                     f"line {line_no}: token {ti} has invalid dep_head {dep_head}"
                 )
-        tokens.append(Token(surface, pos, dep_head, t.get("dep_label")))
+        dep_label = t.get("dep_label")
+        if dep_label is not None and not isinstance(dep_label, str):
+            raise _field_error(line_no, ti, "dep_label", dep_label)
+        tokens.append(Token(surface, pos, dep_head, dep_label))
 
     if "np_chunks" in obj:
         chunks = [tuple(span) for span in obj["np_chunks"]]

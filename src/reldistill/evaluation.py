@@ -127,11 +127,10 @@ def evaluate(predictions: list[Prediction], gold: list[GoldAnnotation]) -> EvalR
         pr = {t for t in pred_set if t[1] == rel}
         gr = {t for t in gold_set if t[1] == rel}
         per_relation[rel] = _prf(len(pr & gr), len(pr), len(gr))
-    macro_f1 = (
-        sum(m.f1 for m in per_relation.values()) / len(per_relation)
-        if per_relation
-        else 0.0
-    )
+    total = 0.0  # left to right: the builtin sum compensates from Python 3.12 on
+    for m in per_relation.values():
+        total += m.f1
+    macro_f1 = total / len(per_relation) if per_relation else 0.0
     return EvalReport(micro=micro, per_relation=per_relation, macro_f1=macro_f1)
 
 
@@ -196,10 +195,11 @@ def run_baseline(
     labeled_ids: set[str],
     config: TrainConfig,
     feature_config: FeatureConfig,
-    schema: RelationSchema | None = None,
+    schema: RelationSchema,
 ) -> LinearModel:
     """Train directly on the distantly labeled sets, skipping propagation:
-    Rs (DS_Struct), Rt (DS_Target), or Rs u Rt (DS_Both)."""
+    Rs (DS_Struct), Rt (DS_Target), or Rs u Rt (DS_Both). Every relation of
+    `schema` needs a labeled mention."""
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline {kind!r}")
     if kind == "DS_Struct":
@@ -214,10 +214,9 @@ def run_baseline(
         positives.setdefault(lm.label, {})[lm.mention.mention_id] = lm.mention
     if not positives:
         raise ValueError(f"{kind}: no labeled mentions at all")
-    if schema is not None:
-        for relation in schema.relation_names():
-            if not positives.get(relation):
-                raise ValueError(f"{kind}: empty training set for relation {relation!r}")
+    for relation in schema.relation_names():
+        if not positives.get(relation):
+            raise ValueError(f"{kind}: empty training set for relation {relation!r}")
     pos_lists = {
         r: [ms[k] for k in sorted(ms)] for r, ms in sorted(positives.items())
     }

@@ -61,22 +61,42 @@ class ConceptSeed:
     instance: str
 
 
+def _list_of(obj: dict, key: str, kind: type, where: str) -> list:
+    """`obj[key]` (an empty list when absent), checked to be a list of `kind`."""
+    value = obj.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        noun = {str: "strings", dict: "objects"}[kind]
+        raise SchemaError(f"{where}: {key!r} must be a list of {noun}")
+    return value
+
+
+def _string(rel: dict, key: str, where: str) -> str:
+    value = rel.get(key)
+    if not isinstance(value, str):
+        raise SchemaError(f"{where}: {key!r} must be a string, got {value!r}")
+    return value
+
+
 def load_schema(path: str) -> RelationSchema:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    concepts = list(obj.get("concepts", []))
+    if not isinstance(obj, dict):
+        raise SchemaError(f"schema must be a JSON object, got a {type(obj).__name__}")
+    concepts = list(_list_of(obj, "concepts", str, "schema"))
     relations = []
     names = set()
     claimed_sections: dict[str, str] = {}
-    for rel in obj.get("relations", []):
-        name = rel["name"]
+    for i, rel in enumerate(_list_of(obj, "relations", dict, "schema")):
+        name = _string(rel, "name", f"relation {i}")
         if name in names:
             raise SchemaError(f"duplicate relation {name!r}")
         names.add(name)
-        rng = rel["range_concept"]
+        rng = _string(rel, "range_concept", f"relation {name!r}")
         if rng not in concepts:
             raise SchemaError(f"relation {name!r} references unknown concept {rng!r}")
-        titles = frozenset(normalize(t) for t in rel.get("section_titles", []))
+        titles = frozenset(
+            normalize(t) for t in _list_of(rel, "section_titles", str, f"relation {name!r}")
+        )
         for t in titles:
             if t in claimed_sections:
                 raise SchemaError(

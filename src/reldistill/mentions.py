@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _str
 
 from .corpus import Document
 from .features import FeatureConfig, Mention, extract_features
@@ -45,50 +46,30 @@ def enumerate_mentions(doc: Document, config: FeatureConfig) -> list[Mention]:
     for sec_i, sec in enumerate(doc.sections):
         section_title = normalize(sec.title)
         for sent_i, sent in enumerate(sec.sentences):
-            in_list = set()
-            for cl in sent.coordinate_lists:
-                in_list.update(cl.item_spans)
-                span = (cl.item_spans[0][0], cl.item_spans[-1][1])
-                out.append(
-                    Mention(
-                        mention_id=f"{doc.doc_id}|s{sec_i}|t{sent_i}|{span[0]}-{span[1]}",
-                        doc_id=doc.doc_id,
-                        title_entity=doc.title_entity,
-                        section_title=section_title,
-                        kind="list",
-                        item_surfaces=tuple(
-                            _surface(sent.tokens, s) for s in cl.item_spans
-                        ),
-                        features=tuple(
-                            sorted(extract_features(sent, cl, config).items())
-                        ),
-                        corpus_tag=doc.corpus_tag,
-                    )
+            in_list = {s for cl in sent.coordinate_lists for s in cl.item_spans}
+            # (feature target, kind, mention span, item spans)
+            targets = [
+                (cl, "list", (cl.item_spans[0][0], cl.item_spans[-1][1]), cl.item_spans)
+                for cl in sent.coordinate_lists
+            ] + [(s, "singleton", s, (s,)) for s in sent.np_chunks if s not in in_list]
+            out += [
+                Mention(
+                    mention_id=f"{doc.doc_id}|s{sec_i}|t{sent_i}|{span[0]}-{span[1]}",
+                    doc_id=doc.doc_id,
+                    title_entity=doc.title_entity,
+                    section_title=section_title,
+                    kind=kind,
+                    item_surfaces=tuple(_surface(sent.tokens, s) for s in item_spans),
+                    features=tuple(sorted(extract_features(sent, target, config).items())),
+                    corpus_tag=doc.corpus_tag,
                 )
-            for span in sent.np_chunks:
-                if span in in_list:
-                    continue
-                out.append(
-                    Mention(
-                        mention_id=f"{doc.doc_id}|s{sec_i}|t{sent_i}|{span[0]}-{span[1]}",
-                        doc_id=doc.doc_id,
-                        title_entity=doc.title_entity,
-                        section_title=section_title,
-                        kind="singleton",
-                        item_surfaces=(_surface(sent.tokens, span),),
-                        features=tuple(
-                            sorted(extract_features(sent, span, config).items())
-                        ),
-                        corpus_tag=doc.corpus_tag,
-                    )
-                )
+                for target, kind, span, item_spans in targets
+            ]
     return out
 
 
 def corpus_mentions(docs: list[Document], config: FeatureConfig) -> list[Mention]:
-    out = []
-    for doc in docs:
-        out.extend(enumerate_mentions(doc, config))
+    out = [m for doc in docs for m in enumerate_mentions(doc, config)]
     return sorted(out, key=lambda m: m.mention_id)
 
 
@@ -153,32 +134,28 @@ def expand_concept_mentions(
         return []
 
     graph = build_graph_from_mentions(mentions)
-    seeds_in_graph = {
-        c: ids & set(graph.mention_nodes) for c, ids in seed_ids.items()
-    }
+    seeds_in_graph = {c: ids & set(graph.mention_nodes) for c, ids in seed_ids.items()}
     seeds_in_graph = {c: ids for c, ids in seeds_in_graph.items() if ids}
     by_id = {m.mention_id: m for m in mentions}
 
-    out = []
+    kept_by_concept = seed_ids  # no seed in the graph: the seeds alone
     if seeds_in_graph:
         ranking = multirankwalk(graph, seeds_in_graph, prop_config)
-        for concept, ranked in sorted(ranking.per_class.items()):
+        kept_by_concept = {}
+        for concept, ranked in ranking.per_class.items():
             kept = set()
             for mention_id, score in ranked:
                 if len(kept) >= prop_config.concept_top_k:
                     break
-                if mention_id in seed_ids.get(concept, ()):
+                seed = mention_id in seed_ids.get(concept, ())
+                if seed or score >= prop_config.concept_score_floor:
                     kept.add(mention_id)
-                elif score >= prop_config.concept_score_floor:
-                    kept.add(mention_id)
-            kept |= seed_ids.get(concept, set())  # seeds always retained
-            for mention_id in sorted(kept):
-                out.append(LabeledMention(by_id[mention_id], concept, source_set))
-    else:
-        for concept, ids in sorted(seed_ids.items()):
-            for mention_id in sorted(ids):
-                out.append(LabeledMention(by_id[mention_id], concept, source_set))
-    return out
+            kept_by_concept[concept] = kept | seed_ids.get(concept, set())
+    return [
+        LabeledMention(by_id[mention_id], concept, source_set)
+        for concept, ids in sorted(kept_by_concept.items())
+        for mention_id in sorted(ids)
+    ]
 
 
 def filter_concept_sections(
@@ -186,11 +163,8 @@ def filter_concept_sections(
 ) -> list[LabeledMention]:
     """Keep a concept mention only if its section maps to some relation
     whose range is that concept."""
-    out = []
-    for lm in cs_raw:
-        if lm.mention.section_title in schema.sections_for_concept(lm.label):
-            out.append(lm)
-    return out
+    sections_for = schema.sections_for_concept
+    return [lm for lm in cs_raw if lm.mention.section_title in sections_for(lm.label)]
 
 
 def build_mention_sets(
@@ -243,32 +217,59 @@ def labeled_mention_from_dict(obj: dict) -> LabeledMention:
     return LabeledMention(mention_from_dict(obj), obj["label"], obj["source_set"])
 
 
-def _write_jsonl(records, to_dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(to_dict(record), sort_keys=True) + "\n")
+class MentionEncoder:
+    """Lines equal to `json.dumps(mention_to_dict(m), sort_keys=True)` and its
+    labeled form, spliced from three fragments per mention object, cut where
+    `label` and `source_set` go. `Mention.features` must be sorted, names unique."""
+
+    def __init__(self):
+        self._parts: dict[int, tuple[Mention, str, str, str]] = {}
+
+    def _fragments(self, m: Mention) -> tuple[Mention, str, str, str]:
+        # an entry holds its mention, so no other live object can have that id
+        parts = self._parts.get(id(m))
+        if parts is None or parts[0] is not m:
+            features = ", ".join([f"{_str(f)}: {c}" for f, c in m.features])
+            parts = self._parts[id(m)] = (
+                m,
+                f'{{"corpus_tag": {_str(m.corpus_tag)}, "doc_id": {_str(m.doc_id)}, '
+                f'"features": {{{features}}}, "kind": {_str(m.kind)}',
+                f', "mention_id": {_str(m.mention_id)}, "section": {_str(m.section_title)}',
+                f', "surfaces": [{", ".join(map(_str, m.item_surfaces))}], '
+                f'"title_entity": {_str(m.title_entity)}}}\n',
+            )
+        return parts
+
+    def line(self, m: Mention) -> str:
+        return "".join(self._fragments(m)[1:])
+
+    def labeled_line(self, lm: LabeledMention) -> str:
+        _, head, middle, tail = self._fragments(lm.mention)
+        label, source_set = _str(lm.label), _str(lm.source_set)
+        return f'{head}, "label": {label}{middle}, "source_set": {source_set}{tail}'
 
 
 def _read_jsonl(path: str):
     """Yield one decoded object per non-blank line, so that callers build
     their records without holding every decoded dict at once."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        yield from (json.loads(line) for line in fh if line.strip())
 
 
-def write_mentions(mentions: list[Mention], path: str) -> None:
-    _write_jsonl(mentions, mention_to_dict, path)
+def write_mentions(mentions: list[Mention], path: str, encoder: MentionEncoder) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(map(encoder.line, mentions))
 
 
 def read_mentions(path: str) -> list[Mention]:
     return [mention_from_dict(obj) for obj in _read_jsonl(path)]
 
 
-def write_labeled_mentions(lms: list[LabeledMention], path: str) -> None:
-    _write_jsonl(lms, labeled_mention_to_dict, path)
+def write_labeled_mentions(
+    lms: list[LabeledMention], path: str, encoder: MentionEncoder
+) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(map(encoder.labeled_line, lms))
 
 
 def read_labeled_mentions(path: str) -> list[LabeledMention]:

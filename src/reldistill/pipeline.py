@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -39,6 +40,7 @@ from .evaluation import (
 from .features import FeatureConfig, Mention
 from .kb import load_concept_seeds, load_schema, load_triples
 from .mentions import (
+    MentionEncoder,
     MentionSets,
     build_mention_sets,
     corpus_mentions,
@@ -349,11 +351,13 @@ def stage_mentions(ws: Workspace) -> None:
     target = corpus_mentions(target_docs, cfg.features)
     sets = build_mention_sets(structured, target, triples, seeds, schema, cfg.propagation)
 
-    outputs = []
-    for name, filename in Workspace.MENTION_SET_FILES.items():
-        outputs.append(ws.write(filename, sets.get(name), write_labeled_mentions))
+    encoder = MentionEncoder()  # encodes each mention once for the six files
+    outputs = [
+        ws.write(filename, sets.get(name), partial(write_labeled_mentions, encoder=encoder))
+        for name, filename in Workspace.MENTION_SET_FILES.items()
+    ]
     for pool, filename in zip((structured, target), Workspace.POOL_FILES):
-        outputs.append(ws.write(filename, pool, write_mentions))
+        outputs.append(ws.write(filename, pool, partial(write_mentions, encoder=encoder)))
     ws.record_stage(
         "mentions",
         [

@@ -61,7 +61,12 @@ class RelationModel:
     platt: tuple[float, float] | None  # (A, B) of sigma(A*margin + B)
 
     def margin(self, counts: dict[str, int]) -> float:
-        return sum(self.weights.get(f, 0.0) * c for f, c in counts.items()) + self.bias
+        # left to right, as `train` sums the margins Platt is fit on; the
+        # builtin sum compensates its rounding from Python 3.12 on
+        total = 0.0
+        for f, c in counts.items():
+            total += self.weights.get(f, 0.0) * c
+        return total + self.bias
 
     def score(self, counts: dict[str, int]) -> float:
         m = self.margin(counts)

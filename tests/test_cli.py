@@ -164,13 +164,17 @@ class TestAtomicWrites:
         assert run(run_config_file, out, "run") == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-        def fail_partway(records, path):
+        partial_writes = []
+
+        def fail_partway(records, path, encoder=None):  # mention writers take an encoder
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("partial line")
+            partial_writes.append(path)
             raise OSError("No space left on device")
 
         monkeypatch.setattr(pipeline, writer, fail_partway)
         assert run(run_config_file, out, stage) == 2
+        assert partial_writes  # failed in the writer, not before it
         assert not list(out.glob("*.tmp"))
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
@@ -273,6 +277,32 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "relation 'conditionsThisMayPrevent' has an empty positive side" in err
         assert "found 0 of n=20 positives with strategy 'Target'" in err
+
+    @pytest.mark.parametrize(
+        "schema_obj, named",
+        [
+            pytest.param({"concepts": ["C"], "relations": [{"name": "a"}]},
+                         "relation 'a': 'range_concept'", id="no-range_concept"),
+            pytest.param([], "schema must be a JSON object", id="list"),
+        ],
+    )
+    def test_malformed_schema_exits_1(self, run_config_file, tmp_path, capsys, schema_obj, named):
+        cfg = json.loads(run_config_file.read_text())
+        cfg["schema"] = str(tmp_path / "schema.json")
+        (tmp_path / "schema.json").write_text(json.dumps(schema_obj))
+        run_config_file.write_text(json.dumps(cfg))
+        assert run(run_config_file, tmp_path / "out", "run") == 1
+        assert named in capsys.readouterr().err
+
+    def test_ill_typed_token_exits_1(self, run_config_file, data_dir, tmp_path, capsys):
+        doc = json.loads((data_dir / "target.jsonl").read_text().splitlines()[0])
+        doc["sections"][0]["sentences"][0]["tokens"][2]["pos"] = 7
+        (tmp_path / "target.jsonl").write_text(json.dumps(doc) + "\n")
+        cfg = json.loads(run_config_file.read_text())
+        cfg["target_corpus"] = str(tmp_path / "target.jsonl")
+        run_config_file.write_text(json.dumps(cfg))
+        assert run(run_config_file, tmp_path / "out", "ingest") == 1
+        assert "line 1: token 2 field 'pos' must be a string, got 7" in capsys.readouterr().err
 
     def test_unknown_command_exits_nonzero(self, run_config_file, tmp_path):
         with pytest.raises(SystemExit):

@@ -135,6 +135,32 @@ class TestIngest:
         with pytest.raises(CorpusFormatError, match="duplicate"):
             ingest_corpus(str(path), "target")
 
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ({"surface": "pain", "pos": 7}, "token 1 field 'pos' must be a string, got 7"),
+            ({"surface": 3}, "token 1 field 'surface' must be a string, got 3"),
+            ({"surface": "pain", "dep_label": ["nsubj"]},
+             "token 1 field 'dep_label' must be a string, got ['nsubj']"),
+            ({"surface": "pain", "dep_head": 0.0},
+             "token 1 field 'dep_head' must be an integer, got 0.0"),
+            ({"surface": "pain", "dep_head": True},
+             "token 1 field 'dep_head' must be an integer, got True"),
+            ({"surface": "pain", "dep_head": "0"},
+             "token 1 field 'dep_head' must be an integer, got '0'"),
+        ],
+    )
+    def test_ill_typed_token_field_named(self, tmp_path, token, message):
+        sentence = {"tokens": [{"surface": "severe", "pos": "ADJ"}, token]}
+        doc = {"doc_id": "d1", "title_entity": "x",
+               "sections": [{"title": "Uses", "sentences": [sentence]}]}
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"doc_id": "d0", "title_entity": "y", "sections": []})
+                        + "\n" + json.dumps(doc) + "\n")
+        with pytest.raises(CorpusFormatError) as err:
+            ingest_corpus(str(path), "target")
+        assert str(err.value) == f"line 2: {message}"
+
     def test_roundtrip(self, tmp_path, structured_docs):
         path = tmp_path / "rt.jsonl"
         write_corpus(structured_docs, str(path))

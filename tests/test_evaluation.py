@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,8 +13,11 @@ from reldistill.evaluation import (
     ranking_metrics,
     run_baseline,
 )
+from reldistill.benchmark import BenchmarkArtifacts, baseline_report
 from reldistill.features import FeatureConfig
+from reldistill.kb import RelationSchema
 from reldistill.mentions import MentionSets, build_relation_mentions, corpus_mentions
+from reldistill.propagation import PropagationConfig
 from reldistill.training import TrainConfig
 
 
@@ -26,6 +30,17 @@ def G(doc, rel, value):
 
 
 class TestEvaluate:
+    def test_macro_f1_sums_left_to_right(self):
+        # per-relation F1 1, 1/3 and 1: the left-to-right mean is
+        # 0.7777777777777777, a compensated sum's 0.7777777777777778
+        gold = [G("d", "a", "x"), G("d", "c", "x")] + [G("d", "b", v) for v in "wxyz"]
+        preds = [P("d", "a", "x"), P("d", "b", "x"), P("d", "b", "v"), P("d", "c", "x")]
+        report = evaluate(preds, gold)
+        f1s = [report.per_relation[r].f1 for r in "abc"]
+        assert f1s == [1.0, 1 / 3, 1.0]
+        assert math.fsum(f1s) / 3 == 0.7777777777777778
+        assert report.macro_f1 == 0.7777777777777777
+
     def test_perfect(self):
         gold = [G("d1", "r", "a"), G("d1", "r", "b")]
         preds = [P("d1", "r", "a"), P("d1", "r", "b")]
@@ -165,6 +180,12 @@ def test_metric_identities_random(pred_rows, gold_rows):
     assert recalls == sorted(recalls)
 
 
+def covering(schema: RelationSchema, labeled) -> RelationSchema:
+    """`schema` cut down to the relations that `labeled` mentions carry."""
+    names = sorted({lm.label for lm in labeled})
+    return RelationSchema([schema.relation(n) for n in names], schema.concepts)
+
+
 class TestBaselines:
     @pytest.fixture()
     def setup(self, structured_docs, target_docs, triples, schema):
@@ -179,10 +200,11 @@ class TestBaselines:
         labeled = {lm.mention.mention_id for lm in sets.Rs + sets.Rt}
         return sets, pool, labeled, fc
 
-    def test_ds_struct_uses_only_structured(self, setup):
+    def test_ds_struct_uses_only_structured(self, setup, schema):
         sets, pool, labeled, fc = setup
         config = TrainConfig(n=2, epochs=20, rng_seed=1)
-        model = run_baseline("DS_Struct", sets, pool, labeled, config, fc)
+        rs_schema = covering(schema, sets.Rs)
+        model = run_baseline("DS_Struct", sets, pool, labeled, config, fc, rs_schema)
         assert set(model.relations) == {lm.label for lm in sets.Rs}
 
     def test_ds_both_is_union(self, setup):
@@ -191,14 +213,15 @@ class TestBaselines:
         rt_ids = {(lm.mention.mention_id, lm.label) for lm in sets.Rt}
         assert len(rs_ids | rt_ids) == len(rs_ids) + len(rt_ids) - len(rs_ids & rt_ids)
 
-    def test_ds_both_empty_structured_equals_ds_target(self, setup, tmp_path):
+    def test_ds_both_empty_structured_equals_ds_target(self, setup, schema, tmp_path):
         from reldistill.training import save_model
 
         sets, pool, labeled, fc = setup
         config = TrainConfig(n=2, epochs=20, rng_seed=1)
         no_struct = MentionSets(Rs=[], Rt=sets.Rt)
-        m_both = run_baseline("DS_Both", no_struct, pool, labeled, config, fc)
-        m_target = run_baseline("DS_Target", no_struct, pool, labeled, config, fc)
+        rt_schema = covering(schema, sets.Rt)
+        m_both = run_baseline("DS_Both", no_struct, pool, labeled, config, fc, rt_schema)
+        m_target = run_baseline("DS_Target", no_struct, pool, labeled, config, fc, rt_schema)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_model(m_both, str(p1))
         save_model(m_target, str(p2))
@@ -208,7 +231,26 @@ class TestBaselines:
         sets, pool, labeled, fc = setup
         config = TrainConfig(n=2, epochs=20, rng_seed=1)
         with pytest.raises(ValueError, match="conditionsThisMayPrevent"):
-            run_baseline("DS_Struct", sets, pool, labeled, config, fc, schema=schema)
+            run_baseline("DS_Struct", sets, pool, labeled, config, fc, schema)
+
+    def test_baseline_report_checks_every_schema_relation(
+        self, setup, schema, target_docs, data_dir
+    ):
+        sets, pool, labeled, fc = setup
+        art = BenchmarkArtifacts(
+            schema=schema,
+            sets=sets,
+            pool=pool,
+            labeled_ids=labeled,
+            eval_docs=target_docs,
+            gold=load_gold(str(data_dir / "gold.tsv"), schema),
+            feature_config=fc,
+            prop_config=PropagationConfig(),
+        )
+        config = TrainConfig(n=2, epochs=20, rng_seed=1)
+        assert "conditionsThisMayPrevent" not in {lm.label for lm in sets.Rs}
+        with pytest.raises(ValueError, match="relation 'conditionsThisMayPrevent'"):
+            baseline_report(art, "DS_Struct", config)
 
 
 def test_load_gold(data_dir, schema):

@@ -69,6 +69,34 @@ def test_unknown_concept_rejected(tmp_path):
         load_schema(str(path))
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([{"name": "a", "range_concept": "C"}], "schema must be a JSON object, got a list"),
+        ({"concepts": ["C"], "relations": [{"name": "a"}]},
+         "relation 'a': 'range_concept' must be a string, got None"),
+        ({"concepts": ["C"], "relations": [{"range_concept": "C"}]},
+         "relation 0: 'name' must be a string"),
+        ({"concepts": ["C"], "relations": [{"name": "a", "range_concept": 1}]},
+         "relation 'a': 'range_concept' must be a string, got 1"),
+        ({"concepts": ["C"], "relations": [{"name": "a", "range_concept": "C",
+                                            "section_titles": "Uses"}]},
+         "relation 'a': 'section_titles' must be a list of strings"),
+        ({"concepts": "C", "relations": []}, "schema: 'concepts' must be a list of strings"),
+        ({"concepts": ["C"], "relations": {"a": "C"}},
+         "schema: 'relations' must be a list of objects"),
+        ({"concepts": ["C"], "relations": ["a"]},
+         "schema: 'relations' must be a list of objects"),
+    ],
+)
+def test_malformed_schema_names_relation_and_key(tmp_path, obj, message):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SchemaError) as err:
+        load_schema(str(path))
+    assert str(err.value).startswith(message)
+
+
 class TestTriples:
     def test_example_triple(self, tmp_path, schema):
         path = tmp_path / "t.tsv"

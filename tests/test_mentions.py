@@ -1,8 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from reldistill.cli import main
 from reldistill.features import FeatureConfig, Mention
 from reldistill.mentions import (
+    LabeledMention,
+    MentionEncoder,
     build_relation_mentions,
     corpus_mentions,
     enumerate_mentions,
@@ -10,6 +16,11 @@ from reldistill.mentions import (
     filter_concept_sections,
     labeled_mention_from_dict,
     labeled_mention_to_dict,
+    mention_to_dict,
+    read_labeled_mentions,
+    read_mentions,
+    write_labeled_mentions,
+    write_mentions,
 )
 from reldistill.propagation import PropagationConfig
 
@@ -197,3 +208,107 @@ def test_labeled_mention_roundtrip(structured_mentions, triples, schema):
     rs = build_relation_mentions(structured_mentions, triples, schema, True)
     for lm in rs:
         assert labeled_mention_from_dict(labeled_mention_to_dict(lm)) == lm
+
+
+# Any code point, lone surrogates included, with the characters JSON escapes
+# drawn often: quotes, backslashes, control characters, non-ASCII, non-BMP.
+_chars = st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028",
+                     "\ud800", "\udfff", "\U0001f600"]),
+)
+_text = st.text(_chars, max_size=8)
+
+
+@st.composite
+def arbitrary_mentions(draw):
+    features = draw(st.dictionaries(_text, st.integers(0, 2**40), max_size=6))
+    return Mention(
+        mention_id=draw(_text),
+        doc_id=draw(_text),
+        title_entity=draw(_text),
+        section_title=draw(_text),
+        kind=draw(_text),
+        item_surfaces=tuple(draw(st.lists(_text, max_size=4))),
+        features=tuple(sorted(features.items())),
+        corpus_tag=draw(_text),
+    )
+
+
+def _oracle(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
+class TestMentionEncoder:
+    @given(arbitrary_mentions(), _text, _text)
+    @example(make_mention("d|s0|t0|0-1", [""], {}), "", "")
+    @example(make_mention("d|s0|t0|0-1", [], {}), "usedToTreat", "Rs")
+    @settings(max_examples=300, deadline=None)
+    def test_lines_are_sorted_key_json_dumps(self, m, label, source_set):
+        lm = LabeledMention(m, label, source_set)
+        encoder = MentionEncoder()
+        # the labeled line first: the pool line then reuses its fragments
+        assert encoder.labeled_line(lm) == _oracle(labeled_mention_to_dict(lm))
+        assert encoder.line(m) == _oracle(mention_to_dict(m))
+        assert encoder.labeled_line(lm) == _oracle(labeled_mention_to_dict(lm))
+
+    def test_equal_mention_ids_in_both_corpora_keep_their_own_fields(self):
+        s = make_mention("d|s0|t0|0-1", ["aspirin"], {"tok=aspirin": 1}, tag="structured")
+        t = make_mention("d|s0|t0|0-1", ["aspirin"], {"tok=aspirin": 2}, tag="target")
+        encoder = MentionEncoder()
+        for m in (s, t, s, t):
+            assert encoder.line(m) == _oracle(mention_to_dict(m))
+            lm = LabeledMention(m, "Symptom", "Ct")
+            assert encoder.labeled_line(lm) == _oracle(labeled_mention_to_dict(lm))
+
+    def test_files_are_written_line_for_line(self, tmp_path, structured_mentions):
+        encoder = MentionEncoder()
+        lms = [LabeledMention(m, "Symptom", "Cs") for m in structured_mentions[::2]]
+        write_labeled_mentions(lms, str(tmp_path / "set.jsonl"), encoder)
+        write_mentions(structured_mentions, str(tmp_path / "pool.jsonl"), encoder)
+        assert (tmp_path / "set.jsonl").read_text() == "".join(
+            _oracle(labeled_mention_to_dict(lm)) for lm in lms
+        )
+        assert (tmp_path / "pool.jsonl").read_text() == "".join(
+            _oracle(mention_to_dict(m)) for m in structured_mentions
+        )
+        assert read_labeled_mentions(str(tmp_path / "set.jsonl")) == lms
+        assert read_mentions(str(tmp_path / "pool.jsonl")) == structured_mentions
+
+
+def test_doc_id_in_both_corpora_is_written_with_each_corpus_tag(tmp_path, data_dir):
+    """A structured document copied into the target corpus yields mentions
+    equal in all but `corpus_tag`; each file must carry its own corpus's."""
+    shared = (data_dir / "structured.jsonl").read_text().splitlines()[0]
+    target = tmp_path / "target.jsonl"
+    target.write_text((data_dir / "target.jsonl").read_text() + shared + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "structured_corpus": str(data_dir / "structured.jsonl"),
+        "target_corpus": str(target),
+        "eval_corpus": str(data_dir / "target.jsonl"),
+        "schema": str(data_dir / "schema.json"),
+        "triples": str(data_dir / "triples.tsv"),
+        "concept_seeds": str(data_dir / "concept_seeds.tsv"),
+        "gold": str(data_dir / "gold.tsv"),
+        "variant": ["Rs", "Cs", "Rt", "Ct"],
+    }))
+    out = tmp_path / "out"
+    for stage in ("ingest", "mentions"):
+        assert main(["--config", str(config), "--out", str(out), stage]) == 0
+
+    tags = {
+        "pool_structured": "structured", "mentions_Rs": "structured",
+        "mentions_Cs": "structured", "pool_target": "target",
+        "mentions_Rt": "target", "mentions_Ct": "target",
+    }
+    doc_id = json.loads(shared)["doc_id"]
+    shared_in = set()
+    for name, tag in tags.items():
+        for line in (out / f"{name}.jsonl").read_text().splitlines(keepends=True):
+            obj = json.loads(line)
+            assert line == _oracle(obj)
+            assert obj["corpus_tag"] == tag, name
+            if obj["doc_id"] == doc_id:
+                shared_in.add(name)
+    assert shared_in == set(tags)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -274,6 +276,12 @@ class TestScore:
             train_config=TrainConfig(),
         )
         assert classify(model, make_mention("m", {"f": 1})) == "other"
+
+    def test_margin_sums_left_to_right(self):
+        # (1e16 + 1.0) rounds to 1e16; a compensated sum would give 1.0
+        rm = RelationModel(weights={"a": 1e16, "b": 1.0, "c": -1e16}, bias=0.5, platt=None)
+        assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+        assert rm.margin({"a": 1, "b": 1, "c": 1}) == 0.5
 
 
 def test_model_file_roundtrip(tmp_path, separable_mentions):
