@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 from .corpus import Document
 from .features import FeatureConfig, Mention
 from .kb import RelationSchema
-from .mentions import LabeledMention, MentionSets
+from .mentions import LabeledMention, MentionSets, enumerate_mentions
 from .norm import normalize
 from .training import LinearModel, TrainConfig, build_training_set, classify_scored, train
 
@@ -91,8 +91,6 @@ def extract_document(
             "feature config mismatch: model was trained with "
             f"{asdict(model.feature_config)}, got {asdict(feature_config)}"
         )
-    from .mentions import enumerate_mentions
-
     best: dict[tuple[str, str], float] = {}
     for mention in enumerate_mentions(doc, feature_config):
         label, score = classify_scored(model, mention)

@@ -68,12 +68,6 @@ def feature_matrix(mentions: list[Mention]) -> tuple[list[str], sp.csr_matrix]:
     return vocab, x
 
 
-def _affixes(token: str, lo: int, hi: int):
-    for n in range(lo, hi + 1):
-        if len(token) >= n:
-            yield f"pre={token[:n]}", f"suf={token[-n:]}"
-
-
 def _closest_ancestor_verb(sentence: Sentence, head_idx: int) -> int | None:
     seen = {head_idx}
     idx = sentence.tokens[head_idx].dep_head
@@ -108,46 +102,45 @@ def extract_features(
     span_start = min(s for s, _ in item_spans)
     span_end = max(e for _, e in item_spans)
 
-    feats: Counter[str] = Counter()
+    lower = [t.surface.lower() for t in tokens]  # each token lowered once
+    names = []
     for i in sorted(inside):
-        tok = tokens[i].surface.lower()
-        feats[f"tok={tok}"] += 1
-        for pre, suf in _affixes(tok, config.affix_min, config.affix_max):
-            feats[pre] += 1
-            feats[suf] += 1
-    for i in range(n):
-        if span_start <= i < span_end:
-            continue
-        feats[f"bow={tokens[i].surface.lower()}"] += 1
+        tok = lower[i]
+        names.append(f"tok={tok}")
+        # the affix lengths k in [affix_min, affix_max] with k <= len(tok)
+        for k in range(config.affix_min, min(config.affix_max, len(tok)) + 1):
+            names += (f"pre={tok[:k]}", f"suf={tok[-k:]}")
+    names += [f"bow={lower[i]}" for i in range(n) if not span_start <= i < span_end]
 
-    left = [tokens[i].surface.lower() for i in range(max(0, span_start - config.window), span_start)]
-    right = [tokens[i].surface.lower() for i in range(span_end, min(n, span_end + config.window))]
-    for d, tok in enumerate(reversed(left), start=1):
-        feats[f"win-L{d}={tok}"] += 1
-    for d, tok in enumerate(right, start=1):
-        feats[f"win-R{d}={tok}"] += 1
-    for a, b in zip(left, left[1:]):
-        feats[f"wbg-L={a}_{b}"] += 1
-    for a, b in zip(right, right[1:]):
-        feats[f"wbg-R={a}_{b}"] += 1
+    left = [lower[i] for i in range(max(0, span_start - config.window), span_start)]
+    right = [lower[i] for i in range(span_end, min(n, span_end + config.window))]
+    names += [f"win-L{d}={tok}" for d, tok in enumerate(reversed(left), start=1)]
+    names += [f"win-R{d}={tok}" for d, tok in enumerate(right, start=1)]
+    names += [f"wbg-L={a}_{b}" for a, b in zip(left, left[1:])]
+    names += [f"wbg-R={a}_{b}" for a, b in zip(right, right[1:])]
 
     if config.dependency_features:
         head_idx = head_span[1] - 1
         if tokens[head_idx].dep_head is not None:
             verb_idx = _closest_ancestor_verb(sentence, head_idx)
             if verb_idx is not None:
-                feats[f"vrb={tokens[verb_idx].surface.lower()}"] += 1
-                for i, t in enumerate(tokens):
-                    if t.dep_head == verb_idx and i != verb_idx:
-                        feats[f"mod={t.surface.lower()}"] += 1
+                names.append(f"vrb={lower[verb_idx]}")
+                names += [
+                    f"mod={lower[i]}"
+                    for i, t in enumerate(tokens)
+                    if t.dep_head == verb_idx and i != verb_idx
+                ]
                 labels = []
                 idx = head_idx
                 while idx != verb_idx:
                     labels.append(tokens[idx].dep_label or "_")
                     idx = tokens[idx].dep_head
-                feats[f"path={'/'.join(labels)}"] += 1
+                names.append(f"path={'/'.join(labels)}")
 
-    return dict(feats)
+    feats: FeatureVector = {}
+    for name in names:
+        feats[name] = feats.get(name, 0) + 1
+    return feats
 
 
 @dataclass(frozen=True)

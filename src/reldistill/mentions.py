@@ -138,19 +138,20 @@ def expand_concept_mentions(
     seeds_in_graph = {c: ids for c, ids in seeds_in_graph.items() if ids}
     by_id = {m.mention_id: m for m in mentions}
 
-    kept_by_concept = seed_ids  # no seed in the graph: the seeds alone
+    kept_by_concept: dict[str, set[str]] = {}
     if seeds_in_graph:
         ranking = multirankwalk(graph, seeds_in_graph, prop_config)
-        kept_by_concept = {}
         for concept, ranked in ranking.per_class.items():
-            kept = set()
+            kept = kept_by_concept[concept] = set()
             for mention_id, score in ranked:
                 if len(kept) >= prop_config.concept_top_k:
                     break
-                seed = mention_id in seed_ids.get(concept, ())
+                seed = mention_id in seed_ids[concept]
                 if seed or score >= prop_config.concept_score_floor:
                     kept.add(mention_id)
-            kept_by_concept[concept] = kept | seed_ids.get(concept, set())
+    # every concept keeps all its seeds, those outside the graph included
+    for concept, ids in seed_ids.items():
+        kept_by_concept.setdefault(concept, set()).update(ids)
     return [
         LabeledMention(by_id[mention_id], concept, source_set)
         for concept, ids in sorted(kept_by_concept.items())

@@ -1,9 +1,11 @@
-"""The array kernels of `training`, `propagation` and `evaluation`
-against the per-element loops they replaced, kept here as oracles.
+"""The array kernels of `training`, `propagation` and `evaluation`, and
+the per-mention feature and scoring kernels of the read path, against
+the per-element loops they replaced, kept here as oracles.
 Every artifact depends on these kernels, so each must agree with its
 oracle bit for bit, not just to a tolerance."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,8 +13,15 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings, strategies as st
 
 from reldistill import training
+from reldistill.corpus import CoordinateList, Sentence, Token
 from reldistill.evaluation import GoldAnnotation, Prediction, pr_curve
-from reldistill.features import FeatureFilter, feature_matrix
+from reldistill.features import (
+    FeatureConfig,
+    FeatureFilter,
+    _closest_ancestor_verb,
+    extract_features,
+    feature_matrix,
+)
 from reldistill.propagation import (
     BipartiteGraph,
     PropagationConfig,
@@ -22,7 +31,15 @@ from reldistill.propagation import (
     personalized_pagerank,
     write_graph_dump,
 )
-from reldistill.training import TrainConfig, TrainingSet, _row_dot, _sgd_hinge
+from reldistill.training import (
+    LinearModel,
+    RelationModel,
+    TrainConfig,
+    TrainingSet,
+    _row_dot,
+    _sgd_hinge,
+    classify_scored,
+)
 
 from test_propagation import assigned, make_mention
 
@@ -151,6 +168,83 @@ def graph_dump_edges_oracle(graph, path):
             fh.write(f"{graph.mention_nodes[i]}\t{graph.feature_nodes[j - m]}\t{w:.12g}\n")
 
 
+def _affixes(token, lo, hi):
+    for n in range(lo, hi + 1):
+        if len(token) >= n:
+            yield f"pre={token[:n]}", f"suf={token[-n:]}"
+
+
+def extract_features_loop_oracle(sentence, target, config):
+    tokens = sentence.tokens
+    n = len(tokens)
+    if isinstance(target, CoordinateList):
+        item_spans = list(target.item_spans)
+        head_span = target.head_span
+    else:
+        item_spans = [target]
+        head_span = target
+    for s, e in item_spans:
+        if not (0 <= s < e <= n):
+            raise ValueError(f"span ({s},{e}) out of range for {n}-token sentence")
+
+    inside = set()
+    for s, e in item_spans:
+        inside.update(range(s, e))
+    span_start = min(s for s, _ in item_spans)
+    span_end = max(e for _, e in item_spans)
+
+    feats = Counter()
+    for i in sorted(inside):
+        tok = tokens[i].surface.lower()
+        feats[f"tok={tok}"] += 1
+        for pre, suf in _affixes(tok, config.affix_min, config.affix_max):
+            feats[pre] += 1
+            feats[suf] += 1
+    for i in range(n):
+        if span_start <= i < span_end:
+            continue
+        feats[f"bow={tokens[i].surface.lower()}"] += 1
+
+    left = [tokens[i].surface.lower() for i in range(max(0, span_start - config.window), span_start)]
+    right = [tokens[i].surface.lower() for i in range(span_end, min(n, span_end + config.window))]
+    for d, tok in enumerate(reversed(left), start=1):
+        feats[f"win-L{d}={tok}"] += 1
+    for d, tok in enumerate(right, start=1):
+        feats[f"win-R{d}={tok}"] += 1
+    for a, b in zip(left, left[1:]):
+        feats[f"wbg-L={a}_{b}"] += 1
+    for a, b in zip(right, right[1:]):
+        feats[f"wbg-R={a}_{b}"] += 1
+
+    if config.dependency_features:
+        head_idx = head_span[1] - 1
+        if tokens[head_idx].dep_head is not None:
+            verb_idx = _closest_ancestor_verb(sentence, head_idx)
+            if verb_idx is not None:
+                feats[f"vrb={tokens[verb_idx].surface.lower()}"] += 1
+                for i, t in enumerate(tokens):
+                    if t.dep_head == verb_idx and i != verb_idx:
+                        feats[f"mod={t.surface.lower()}"] += 1
+                labels = []
+                idx = head_idx
+                while idx != verb_idx:
+                    labels.append(tokens[idx].dep_label or "_")
+                    idx = tokens[idx].dep_head
+                feats[f"path={'/'.join(labels)}"] += 1
+
+    return dict(feats)
+
+
+def classify_scored_loop_oracle(model, mention):
+    counts = mention.feature_counts()
+    best_label, best_score = "other", 0.0
+    for relation in sorted(model.relations):
+        score = model.relations[relation].score(counts)
+        if score >= training.SCORE_THRESHOLD and score > best_score:
+            best_label, best_score = relation, score
+    return best_label, best_score
+
+
 # --- generators --------------------------------------------------------------
 
 
@@ -255,6 +349,66 @@ def seeded_graphs(draw):
         for c in range(n_classes)
     }
     return graph, seeds
+
+
+@st.composite
+def feature_targets(draw):
+    """A sentence of mixed-case, repeated tokens with an arbitrary
+    dependency forest (cycles included, with or without a verb), a
+    singleton span or a coordinate list with gaps between its items, and
+    a feature config whose affix range may exceed every token."""
+    n = draw(st.integers(1, 9))
+    words = st.sampled_from(["Nausea", "nausea", "NAUSEA", "a", "of", "Pain", "İ", "x-ray", ""])
+    tokens = [
+        Token(
+            draw(words),
+            draw(st.sampled_from(["NOUN", "VERB", "ADJ", None])),
+            draw(st.one_of(st.none(), st.integers(0, n - 1))),
+            draw(st.sampled_from(["nsubj", "dobj", None])),
+        )
+        for _ in range(n)
+    ]
+    bounds = sorted(draw(st.sets(st.integers(0, n), min_size=2, max_size=n + 1)))
+    if draw(st.booleans()):  # a singleton anywhere, edges included
+        target = (bounds[0], bounds[-1])
+    else:  # items are alternate gaps of the bounds: (b0,b1), (b2,b3), ...
+        items = tuple(zip(bounds[::2], bounds[1::2]))
+        target = CoordinateList(items, draw(st.sampled_from(items)))
+    config = FeatureConfig(
+        window=draw(st.integers(0, 3)),
+        affix_min=draw(st.integers(1, 4)),
+        affix_max=draw(st.integers(0, 9)),
+        dependency_features=draw(st.booleans()),
+    )
+    return Sentence(tokens), target, config
+
+
+@st.composite
+def scored_models(draw):
+    """A model of 0-4 relations over a small vocabulary and a mention that
+    also has features no relation weighs. Weights of either sign and a
+    few repeated values make totals cancel and scores tie; Platt (A, B)
+    past about 709/|margin| overflows `exp`."""
+    vocab = ["a", "b", "c", "d", "e"]
+    values = st.one_of(
+        st.sampled_from([0.5, -0.5, 1.0, 300.0, -300.0, 1e16, -1e16]),
+        st.floats(-50.0, 50.0, allow_nan=False),
+    )
+    names = draw(st.lists(st.sampled_from(["r", "b_rel", "a_rel", "rel10", "rel2"]),
+                          unique=True, max_size=4))
+    platt = draw(st.booleans())
+    relations = {}
+    for name in names:
+        weights = draw(st.dictionaries(st.sampled_from(vocab), values, max_size=5))
+        ab = (draw(st.floats(-10.0, 10.0)), draw(st.floats(-5.0, 5.0))) if platt else None
+        relations[name] = RelationModel(weights, draw(values), ab)
+    if len(names) >= 2 and draw(st.booleans()):  # a tie between two relations
+        relations[names[1]] = relations[names[0]]
+    counts = draw(st.dictionaries(st.sampled_from(vocab + ["unweighed", "z"]),
+                                  st.integers(1, 3)))
+    calibration = "platt" if platt else "raw_margin"
+    model = LinearModel(relations, FeatureConfig(), TrainConfig(calibration=calibration))
+    return model, make_mention("m", counts)
 
 
 # --- equivalence -------------------------------------------------------------
@@ -442,6 +596,81 @@ def test_feature_matrix_rows_follow_the_given_order():
 def test_pr_curve_matches_rebuild_per_threshold(case):
     predictions, gold = case
     assert pr_curve(predictions, gold) == pr_curve_rebuild_oracle(predictions, gold)
+
+
+@given(feature_targets())
+@example((  # a list at both sentence edges, "x" and "y" in the gap
+    Sentence([Token("A", "NOUN", 2, "nsubj"), Token("x"), Token("y", "VERB"),
+              Token("B", "NOUN", 2, "dobj")]),
+    CoordinateList(((0, 1), (3, 4)), (3, 4)),
+    FeatureConfig(window=1, affix_min=1, affix_max=9),
+))
+@example((  # window 0, the head's chain ends without a verb
+    Sentence([Token("Ab", "NOUN", 1), Token("ab", "ADJ", None)]),
+    (0, 2),
+    FeatureConfig(window=0),
+))
+@settings(max_examples=300, deadline=None)
+def test_extract_features_matches_counter_loop(case):
+    sentence, target, config = case
+    assert extract_features(sentence, target, config) == extract_features_loop_oracle(
+        sentence, target, config
+    )
+
+
+def raw(relations):
+    return LinearModel(relations, FeatureConfig(), TrainConfig(calibration="raw_margin"))
+
+
+@given(scored_models())
+@example((raw({}), make_mention("m", {"a": 1})))  # no relation
+@example((  # equal scores: the first name wins
+    raw({"b": RelationModel({"a": 1.0}, 0.0, None), "a": RelationModel({"a": 1.0}, 0.0, None)}),
+    make_mention("m", {"a": 1, "z": 2}),
+))
+@example((  # a*m + b = 1500 overflows exp: that relation scores 0.0
+    LinearModel({"r": RelationModel({"a": -300.0}, 0.0, (-5.0, 0.0)),
+                 "s": RelationModel({"b": 2.0}, 0.0, (-1.0, 0.0))},
+                FeatureConfig(), TrainConfig()),
+    make_mention("m", {"a": 1, "b": 1}),
+))
+@settings(max_examples=400, deadline=None)
+def test_classify_scored_matches_per_relation_loop(case):
+    model, mention = case
+    assert classify_scored(model, mention) == classify_scored_loop_oracle(model, mention)
+
+
+def test_classify_scored_sums_in_the_mention_feature_order():
+    # in the mention's order a, b, c: (1 + 1e16) rounds to 1e16, and the
+    # total is 0.0; a compensated sum, the reverse walk or the weights'
+    # own order (c, b, a) all give 1.0
+    rm = RelationModel({"c": -1e16, "b": 1e16, "a": 1.0}, 0.5, None)
+    mention = make_mention("m", {"a": 1, "b": 1, "c": 1})
+    assert rm.score(mention.feature_counts()) == 0.5
+    assert math.fsum([1.0, 1e16, -1e16]) == 1.0
+    assert classify_scored(raw({"r": rm}), mention) == ("r", 0.5)
+
+
+def test_classify_scored_is_a_sequential_sum_not_a_blas_dot():
+    rng = np.random.default_rng(7)
+    names = [f"f{j:03d}" for j in range(120)]
+    blas_differs = 0
+    for _ in range(30):
+        weights = dict(zip(names, rng.uniform(-3.0, 3.0, len(names)).tolist()))
+        mention = make_mention("m", dict(zip(names, rng.integers(1, 4, len(names)).tolist())))
+        counts = mention.feature_counts()
+        margin = RelationModel(weights, 0.0, None).margin(counts)
+        if margin < 0.0:  # negating every weight negates the sum exactly
+            weights = {f: -w for f, w in weights.items()}
+            margin = -margin
+        if margin < training.SCORE_THRESHOLD:
+            continue
+        rm = RelationModel(weights, 0.0, None)
+        assert classify_scored(raw({"r": rm}), mention) == ("r", margin)
+        w = np.array([weights[f] for f in counts])
+        c = np.array(list(counts.values()), dtype=float)
+        blas_differs += bool(w @ c != margin)
+    assert blas_differs  # the mentions the sequential sum exists for
 
 
 # --- non-convergence ----------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from reldistill.cli import main
 from reldistill.features import FeatureConfig, Mention
+from reldistill.kb import ConceptSeed
 from reldistill.mentions import (
     LabeledMention,
     MentionEncoder,
@@ -169,6 +170,22 @@ class TestConceptExpansion:
         )
         assert ("d1|s0|t0|0-1", "Symptom") in {
             (lm.mention.mention_id, lm.label) for lm in out
+        }
+
+    def test_concept_whose_seeds_are_outside_the_graph_keeps_them(self):
+        # "aspirin" has no feature, so it is not in the graph, while the
+        # Symptom seed is: Drug must still keep its seed
+        mentions = [
+            make_mention("d1|s0|t0|0-1", ["nausea"], {"bow=a": 1}),
+            make_mention("d1|s0|t1|0-1", ["headache"], {"bow=a": 1}),
+            make_mention("d2|s0|t0|0-1", ["aspirin"], {}),
+        ]
+        seeds = [ConceptSeed("Symptom", "nausea"), ConceptSeed("Drug", "aspirin")]
+        out = expand_concept_mentions(mentions, seeds, PropagationConfig(), "Ct")
+        assert {(lm.mention.mention_id, lm.label) for lm in out} == {
+            ("d1|s0|t0|0-1", "Symptom"),
+            ("d1|s0|t1|0-1", "Symptom"),
+            ("d2|s0|t0|0-1", "Drug"),
         }
 
     @pytest.mark.parametrize("source_set", ["Cs", "Ct"])
