@@ -10,7 +10,10 @@ fill them in.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 from .norm import normalize
 
@@ -35,6 +38,12 @@ class CorpusFormatError(ValueError):
     """Raised for malformed corpus files; message names line and field."""
 
 
+# Distinct raw tags a process remembers; a tagset has a few dozen, and the
+# bound keeps an open-ended stream of odd tags from growing the memo.
+_MAP_POS_MEMO = 4096
+
+
+@lru_cache(maxsize=_MAP_POS_MEMO)
 def map_pos(tag: str) -> str:
     upper = tag.strip().upper()
     if upper in POS_TAGS:
@@ -47,8 +56,7 @@ def map_pos(tag: str) -> str:
     return "OTHER"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     pos: str | None = None
     dep_head: int | None = None
@@ -140,46 +148,67 @@ def detect_coordinate_lists(sentence: Sentence) -> list[CoordinateList]:
     return lists
 
 
-def _field_error(line_no: int, ti: int, key: str, value) -> CorpusFormatError:
-    kind = "an integer" if key == "dep_head" else "a string"
-    return CorpusFormatError(
-        f"line {line_no}: token {ti} field {key!r} must be {kind}, got {value!r}"
-    )
+def _shape_error(line_no: int, where: str, kind: str, value) -> CorpusFormatError:
+    return CorpusFormatError(f"line {line_no}: {where} must be {kind}, got {reprlib.repr(value)}")
+
+
+def _span(value) -> tuple[int, int] | None:
+    """`value` as a (start, end) pair if it is a list of two integers,
+    else None (a JSON true is a Python int, not an index)."""
+    if isinstance(value, list) and len(value) == 2:
+        s, e = value
+        if type(s) is int and type(e) is int:
+            return s, e
+    return None
 
 
 def _parse_sentence(obj: dict, line_no: int) -> Sentence:
     if "tokens" not in obj:
         raise CorpusFormatError(f"line {line_no}: sentence missing 'tokens'")
+    raw_tokens = obj["tokens"]
+    if not isinstance(raw_tokens, list):
+        raise _shape_error(line_no, "sentence field 'tokens'", "a list", raw_tokens)
+    n = len(raw_tokens)
     tokens = []
-    for ti, t in enumerate(obj["tokens"]):
+    for ti, t in enumerate(raw_tokens):
+        if not isinstance(t, dict):
+            raise _shape_error(line_no, f"token {ti}", "an object", t)
         surface = t.get("surface")
         if not surface:
             raise CorpusFormatError(f"line {line_no}: token {ti} missing 'surface'")
         if not isinstance(surface, str):
-            raise _field_error(line_no, ti, "surface", surface)
+            raise _shape_error(line_no, f"token {ti} field 'surface'", "a string", surface)
         pos = t.get("pos")
         if pos is not None:
             if not isinstance(pos, str):
-                raise _field_error(line_no, ti, "pos", pos)
+                raise _shape_error(line_no, f"token {ti} field 'pos'", "a string", pos)
             pos = map_pos(pos)
         dep_head = t.get("dep_head")
         if dep_head is not None:
             if type(dep_head) is not int:  # a JSON true is a Python int, not an index
-                raise _field_error(line_no, ti, "dep_head", dep_head)
-            if not (0 <= dep_head < len(obj["tokens"])) or dep_head == ti:
+                raise _shape_error(line_no, f"token {ti} field 'dep_head'", "an integer", dep_head)
+            if not (0 <= dep_head < n) or dep_head == ti:
                 raise CorpusFormatError(
                     f"line {line_no}: token {ti} has invalid dep_head {dep_head}"
                 )
         dep_label = t.get("dep_label")
         if dep_label is not None and not isinstance(dep_label, str):
-            raise _field_error(line_no, ti, "dep_label", dep_label)
+            raise _shape_error(line_no, f"token {ti} field 'dep_label'", "a string", dep_label)
         tokens.append(Token(surface, pos, dep_head, dep_label))
 
     if "np_chunks" in obj:
-        chunks = [tuple(span) for span in obj["np_chunks"]]
-        for s, e in chunks:
-            if not (0 <= s < e <= len(tokens)):
+        raw_chunks = obj["np_chunks"]
+        if not isinstance(raw_chunks, list):
+            raise _shape_error(line_no, "sentence field 'np_chunks'", "a list", raw_chunks)
+        chunks = []
+        for ci, value in enumerate(raw_chunks):
+            span = _span(value)
+            if span is None:
+                raise _shape_error(line_no, f"np_chunk {ci}", "a pair of integers", value)
+            s, e = span
+            if not (0 <= s < e <= n):
                 raise CorpusFormatError(f"line {line_no}: np_chunk ({s},{e}) out of range")
+            chunks.append(span)
     elif all(t.pos is not None for t in tokens):
         chunks = chunk_sentence(tokens)
     else:
@@ -188,19 +217,46 @@ def _parse_sentence(obj: dict, line_no: int) -> Sentence:
     sent = Sentence(tokens=tokens, np_chunks=chunks)
 
     if "coordinate_lists" in obj:
+        raw_lists = obj["coordinate_lists"]
+        if not isinstance(raw_lists, list):
+            raise _shape_error(line_no, "sentence field 'coordinate_lists'", "a list", raw_lists)
         chunk_set = set(chunks)
-        for cl in obj["coordinate_lists"]:
-            items = tuple(tuple(span) for span in cl["items"])
-            for span in items:
+        for li, cl in enumerate(raw_lists):
+            where = f"coordinate list {li}"
+            if not isinstance(cl, dict):
+                raise _shape_error(line_no, where, "an object", cl)
+            raw_items = cl.get("items")
+            # detect_coordinate_lists never builds a list of fewer than 2 items
+            if not isinstance(raw_items, list) or len(raw_items) < 2:
+                raise _shape_error(
+                    line_no, f"{where} field 'items'", "a list of at least 2 np_chunks", raw_items
+                )
+            items = tuple(map(_span, raw_items))
+            for value, span in zip(raw_items, items):
                 if span not in chunk_set:
                     raise CorpusFormatError(
-                        f"line {line_no}: coordinate-list item {span} not an np_chunk"
+                        f"line {line_no}: {where} item {reprlib.repr(value)} not an np_chunk"
                     )
-            head = tuple(cl["head"]) if "head" in cl else items[-1]
+            if "head" in cl:
+                head = _span(cl["head"])
+                if head is None or not (0 <= head[0] < head[1] <= n):
+                    raise _shape_error(
+                        line_no, f"{where} field 'head'",
+                        f"a span inside the {n}-token sentence", cl["head"],
+                    )
+            else:
+                head = items[-1]
             sent.coordinate_lists.append(CoordinateList(items, head))
     else:
         sent.coordinate_lists = detect_coordinate_lists(sent)
     return sent
+
+
+_DOCUMENT_FIELDS = (
+    ("doc_id", str, "a string"),
+    ("title_entity", str, "a string"),
+    ("sections", list, "a list"),
+)
 
 
 def ingest_corpus(path: str, corpus_tag: str) -> list[Document]:
@@ -218,9 +274,13 @@ def ingest_corpus(path: str, corpus_tag: str) -> list[Document]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"line {line_no}: invalid JSON ({exc})") from exc
-            for key in ("doc_id", "title_entity", "sections"):
+            if not isinstance(obj, dict):
+                raise _shape_error(line_no, "a document", "an object", obj)
+            for key, cls, kind in _DOCUMENT_FIELDS:
                 if key not in obj:
                     raise CorpusFormatError(f"line {line_no}: missing '{key}'")
+                if not isinstance(obj[key], cls):
+                    raise _shape_error(line_no, f"field {key!r}", kind, obj[key])
             doc_id = obj["doc_id"]
             if doc_id in seen_ids:
                 raise CorpusFormatError(f"line {line_no}: duplicate doc_id {doc_id!r}")
@@ -229,13 +289,25 @@ def ingest_corpus(path: str, corpus_tag: str) -> list[Document]:
             if not title:
                 raise CorpusFormatError(f"line {line_no}: empty title_entity")
             sections = []
-            for sec in obj["sections"]:
+            for sec_i, sec in enumerate(obj["sections"]):
+                where = f"section {sec_i}"
+                if not isinstance(sec, dict):
+                    raise _shape_error(line_no, where, "an object", sec)
                 if "title" not in sec:
                     raise CorpusFormatError(f"line {line_no}: section missing 'title'")
                 sec_title = sec["title"]
+                if not isinstance(sec_title, str):
+                    raise _shape_error(line_no, f"{where} field 'title'", "a string", sec_title)
                 if not normalize(sec_title):
                     raise CorpusFormatError(f"line {line_no}: empty section title")
-                sentences = [_parse_sentence(s, line_no) for s in sec.get("sentences", [])]
+                sents = sec.get("sentences", [])
+                if not isinstance(sents, list):
+                    raise _shape_error(line_no, f"{where} field 'sentences'", "a list", sents)
+                sentences = []
+                for sent_i, s in enumerate(sents):
+                    if not isinstance(s, dict):
+                        raise _shape_error(line_no, f"{where} sentence {sent_i}", "an object", s)
+                    sentences.append(_parse_sentence(s, line_no))
                 sections.append(Section(title=sec_title, sentences=sentences))
             docs.append(Document(doc_id, title, sections, corpus_tag))
     return docs

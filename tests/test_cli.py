@@ -304,6 +304,37 @@ class TestErrors:
         assert run(run_config_file, tmp_path / "out", "ingest") == 1
         assert "line 1: token 2 field 'pos' must be a string, got 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            pytest.param(lambda doc: doc["sections"][0]["sentences"][0]["tokens"].append("x"),
+                         "line 2: token 5 must be an object, got 'x'", id="token"),
+            pytest.param(lambda doc: doc.update(sections="Overview"),
+                         "line 2: field 'sections' must be a list, got 'Overview'",
+                         id="sections"),
+            pytest.param(lambda doc: doc.update(title_entity=5),
+                         "line 2: field 'title_entity' must be a string, got 5",
+                         id="title_entity"),
+            pytest.param(lambda doc: doc["sections"][0]["sentences"][0].update(
+                np_chunks=[[3, 4]], coordinate_lists=[{"items": [[3, 4], [3, 4]],
+                                                       "head": [5, 9]}]),
+                         "line 2: coordinate list 0 field 'head' must be a span inside the "
+                         "5-token sentence, got [5, 9]", id="list-head"),
+        ],
+    )
+    def test_ill_shaped_corpus_exits_1(self, run_config_file, data_dir, tmp_path, capsys,
+                                       edit, named):
+        lines = (data_dir / "target.jsonl").read_text().splitlines()
+        doc = json.loads(lines[0])
+        doc["doc_id"] = "bad"
+        edit(doc)
+        (tmp_path / "target.jsonl").write_text("\n".join([lines[0], json.dumps(doc)]) + "\n")
+        cfg = json.loads(run_config_file.read_text())
+        cfg["target_corpus"] = str(tmp_path / "target.jsonl")
+        run_config_file.write_text(json.dumps(cfg))
+        assert run(run_config_file, tmp_path / "out", "run") == 1
+        assert named in capsys.readouterr().err
+
     def test_unknown_command_exits_nonzero(self, run_config_file, tmp_path):
         with pytest.raises(SystemExit):
             run(run_config_file, tmp_path / "out", "bogus")

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reldistill.corpus import (
+    POS_TAGS,
     CorpusFormatError,
     Sentence,
     Token,
     chunk_sentence,
     detect_coordinate_lists,
     ingest_corpus,
+    map_pos,
     write_corpus,
 )
 from reldistill.norm import normalize
@@ -17,6 +19,51 @@ from reldistill.norm import normalize
 
 def toks(*pairs):
     return [Token(surface, pos) for surface, pos in pairs]
+
+
+class TestToken:
+    def test_fields_and_defaults(self):
+        tok = Token("nausea")
+        assert Token._fields == ("surface", "pos", "dep_head", "dep_label")
+        assert (tok.surface, tok.pos, tok.dep_head, tok.dep_label) == ("nausea", None, None, None)
+
+    def test_keyword_construction(self):
+        tok = Token(surface="pain", dep_label="dobj", pos="NOUN", dep_head=2)
+        assert tok == Token("pain", "NOUN", 2, "dobj")
+
+    def test_equality_and_hash(self):
+        assert Token("pain", "NOUN") == Token("pain", "NOUN")
+        assert hash(Token("pain", "NOUN", 1)) == hash(Token("pain", "NOUN", 1))
+        assert Token("pain", "NOUN") != Token("pain", "VERB")
+        assert len({Token("a"), Token("a"), Token("b")}) == 2
+
+    def test_attributes_cannot_be_assigned(self):
+        tok = Token("pain", "NOUN")
+        with pytest.raises(AttributeError):
+            tok.pos = "VERB"
+        assert tok.pos == "NOUN"
+
+
+# Penn and coarse tags with case and whitespace variants, punctuation-only
+# tags, and tags that are neither
+_TAG_PARTS = st.sampled_from(
+    ["NN", "nnp", "NNS", "JJ", "vbd", "MD", "DT", "CC", "IN", "PRP", "noun", "Verb",
+     "PROPN", "PUNCT", ",", ".", "-LRB-", "``", "$", "''", "x1", "", " ", "\t"]
+)
+
+
+@given(st.lists(_TAG_PARTS, max_size=3).map("".join))
+def test_map_pos_memo_equals_the_rule(tag):
+    rule = map_pos.__wrapped__
+    assert map_pos(tag) == rule(tag)
+    assert map_pos(tag) == rule(tag)  # a hit returns what the miss stored
+    assert rule(tag) in POS_TAGS
+
+
+def test_map_pos_memo_is_bounded():
+    # a long-lived process reading odd tags keeps a fixed-size memo
+    maxsize = map_pos.cache_parameters()["maxsize"]
+    assert isinstance(maxsize, int) and maxsize > 0
 
 
 class TestChunker:
@@ -97,6 +144,30 @@ class TestCoordinateLists:
                         assert set(cl.item_spans) <= chunk_set
 
 
+def second_line_corpus(tmp_path, where, value):
+    """A two-document corpus whose second document has `value` at the
+    key/index path `where` (the whole document when `where` is empty)."""
+    sentence = {
+        "tokens": [{"surface": "severe", "pos": "ADJ"}, {"surface": "pain", "pos": "NOUN"},
+                   {"surface": "relief", "pos": "NOUN"}],
+        "np_chunks": [[0, 2], [2, 3]],
+        "coordinate_lists": [{"items": [[0, 2], [2, 3]]}],
+    }
+    doc = {"doc_id": "d1", "title_entity": "x",
+           "sections": [{"title": "Uses", "sentences": [sentence]}]}
+    if where:
+        owner = doc
+        for key in where[:-1]:
+            owner = owner[key]
+        owner[where[-1]] = value
+    else:
+        doc = value
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps({"doc_id": "d0", "title_entity": "y", "sections": []})
+                    + "\n" + json.dumps(doc) + "\n")
+    return path
+
+
 class TestIngest:
     def test_minimal_document(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -160,6 +231,87 @@ class TestIngest:
         with pytest.raises(CorpusFormatError) as err:
             ingest_corpus(str(path), "target")
         assert str(err.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            pytest.param((), 5, "a document must be an object, got 5", id="document"),
+            pytest.param(("doc_id",), 5, "field 'doc_id' must be a string, got 5",
+                         id="doc_id"),
+            pytest.param(("title_entity",), 5, "field 'title_entity' must be a string, got 5",
+                         id="title_entity"),
+            pytest.param(("sections",), "Uses", "field 'sections' must be a list, got 'Uses'",
+                         id="sections"),
+            pytest.param(("sections", 0), "Uses", "section 0 must be an object, got 'Uses'",
+                         id="section"),
+            pytest.param(("sections", 0, "title"), 5,
+                         "section 0 field 'title' must be a string, got 5", id="section-title"),
+            pytest.param(("sections", 0, "sentences"), {"tokens": []},
+                         "section 0 field 'sentences' must be a list, got {'tokens': []}",
+                         id="sentences"),
+            pytest.param(("sections", 0, "sentences", 0), "severe pain",
+                         "section 0 sentence 0 must be an object, got 'severe pain'",
+                         id="sentence"),
+            pytest.param(("sections", 0, "sentences", 0, "tokens"), "severe pain",
+                         "sentence field 'tokens' must be a list, got 'severe pain'",
+                         id="tokens"),
+            pytest.param(("sections", 0, "sentences", 0, "tokens", 1), "pain",
+                         "token 1 must be an object, got 'pain'", id="token"),
+        ],
+    )
+    def test_ill_shaped_document_named(self, tmp_path, where, value, message):
+        with pytest.raises(CorpusFormatError) as err:
+            ingest_corpus(str(second_line_corpus(tmp_path, where, value)), "target")
+        assert str(err.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            pytest.param(("np_chunks",), [["0", "1"]],
+                         "np_chunk 0 must be a pair of integers, got ['0', '1']", id="str-ends"),
+            pytest.param(("np_chunks",), [[0, 2], [0, 1, 2]],
+                         "np_chunk 1 must be a pair of integers, got [0, 1, 2]", id="triple"),
+            pytest.param(("np_chunks",), [[False, 1]],
+                         "np_chunk 0 must be a pair of integers, got [False, 1]", id="bool"),
+            pytest.param(("np_chunks",), 5, "sentence field 'np_chunks' must be a list, got 5",
+                         id="chunks-not-list"),
+            pytest.param(("coordinate_lists",), {"items": []},
+                         "sentence field 'coordinate_lists' must be a list, got {'items': []}",
+                         id="lists-not-list"),
+            pytest.param(("coordinate_lists", 0), "x",
+                         "coordinate list 0 must be an object, got 'x'", id="list-not-object"),
+            pytest.param(("coordinate_lists", 0), {"head": [2, 3]},
+                         "coordinate list 0 field 'items' must be a list of at least 2 "
+                         "np_chunks, got None", id="no-items"),
+            pytest.param(("coordinate_lists", 0, "items"), [],
+                         "coordinate list 0 field 'items' must be a list of at least 2 "
+                         "np_chunks, got []", id="empty-items"),
+            pytest.param(("coordinate_lists", 0, "items"), [[0, 2]],
+                         "coordinate list 0 field 'items' must be a list of at least 2 "
+                         "np_chunks, got [[0, 2]]", id="one-item"),
+            pytest.param(("coordinate_lists", 0, "items"), [[0, 1], [2, 3]],
+                         "coordinate list 0 item [0, 1] not an np_chunk", id="item-not-chunk"),
+            pytest.param(("coordinate_lists", 0, "head"), [5, 9],
+                         "coordinate list 0 field 'head' must be a span inside the 3-token "
+                         "sentence, got [5, 9]", id="head-outside"),
+            pytest.param(("coordinate_lists", 0, "head"), [True, 3],
+                         "coordinate list 0 field 'head' must be a span inside the 3-token "
+                         "sentence, got [True, 3]", id="head-bool"),
+        ],
+    )
+    def test_ill_shaped_chunk_or_list_named(self, tmp_path, where, value, message):
+        where = ("sections", 0, "sentences", 0, *where)
+        with pytest.raises(CorpusFormatError) as err:
+            ingest_corpus(str(second_line_corpus(tmp_path, where, value)), "target")
+        assert str(err.value) == f"line 2: {message}"
+
+    def test_well_shaped_lists_accepted(self, tmp_path):
+        docs = ingest_corpus(str(second_line_corpus(tmp_path, ("doc_id",), "d1")), "target")
+        (sent,) = docs[1].sections[0].sentences
+        assert sent.np_chunks == [(0, 2), (2, 3)]
+        assert [(cl.item_spans, cl.head_span) for cl in sent.coordinate_lists] == [
+            (((0, 2), (2, 3)), (2, 3))
+        ]
 
     def test_roundtrip(self, tmp_path, structured_docs):
         path = tmp_path / "rt.jsonl"

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from reldistill.corpus import CoordinateList, Sentence, Token
 from reldistill.features import (
     FeatureConfig,
+    _inside_names,
     build_feature_filter,
     extract_features,
 )
@@ -69,6 +70,18 @@ class TestExtractFeatures:
         s = sent(("a", "NOUN"))
         with pytest.raises(ValueError):
             extract_features(s, (0, 5), FeatureConfig())
+
+    @pytest.mark.parametrize("head", [(5, 9), (-2, -1), (2, 2)])
+    def test_list_head_out_of_range(self, head):
+        s = sent(("pain", "NOUN"), ("and", "CONJ"), ("fever", "NOUN"))
+        cl = CoordinateList(((0, 1), (2, 3)), head)
+        with pytest.raises(ValueError, match=rf"span \({head[0]},{head[1]}\) out of range"):
+            extract_features(s, cl, FeatureConfig())
+
+    def test_affix_memo_is_bounded(self):
+        # a long-lived process reading an open vocabulary keeps a fixed-size memo
+        maxsize = _inside_names.cache_parameters()["maxsize"]
+        assert isinstance(maxsize, int) and maxsize > 0
 
     def test_namespaces_disjoint(self):
         s = sent(("Severe", "ADJ"), ("stomach", "NOUN"), ("pain", "NOUN"),
