@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import reprlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 from .norm import normalize
@@ -38,12 +37,6 @@ class CorpusFormatError(ValueError):
     """Raised for malformed corpus files; message names line and field."""
 
 
-# Distinct raw tags a process remembers; a tagset has a few dozen, and the
-# bound keeps an open-ended stream of odd tags from growing the memo.
-_MAP_POS_MEMO = 4096
-
-
-@lru_cache(maxsize=_MAP_POS_MEMO)
 def map_pos(tag: str) -> str:
     upper = tag.strip().upper()
     if upper in POS_TAGS:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,22 +79,6 @@ def _closest_ancestor_verb(sentence: Sentence, head_idx: int) -> int | None:
     return None
 
 
-# Distinct (token, affix range) keys a process remembers: fixed, so that a
-# long-lived process reading an open vocabulary does not grow the memo.
-_INSIDE_NAMES_MEMO = 1 << 14
-
-
-@lru_cache(maxsize=_INSIDE_NAMES_MEMO)
-def _inside_names(tok: str, affix_min: int, affix_max: int) -> tuple[str, ...]:
-    """The names one lowered token inside the span contributes: tok= and,
-    for each affix length k in [affix_min, affix_max] with k <= len(tok),
-    pre= and suf=."""
-    names = [f"tok={tok}"]
-    for k in range(affix_min, min(affix_max, len(tok)) + 1):
-        names += (f"pre={tok[:k]}", f"suf={tok[-k:]}")
-    return tuple(names)
-
-
 def extract_features(
     sentence: Sentence,
     target: tuple[int, int] | CoordinateList,
@@ -103,24 +86,24 @@ def extract_features(
 ) -> FeatureVector:
     tokens = sentence.tokens
     n = len(tokens)
-    is_list = isinstance(target, CoordinateList)
-    for s, e in (*target.item_spans, target.head_span) if is_list else (target,):
+    if isinstance(target, CoordinateList):
+        item_spans, head_span = target.item_spans, target.head_span
+    else:
+        item_spans, head_span = (target,), target
+    for s, e in (*item_spans, head_span):
         if not (0 <= s < e <= n):
             raise ValueError(f"span ({s},{e}) out of range for {n}-token sentence")
-    if is_list:
-        inside = sorted({i for s, e in target.item_spans for i in range(s, e)})
-        span_start = min(s for s, _ in target.item_spans)
-        span_end = max(e for _, e in target.item_spans)
-        head_idx = target.head_span[1] - 1
-    else:  # a singleton: the span itself, in order
-        span_start, span_end = target
-        inside = range(span_start, span_end)
-        head_idx = span_end - 1
+    span_start = min(s for s, _ in item_spans)
+    span_end = max(e for _, e in item_spans)
 
     lower = [t.surface.lower() for t in tokens]  # each token lowered once
     names = []
-    for i in inside:
-        names += _inside_names(lower[i], config.affix_min, config.affix_max)
+    for i in sorted({i for s, e in item_spans for i in range(s, e)}):
+        tok = lower[i]
+        names.append(f"tok={tok}")
+        # the affix lengths k in [affix_min, affix_max] with k <= len(tok)
+        for k in range(config.affix_min, min(config.affix_max, len(tok)) + 1):
+            names += (f"pre={tok[:k]}", f"suf={tok[-k:]}")
     names += [f"bow={tok}" for tok in lower[:span_start] + lower[span_end:]]
 
     left = [lower[i] for i in range(max(0, span_start - config.window), span_start)]
@@ -131,6 +114,7 @@ def extract_features(
     names += [f"wbg-R={a}_{b}" for a, b in zip(right, right[1:])]
 
     if config.dependency_features:
+        head_idx = head_span[1] - 1
         if tokens[head_idx].dep_head is not None:
             verb_idx = _closest_ancestor_verb(sentence, head_idx)
             if verb_idx is not None:

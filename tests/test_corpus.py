@@ -53,17 +53,9 @@ _TAG_PARTS = st.sampled_from(
 
 
 @given(st.lists(_TAG_PARTS, max_size=3).map("".join))
-def test_map_pos_memo_equals_the_rule(tag):
-    rule = map_pos.__wrapped__
-    assert map_pos(tag) == rule(tag)
-    assert map_pos(tag) == rule(tag)  # a hit returns what the miss stored
-    assert rule(tag) in POS_TAGS
-
-
-def test_map_pos_memo_is_bounded():
-    # a long-lived process reading odd tags keeps a fixed-size memo
-    maxsize = map_pos.cache_parameters()["maxsize"]
-    assert isinstance(maxsize, int) and maxsize > 0
+def test_map_pos_returns_a_coarse_tag(tag):
+    assert map_pos(tag) in POS_TAGS
+    assert map_pos(tag) == map_pos(f" {tag.lower()}\t")
 
 
 class TestChunker:

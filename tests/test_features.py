@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from reldistill.corpus import CoordinateList, Sentence, Token
 from reldistill.features import (
     FeatureConfig,
-    _inside_names,
     build_feature_filter,
     extract_features,
 )
@@ -77,11 +76,6 @@ class TestExtractFeatures:
         cl = CoordinateList(((0, 1), (2, 3)), head)
         with pytest.raises(ValueError, match=rf"span \({head[0]},{head[1]}\) out of range"):
             extract_features(s, cl, FeatureConfig())
-
-    def test_affix_memo_is_bounded(self):
-        # a long-lived process reading an open vocabulary keeps a fixed-size memo
-        maxsize = _inside_names.cache_parameters()["maxsize"]
-        assert isinstance(maxsize, int) and maxsize > 0
 
     def test_namespaces_disjoint(self):
         s = sent(("Severe", "ADJ"), ("stomach", "NOUN"), ("pain", "NOUN"),
