@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import reprlib
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _str
 from typing import NamedTuple
 
 from .norm import normalize
@@ -193,7 +194,7 @@ def _parse_sentence(obj: dict, line_no: int) -> Sentence:
         raw_chunks = obj["np_chunks"]
         if not isinstance(raw_chunks, list):
             raise _shape_error(line_no, "sentence field 'np_chunks'", "a list", raw_chunks)
-        chunks = []
+        chunks, seen = [], set()
         for ci, value in enumerate(raw_chunks):
             span = _span(value)
             if span is None:
@@ -201,6 +202,9 @@ def _parse_sentence(obj: dict, line_no: int) -> Sentence:
             s, e = span
             if not (0 <= s < e <= n):
                 raise CorpusFormatError(f"line {line_no}: np_chunk ({s},{e}) out of range")
+            if span in seen:
+                raise CorpusFormatError(f"line {line_no}: duplicate np_chunk ({s},{e})")
+            seen.add(span)
             chunks.append(span)
     elif all(t.pos is not None for t in tokens):
         chunks = chunk_sentence(tokens)
@@ -346,7 +350,52 @@ def document_to_dict(doc: Document) -> dict:
     }
 
 
+def _span_json(span: tuple[int, int]) -> str:
+    return f"[{span[0]}, {span[1]}]"
+
+
+def _token_json(t: Token) -> str:
+    surface, pos, dep_head, dep_label = t
+    if dep_head is None and dep_label is None and pos is not None:  # the common shape
+        return f'{{"pos": {_str(pos)}, "surface": {_str(surface)}}}'
+    fields = []
+    if dep_head is not None:
+        fields.append(f'"dep_head": {dep_head}')
+    if dep_label is not None:
+        fields.append(f'"dep_label": {_str(dep_label)}')
+    if pos is not None:
+        fields.append(f'"pos": {_str(pos)}')
+    fields.append(f'"surface": {_str(surface)}')
+    return f"{{{', '.join(fields)}}}"
+
+
+def _sentence_json(sent: Sentence) -> str:
+    lists = ", ".join([
+        f'{{"head": {_span_json(cl.head_span)}, '
+        f'"items": [{", ".join(map(_span_json, cl.item_spans))}]}}'
+        for cl in sent.coordinate_lists
+    ])
+    return (
+        f'{{"coordinate_lists": [{lists}], '
+        f'"np_chunks": [{", ".join(map(_span_json, sent.np_chunks))}], '
+        f'"tokens": [{", ".join(map(_token_json, sent.tokens))}]}}'
+    )
+
+
+def _document_line(doc: Document) -> str:
+    """`json.dumps(document_to_dict(doc), sort_keys=True)` and a newline,
+    encoded field by field in sorted key order."""
+    sections = ", ".join([
+        f'{{"sentences": [{", ".join(map(_sentence_json, sec.sentences))}], '
+        f'"title": {_str(sec.title)}}}'
+        for sec in doc.sections
+    ])
+    return (
+        f'{{"doc_id": {_str(doc.doc_id)}, "sections": [{sections}], '
+        f'"title_entity": {_str(doc.title_entity)}}}\n'
+    )
+
+
 def write_corpus(docs: list[Document], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps(document_to_dict(doc), sort_keys=True) + "\n")
+        fh.writelines(map(_document_line, docs))

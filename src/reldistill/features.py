@@ -32,6 +32,13 @@ class FeatureConfig:
     affix_max: int = 4
     dependency_features: bool = True
 
+    def __post_init__(self):
+        # an affix_max below affix_min is legal: it emits no affixes
+        for key, low in (("window", 0), ("affix_min", 1), ("affix_max", 0)):
+            value = getattr(self, key)
+            if value < low:
+                raise ValueError(f"{key} must be >= {low}, got {value}")
+
 
 @dataclass(frozen=True)
 class Mention:

@@ -86,11 +86,17 @@ class BipartiteGraph:
         return len(self.mention_nodes) + len(self.feature_nodes)
 
     def edges(self):
-        """Iterate (mention_id, feature_id, weight); for debugging dumps."""
+        """Iterate (mention_id, feature_id, weight) over the mention rows of
+        the adjacency in storage order: the edges of its upper triangle."""
         m = len(self.mention_nodes)
-        coo = sp.triu(self.adjacency).tocoo()
-        for i, j, w in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-            yield self.mention_nodes[i], self.feature_nodes[j - m], w
+        indptr = self.adjacency.indptr[: m + 1].tolist()
+        stop = indptr[-1]
+        columns = (self.adjacency.indices[:stop] - m).tolist()
+        weights = self.adjacency.data[:stop].tolist()
+        features = self.feature_nodes
+        for i, mid in enumerate(self.mention_nodes):
+            for k in range(indptr[i], indptr[i + 1]):
+                yield mid, features[columns[k]], weights[k]
 
 
 def build_graph_from_mentions(mentions: list[Mention]) -> BipartiteGraph:
@@ -258,7 +264,25 @@ def read_ranking(path: str) -> RankedLabeling:
     return RankedLabeling(per_class=per_class)
 
 
+_DUMP_BATCH = 8192
+
+
 def write_graph_dump(graph: BipartiteGraph, path: str) -> None:
+    # a weight is tf * ln(M / df) and the df values of the kept features sum
+    # to nnz, so at most sqrt(2 * nnz) distinct df values times the distinct
+    # tf counts reach this cache, whatever the vocabulary; 0.0 == -0.0 but
+    # the two print apart, so zeros are never cached
+    text: dict[float, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
+        lines = []
         for mid, fid, w in graph.edges():
-            fh.write(f"{mid}\t{fid}\t{w:.12g}\n")
+            s = text.get(w)
+            if s is None:
+                s = f"{w:.12g}"
+                if w:
+                    text[w] = s
+            lines.append(f"{mid}\t{fid}\t{s}\n")
+            if len(lines) == _DUMP_BATCH:
+                fh.writelines(lines)
+                lines.clear()
+        fh.writelines(lines)

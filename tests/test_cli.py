@@ -151,6 +151,8 @@ class TestAtomicWrites:
         [
             ("ingest", "write_corpus"),
             ("mentions", "write_labeled_mentions"),
+            ("mentions", "write_mentions"),
+            ("propagate", "write_ranking"),
             ("propagate", "write_graph_dump"),
             ("train", "save_model"),
             ("extract", "write_predictions"),
@@ -248,6 +250,23 @@ class TestErrors:
         assert run(run_config_file, tmp_path / "out", "run") == 1
         err = capsys.readouterr().err
         assert named in err and "must be" in err
+
+    @pytest.mark.parametrize(
+        "features, message",
+        [
+            pytest.param({"window": -2}, "window must be >= 0, got -2", id="window"),
+            pytest.param({"affix_min": 0}, "affix_min must be >= 1, got 0", id="affix_min"),
+            pytest.param({"affix_max": -1}, "affix_max must be >= 0, got -1", id="affix_max"),
+        ],
+    )
+    def test_out_of_range_feature_config(
+        self, run_config_file, tmp_path, capsys, features, message
+    ):
+        cfg = json.loads(run_config_file.read_text())
+        cfg["features"] = features
+        run_config_file.write_text(json.dumps(cfg))
+        assert run(run_config_file, tmp_path / "out", "run") == 1
+        assert message in capsys.readouterr().err
 
     def test_json_number_kinds_accepted(self, run_config_file):
         cfg = json.loads(run_config_file.read_text())

@@ -1,15 +1,19 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reldistill.corpus import (
     POS_TAGS,
+    CoordinateList,
     CorpusFormatError,
+    Document,
+    Section,
     Sentence,
     Token,
     chunk_sentence,
     detect_coordinate_lists,
+    document_to_dict,
     ingest_corpus,
     map_pos,
     write_corpus,
@@ -297,6 +301,17 @@ class TestIngest:
             ingest_corpus(str(second_line_corpus(tmp_path, where, value)), "target")
         assert str(err.value) == f"line 2: {message}"
 
+    def test_duplicate_np_chunk_refused(self, tmp_path):
+        # both would become singleton mentions with the one mention_id d1|s0|t0|1-3
+        sentence = {
+            "tokens": [{"surface": "severe"}, {"surface": "joint"}, {"surface": "pain"}],
+            "np_chunks": [[1, 3], [1, 3]],
+        }
+        path = second_line_corpus(tmp_path, ("sections", 0, "sentences", 0), sentence)
+        with pytest.raises(CorpusFormatError) as err:
+            ingest_corpus(str(path), "target")
+        assert str(err.value) == "line 2: duplicate np_chunk (1,3)"
+
     def test_well_shaped_lists_accepted(self, tmp_path):
         docs = ingest_corpus(str(second_line_corpus(tmp_path, ("doc_id",), "d1")), "target")
         (sent,) = docs[1].sections[0].sentences
@@ -313,6 +328,67 @@ class TestIngest:
 
     def test_title_entity_normalized(self, structured_docs):
         assert structured_docs[0].title_entity == "meloxicam"
+
+
+# lone surrogates, non-BMP characters, quotes, backslashes and control
+# characters, each of which `json.dumps` escapes in its own way
+_awkward_text = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=6),
+    st.sampled_from(['"', "\\", "\x00\t\x1f\x7f", "\ud800", "a\udfff", "\U0001f48a", "\u2028"]),
+)
+_spans = st.tuples(st.integers(0, 12), st.integers(0, 12))
+
+
+@st.composite
+def documents(draw):
+    """Hand-built documents, not only what ingest accepts: any strings,
+    `pos` None or not, `dep_head` 0, `dep_label` without a head, empty
+    sections and sentences, and list heads that are not the last item."""
+    optional_text = st.one_of(st.none(), _awkward_text)
+
+    def sentence():
+        n = draw(st.integers(0, 4))
+        tokens = [
+            Token(
+                draw(_awkward_text),
+                draw(optional_text),
+                draw(st.one_of(st.none(), st.integers(0, n))),
+                draw(optional_text),
+            )
+            for _ in range(n)
+        ]
+        lists = [
+            CoordinateList(tuple(draw(st.lists(_spans, min_size=2, max_size=3))), draw(_spans))
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        return Sentence(tokens, draw(st.lists(_spans, max_size=3)), lists)
+
+    sections = [
+        Section(draw(_awkward_text), [sentence() for _ in range(draw(st.integers(0, 3)))])
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return Document(draw(_awkward_text), draw(_awkward_text), sections, "target")
+
+
+@given(st.lists(documents(), max_size=3))
+@example([
+    Document("d\ud83d", "t\\\"", [], "target"),  # no sections
+    Document("d1", "x", [Section("Uses", [])], "structured"),  # a section without sentences
+    Document("d2", "y", [Section("\U0001f48a", [
+        Sentence([]),
+        Sentence(
+            [Token("a", None, 0, None), Token("b\x00", "NOUN", None, "amod"), Token("c")],
+            [(0, 1), (2, 3)],
+            [CoordinateList(((0, 1), (2, 3)), (0, 1))],  # the head is the first item
+        ),
+    ])], "target"),
+])
+@settings(max_examples=200, deadline=None)
+def test_write_corpus_matches_json_dumps(tmp_path_factory, docs):
+    path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+    write_corpus(docs, str(path))
+    want = "".join(json.dumps(document_to_dict(doc), sort_keys=True) + "\n" for doc in docs)
+    assert path.read_bytes() == want.encode()
 
 
 @given(st.text(max_size=60))

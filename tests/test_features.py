@@ -77,6 +77,19 @@ class TestExtractFeatures:
         with pytest.raises(ValueError, match=rf"span \({head[0]},{head[1]}\) out of range"):
             extract_features(s, cl, FeatureConfig())
 
+    def test_affix_max_below_affix_min_emits_no_affixes(self):
+        s = sent(("include", "VERB"), ("nausea", "NOUN"))
+        feats = extract_features(s, (1, 2), FeatureConfig(affix_min=3, affix_max=2))
+        assert "tok=nausea" in feats
+        assert not any(f.startswith(("pre=", "suf=")) for f in feats)
+
+    @pytest.mark.parametrize(
+        "key, value", [("window", -1), ("affix_min", 0), ("affix_max", -1)]
+    )
+    def test_out_of_range_config_names_the_key(self, key, value):
+        with pytest.raises(ValueError, match=rf"^{key} must be >= \d, got {value}$"):
+            FeatureConfig(**{key: value})
+
     def test_namespaces_disjoint(self):
         s = sent(("Severe", "ADJ"), ("stomach", "NOUN"), ("pain", "NOUN"),
                  ("hit", "VERB"), ("patients", "NOUN"),

@@ -509,10 +509,29 @@ def test_multirankwalk_ties_go_to_first_class():
     assert got.per_class == want.per_class
 
 
-@given(mention_lists())
+def hand_built_graph(mention_nodes, feature_nodes, weights):
+    w = sp.csr_matrix(weights)
+    return BipartiteGraph(
+        mention_nodes, feature_nodes, sp.bmat([[None, w], [w.T, None]], format="csr")
+    )
+
+
+@given(mention_lists().map(build_graph_from_mentions))
+@example(build_graph_from_mentions([make_mention(f"m{i}", {"u": 1}) for i in range(3)]))
+@example(build_graph_from_mentions([  # tf > 1
+    make_mention("m0", {"a": 3, "b": 1}), make_mention("m1", {"a": 2, "c": 4}),
+    make_mention("m2", {"c": 1}),
+]))
+@example(build_graph_from_mentions(  # ln(21/20) on the 20 `s` edges, ln(21) on the rest
+    [make_mention(f"m{i:02d}", {"s": 1, f"x{i}": 1}) for i in range(20)]
+    + [make_mention("m20", {"y": 1})]
+))
+@example(hand_built_graph(  # exponent forms under .12g, and zeros of either sign
+    ["m0", "m1", "m2"], ["f0", "f1"],
+    (np.array([1e-07, 1.5e12, 0.0, -0.0, 1e-07]), [0, 1, 0, 1, 1], [0, 2, 4, 5]),
+))
 @settings(max_examples=60, deadline=None)
-def test_graph_dump_matches_edges_writer(tmp_path_factory, mentions):
-    graph = build_graph_from_mentions(mentions)
+def test_graph_dump_matches_edges_writer(tmp_path_factory, graph):
     out = tmp_path_factory.mktemp("dump")
     write_graph_dump(graph, str(out / "new.tsv"))
     graph_dump_edges_oracle(graph, str(out / "old.tsv"))
