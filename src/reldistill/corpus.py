@@ -356,17 +356,10 @@ def _span_json(span: tuple[int, int]) -> str:
 
 def _token_json(t: Token) -> str:
     surface, pos, dep_head, dep_label = t
-    if dep_head is None and dep_label is None and pos is not None:  # the common shape
-        return f'{{"pos": {_str(pos)}, "surface": {_str(surface)}}}'
-    fields = []
-    if dep_head is not None:
-        fields.append(f'"dep_head": {dep_head}')
-    if dep_label is not None:
-        fields.append(f'"dep_label": {_str(dep_label)}')
-    if pos is not None:
-        fields.append(f'"pos": {_str(pos)}')
-    fields.append(f'"surface": {_str(surface)}')
-    return f"{{{', '.join(fields)}}}"
+    head = "" if dep_head is None else f'"dep_head": {dep_head}, '
+    label = "" if dep_label is None else f'"dep_label": {_str(dep_label)}, '
+    tag = "" if pos is None else f'"pos": {_str(pos)}, '
+    return f'{{{head}{label}{tag}"surface": {_str(surface)}}}'
 
 
 def _sentence_json(sent: Sentence) -> str:

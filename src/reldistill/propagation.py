@@ -264,25 +264,19 @@ def read_ranking(path: str) -> RankedLabeling:
     return RankedLabeling(per_class=per_class)
 
 
-_DUMP_BATCH = 8192
-
-
 def write_graph_dump(graph: BipartiteGraph, path: str) -> None:
     # a weight is tf * ln(M / df) and the df values of the kept features sum
     # to nnz, so at most sqrt(2 * nnz) distinct df values times the distinct
-    # tf counts reach this cache, whatever the vocabulary; 0.0 == -0.0 but
-    # the two print apart, so zeros are never cached
+    # tf counts reach this cache, whatever the vocabulary
     text: dict[float, str] = {}
+
+    def fmt(w: float) -> str:
+        s = text.get(w)
+        if s is None:
+            s = f"{w:.12g}"
+            if w:  # 0.0 == -0.0 but the two print apart, so zeros are never cached
+                text[w] = s
+        return s
+
     with open(path, "w", encoding="utf-8") as fh:
-        lines = []
-        for mid, fid, w in graph.edges():
-            s = text.get(w)
-            if s is None:
-                s = f"{w:.12g}"
-                if w:
-                    text[w] = s
-            lines.append(f"{mid}\t{fid}\t{s}\n")
-            if len(lines) == _DUMP_BATCH:
-                fh.writelines(lines)
-                lines.clear()
-        fh.writelines(lines)
+        fh.writelines(f"{mid}\t{fid}\t{fmt(w)}\n" for mid, fid, w in graph.edges())
