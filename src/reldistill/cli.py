@@ -9,9 +9,7 @@ import argparse
 import dataclasses
 import sys
 
-from .corpus import CorpusFormatError
-from .kb import SchemaError
-from .pipeline import STAGES, StageError, Workspace, load_run_config, run_all
+from .pipeline import STAGES, Workspace, load_run_config, run_all
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +41,8 @@ def main(argv: list[str] | None = None) -> int:
             run_all(ws)
         else:
             STAGES[args.command](ws)
-    except (StageError, CorpusFormatError, SchemaError, ValueError, FileNotFoundError) as exc:
+    # StageError, SchemaError and CorpusFormatError are ValueErrors
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -9,12 +9,12 @@ fill them in.
 
 from __future__ import annotations
 
-import json
 import reprlib
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _str
 from typing import NamedTuple
 
+from .decode import jsonl_lines
 from .norm import normalize
 
 POS_TAGS = {"NOUN", "PROPN", "ADJ", "VERB", "DET", "CONJ", "PUNCT", "OTHER"}
@@ -61,6 +61,11 @@ class Token(NamedTuple):
 class CoordinateList:
     item_spans: tuple[tuple[int, int], ...]
     head_span: tuple[int, int]
+
+    @property
+    def span(self) -> tuple[int, int]:
+        """The list mention's span: its first item's start to its last item's end."""
+        return self.item_spans[0][0], self.item_spans[-1][1]
 
 
 @dataclass
@@ -244,6 +249,15 @@ def _parse_sentence(obj: dict, line_no: int) -> Sentence:
             else:
                 head = items[-1]
             sent.coordinate_lists.append(CoordinateList(items, head))
+        # each list and each chunk in no list is a mention whose id ends in
+        # its span; the chunks are distinct already
+        in_list = {s for cl in sent.coordinate_lists for s in cl.item_spans}
+        spans = set(chunks) - in_list
+        for cl in sent.coordinate_lists:
+            s, e = cl.span
+            if (s, e) in spans:
+                raise CorpusFormatError(f"line {line_no}: duplicate mention span ({s},{e})")
+            spans.add((s, e))
     else:
         sent.coordinate_lists = detect_coordinate_lists(sent)
     return sent
@@ -262,51 +276,43 @@ def ingest_corpus(path: str, corpus_tag: str) -> list[Document]:
         raise ValueError(f"corpus_tag must be 'structured' or 'target', got {corpus_tag!r}")
     docs = []
     seen_ids = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {line_no}: invalid JSON ({exc})") from exc
-            if not isinstance(obj, dict):
-                raise _shape_error(line_no, "a document", "an object", obj)
-            for key, cls, kind in _DOCUMENT_FIELDS:
-                if key not in obj:
-                    raise CorpusFormatError(f"line {line_no}: missing '{key}'")
-                if not isinstance(obj[key], cls):
-                    raise _shape_error(line_no, f"field {key!r}", kind, obj[key])
-            doc_id = obj["doc_id"]
-            if doc_id in seen_ids:
-                raise CorpusFormatError(f"line {line_no}: duplicate doc_id {doc_id!r}")
-            seen_ids.add(doc_id)
-            title = normalize(obj["title_entity"])
-            if not title:
-                raise CorpusFormatError(f"line {line_no}: empty title_entity")
-            sections = []
-            for sec_i, sec in enumerate(obj["sections"]):
-                where = f"section {sec_i}"
-                if not isinstance(sec, dict):
-                    raise _shape_error(line_no, where, "an object", sec)
-                if "title" not in sec:
-                    raise CorpusFormatError(f"line {line_no}: section missing 'title'")
-                sec_title = sec["title"]
-                if not isinstance(sec_title, str):
-                    raise _shape_error(line_no, f"{where} field 'title'", "a string", sec_title)
-                if not normalize(sec_title):
-                    raise CorpusFormatError(f"line {line_no}: empty section title")
-                sents = sec.get("sentences", [])
-                if not isinstance(sents, list):
-                    raise _shape_error(line_no, f"{where} field 'sentences'", "a list", sents)
-                sentences = []
-                for sent_i, s in enumerate(sents):
-                    if not isinstance(s, dict):
-                        raise _shape_error(line_no, f"{where} sentence {sent_i}", "an object", s)
-                    sentences.append(_parse_sentence(s, line_no))
-                sections.append(Section(title=sec_title, sentences=sentences))
-            docs.append(Document(doc_id, title, sections, corpus_tag))
+    for line_no, obj in jsonl_lines(path, CorpusFormatError):
+        if not isinstance(obj, dict):
+            raise _shape_error(line_no, "a document", "an object", obj)
+        for key, cls, kind in _DOCUMENT_FIELDS:
+            if key not in obj:
+                raise CorpusFormatError(f"line {line_no}: missing '{key}'")
+            if not isinstance(obj[key], cls):
+                raise _shape_error(line_no, f"field {key!r}", kind, obj[key])
+        doc_id = obj["doc_id"]
+        if doc_id in seen_ids:
+            raise CorpusFormatError(f"line {line_no}: duplicate doc_id {doc_id!r}")
+        seen_ids.add(doc_id)
+        title = normalize(obj["title_entity"])
+        if not title:
+            raise CorpusFormatError(f"line {line_no}: empty title_entity")
+        sections = []
+        for sec_i, sec in enumerate(obj["sections"]):
+            where = f"section {sec_i}"
+            if not isinstance(sec, dict):
+                raise _shape_error(line_no, where, "an object", sec)
+            if "title" not in sec:
+                raise CorpusFormatError(f"line {line_no}: section missing 'title'")
+            sec_title = sec["title"]
+            if not isinstance(sec_title, str):
+                raise _shape_error(line_no, f"{where} field 'title'", "a string", sec_title)
+            if not normalize(sec_title):
+                raise CorpusFormatError(f"line {line_no}: empty section title")
+            sents = sec.get("sentences", [])
+            if not isinstance(sents, list):
+                raise _shape_error(line_no, f"{where} field 'sentences'", "a list", sents)
+            sentences = []
+            for sent_i, s in enumerate(sents):
+                if not isinstance(s, dict):
+                    raise _shape_error(line_no, f"{where} sentence {sent_i}", "an object", s)
+                sentences.append(_parse_sentence(s, line_no))
+            sections.append(Section(title=sec_title, sentences=sentences))
+        docs.append(Document(doc_id, title, sections, corpus_tag))
     return docs
 
 

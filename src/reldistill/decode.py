@@ -1,0 +1,108 @@
+"""The one reader of each input format: JSON objects decoded into typed
+dataclasses, JSONL lines and TSV rows. Each raises its caller's error
+class naming the key path or the line, so a malformed input exits 1."""
+
+from __future__ import annotations
+
+import json
+import math
+import reprlib
+from dataclasses import MISSING, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
+
+_KINDS = {  # (one, a list of them)
+    int: ("an integer", "integers"),
+    float: ("a finite number", "finite numbers"),
+    bool: ("a boolean", "booleans"),
+    str: ("a string", "strings"),
+    type(None): ("null", "nulls"),
+}
+
+
+def required(f) -> bool:
+    return f.default is MISSING and f.default_factory is MISSING
+
+
+def _describe(hint, plural: bool = False) -> str:
+    if get_origin(hint) in (list, frozenset):
+        return f"a list of {_describe(get_args(hint)[0], plural=True)}"
+    if is_dataclass(hint):
+        return ("an object", "objects")[plural]
+    return " or ".join(_KINDS[k][plural] for k in get_args(hint) or (hint,))
+
+
+def _fits(value, hint) -> bool:
+    """Whether the JSON scalar or object `value` can be decoded as `hint`."""
+    if is_dataclass(hint):
+        return isinstance(value, dict)
+    kinds = get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in kinds  # JSON true/false are not numbers
+    if isinstance(value, float):
+        # json reads NaN and Infinity, which no field accepts
+        return float in kinds and math.isfinite(value)
+    return isinstance(value, kinds + ((int,) if float in kinds else ()))
+
+
+def _value(hint, value, key: str, error, label: str):
+    if is_dataclass(hint):
+        return decode(hint, value, error, label, key)
+    origin = get_origin(hint)
+    if origin in (list, frozenset):
+        item = get_args(hint)[0]
+        if isinstance(value, list) and all(_fits(v, item) for v in value):
+            return origin(
+                _value(item, v, f"{key}[{i}]", error, label) for i, v in enumerate(value)
+            )
+    elif _fits(value, hint):
+        return value
+    raise error(f"{label}: {key!r} must be {_describe(hint)}, got {reprlib.repr(value)}")
+
+
+def decode(cls, obj, error, label: str, key: str = ""):
+    """The dataclass `cls` built from the JSON value `obj` at path `key`:
+    each value must fit its field's type hint (a dataclass or a list of
+    them is decoded in turn), fields without a default are required,
+    `init=False` fields are not read and unknown keys are refused."""
+    if not isinstance(obj, dict):
+        if not key:
+            raise error(f"{label} must be a JSON object, got a {type(obj).__name__}")
+        raise error(f"{label}: {key!r} must be a JSON object, got {reprlib.repr(obj)}")
+    prefix = f"{key}." if key else ""
+    init = [f for f in fields(cls) if f.init]
+    unknown = sorted(set(obj) - {f.name for f in init})
+    if unknown:
+        raise error(f"{label}: unknown key {prefix + unknown[0]!r}")
+    hints = get_type_hints(cls)
+    values = {}
+    for f in init:
+        if f.name in obj:
+            values[f.name] = _value(hints[f.name], obj[f.name], prefix + f.name, error, label)
+        elif required(f):
+            raise error(f"{label}: missing required key {prefix + f.name!r}")
+    return cls(**values)
+
+
+def jsonl_lines(path: str, error):
+    """Yield (line number, decoded value) for each non-blank line of a
+    JSONL file; a line that is not JSON raises `error` naming it."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    yield line_no, json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise error(f"line {line_no}: invalid JSON ({exc})") from exc
+
+
+def tsv_rows(path: str, n_fields: int, error):
+    """Yield (line number, fields) for each non-blank line of a TSV file;
+    a line without exactly `n_fields` tab-separated fields raises `error`
+    naming it."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                row = line.rstrip("\n").split("\t")
+                if len(row) != n_fields:
+                    raise error(f"line {line_no}: expected {n_fields} tab-separated fields")
+                yield line_no, row

@@ -9,6 +9,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .corpus import Document
+from .decode import tsv_rows
 from .features import FeatureConfig, Mention
 from .kb import RelationSchema
 from .mentions import LabeledMention, MentionSets, enumerate_mentions
@@ -64,18 +65,10 @@ def _prf(tp: int, n_pred: int, n_gold: int) -> RelationMetrics:
 
 def load_gold(path: str, schema: RelationSchema | None = None) -> list[GoldAnnotation]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"line {line_no}: expected 3 tab-separated fields")
-            doc_id, relation, value = parts
-            if schema is not None and not schema.has_relation(relation):
-                raise ValueError(f"line {line_no}: unknown relation {relation!r}")
-            out.append(GoldAnnotation(doc_id, relation, normalize(value)))
+    for line_no, (doc_id, relation, value) in tsv_rows(path, 3, ValueError):
+        if schema is not None and not schema.has_relation(relation):
+            raise ValueError(f"line {line_no}: unknown relation {relation!r}")
+        out.append(GoldAnnotation(doc_id, relation, normalize(value)))
     return out
 
 
@@ -242,12 +235,7 @@ def write_predictions(preds: list[Prediction], path: str) -> None:
 
 
 def read_predictions(path: str) -> list[Prediction]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            doc_id, relation, value, score = line.split("\t")
-            out.append(Prediction(doc_id, relation, value, float(score)))
-    return out
+    return [
+        Prediction(doc_id, relation, value, float(score))
+        for _, (doc_id, relation, value, score) in tsv_rows(path, 4, ValueError)
+    ]

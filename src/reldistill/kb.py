@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .decode import decode, tsv_rows
 from .norm import normalize
 
 MAX_SURFACE_LEN = 60  # longer KB objects and seed instances are dropped as noise
@@ -18,13 +19,16 @@ class SchemaError(ValueError):
 class RelationDef:
     name: str
     range_concept: str
-    section_titles: frozenset[str]  # normalized
+    section_titles: frozenset[str] = frozenset()  # normalized
+
+    def __post_init__(self):
+        object.__setattr__(self, "section_titles", frozenset(map(normalize, self.section_titles)))
 
 
 @dataclass
 class RelationSchema:
-    relations: list[RelationDef]
-    concepts: list[str]
+    relations: list[RelationDef] = field(default_factory=list)
+    concepts: list[str] = field(default_factory=list)
     _by_name: dict[str, RelationDef] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -61,51 +65,25 @@ class ConceptSeed:
     instance: str
 
 
-def _list_of(obj: dict, key: str, kind: type, where: str) -> list:
-    """`obj[key]` (an empty list when absent), checked to be a list of `kind`."""
-    value = obj.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
-        noun = {str: "strings", dict: "objects"}[kind]
-        raise SchemaError(f"{where}: {key!r} must be a list of {noun}")
-    return value
-
-
-def _string(rel: dict, key: str, where: str) -> str:
-    value = rel.get(key)
-    if not isinstance(value, str):
-        raise SchemaError(f"{where}: {key!r} must be a string, got {value!r}")
-    return value
-
-
 def load_schema(path: str) -> RelationSchema:
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise SchemaError(f"schema must be a JSON object, got a {type(obj).__name__}")
-    concepts = list(_list_of(obj, "concepts", str, "schema"))
-    relations = []
-    names = set()
+        schema = decode(RelationSchema, json.load(fh), SchemaError, "schema")
     claimed_sections: dict[str, str] = {}
-    for i, rel in enumerate(_list_of(obj, "relations", dict, "schema")):
-        name = _string(rel, "name", f"relation {i}")
-        if name in names:
-            raise SchemaError(f"duplicate relation {name!r}")
-        names.add(name)
-        rng = _string(rel, "range_concept", f"relation {name!r}")
-        if rng not in concepts:
-            raise SchemaError(f"relation {name!r} references unknown concept {rng!r}")
-        titles = frozenset(
-            normalize(t) for t in _list_of(rel, "section_titles", str, f"relation {name!r}")
-        )
-        for t in titles:
+    for rel in schema.relations:
+        if schema.relation(rel.name) is not rel:  # the name map keeps the last of a name
+            raise SchemaError(f"duplicate relation {rel.name!r}")
+        if rel.range_concept not in schema.concepts:
+            raise SchemaError(
+                f"relation {rel.name!r} references unknown concept {rel.range_concept!r}"
+            )
+        for t in rel.section_titles:
             if t in claimed_sections:
                 raise SchemaError(
                     f"section title {t!r} claimed by both "
-                    f"{claimed_sections[t]!r} and {name!r}"
+                    f"{claimed_sections[t]!r} and {rel.name!r}"
                 )
-            claimed_sections[t] = name
-        relations.append(RelationDef(name, rng, titles))
-    return RelationSchema(relations=relations, concepts=concepts)
+            claimed_sections[t] = rel.name
+    return schema
 
 
 def load_triples(path: str, schema: RelationSchema) -> list[Triple]:
@@ -116,26 +94,18 @@ def load_triples(path: str, schema: RelationSchema) -> list[Triple]:
     """
     out: list[Triple] = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise SchemaError(f"line {line_no}: expected 3 tab-separated fields")
-            rel, subj, obj = parts
-            if not schema.has_relation(rel):
-                raise SchemaError(f"line {line_no}: unknown relation {rel!r}")
-            subj, obj = normalize(subj), normalize(obj)
-            if not subj or not obj:
-                raise SchemaError(f"line {line_no}: empty subject or object")
-            if len(obj) > MAX_SURFACE_LEN or "," in obj:
-                continue
-            t = Triple(rel, subj, obj)
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
+    for line_no, (rel, subj, obj) in tsv_rows(path, 3, SchemaError):
+        if not schema.has_relation(rel):
+            raise SchemaError(f"line {line_no}: unknown relation {rel!r}")
+        subj, obj = normalize(subj), normalize(obj)
+        if not subj or not obj:
+            raise SchemaError(f"line {line_no}: empty subject or object")
+        if len(obj) > MAX_SURFACE_LEN or "," in obj:
+            continue
+        t = Triple(rel, subj, obj)
+        if t not in seen:
+            seen.add(t)
+            out.append(t)
     return sorted(out, key=lambda t: (t.relation, t.subject, t.object))
 
 
@@ -145,25 +115,17 @@ def load_concept_seeds(path: str, schema: RelationSchema) -> list[ConceptSeed]:
     out: list[ConceptSeed] = []
     seen = set()
     known = set(schema.concepts)
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise SchemaError(f"line {line_no}: expected 2 tab-separated fields")
-            concept, instance = parts
-            if concept not in known:
-                raise SchemaError(f"line {line_no}: unknown concept {concept!r}")
-            instance = normalize(instance)
-            if not instance:
-                raise SchemaError(f"line {line_no}: empty instance")
-            if len(instance) > MAX_SURFACE_LEN or "," in instance:
-                continue
-            s = ConceptSeed(concept, instance)
-            if s not in seen:
-                seen.add(s)
-                out.append(s)
+    for line_no, (concept, instance) in tsv_rows(path, 2, SchemaError):
+        if concept not in known:
+            raise SchemaError(f"line {line_no}: unknown concept {concept!r}")
+        instance = normalize(instance)
+        if not instance:
+            raise SchemaError(f"line {line_no}: empty instance")
+        if len(instance) > MAX_SURFACE_LEN or "," in instance:
+            continue
+        s = ConceptSeed(concept, instance)
+        if s not in seen:
+            seen.add(s)
+            out.append(s)
     return sorted(out, key=lambda s: (s.concept, s.instance))
 

@@ -8,11 +8,11 @@ obtained by propagating concept seeds over the mention-feature graph.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _str
 
 from .corpus import Document
+from .decode import jsonl_lines
 from .features import FeatureConfig, Mention, extract_features
 from .kb import ConceptSeed, RelationSchema, Triple
 from .norm import normalize
@@ -49,7 +49,7 @@ def enumerate_mentions(doc: Document, config: FeatureConfig) -> list[Mention]:
             in_list = {s for cl in sent.coordinate_lists for s in cl.item_spans}
             # (feature target, kind, mention span, item spans)
             targets = [
-                (cl, "list", (cl.item_spans[0][0], cl.item_spans[-1][1]), cl.item_spans)
+                (cl, "list", cl.span, cl.item_spans)
                 for cl in sent.coordinate_lists
             ] + [(s, "singleton", s, (s,)) for s in sent.np_chunks if s not in in_list]
             out += [
@@ -250,20 +250,13 @@ class MentionEncoder:
         return f'{head}, "label": {label}{middle}, "source_set": {source_set}{tail}'
 
 
-def _read_jsonl(path: str):
-    """Yield one decoded object per non-blank line, so that callers build
-    their records without holding every decoded dict at once."""
-    with open(path, encoding="utf-8") as fh:
-        yield from (json.loads(line) for line in fh if line.strip())
-
-
 def write_mentions(mentions: list[Mention], path: str, encoder: MentionEncoder) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(map(encoder.line, mentions))
 
 
 def read_mentions(path: str) -> list[Mention]:
-    return [mention_from_dict(obj) for obj in _read_jsonl(path)]
+    return [mention_from_dict(obj) for _, obj in jsonl_lines(path, ValueError)]
 
 
 def write_labeled_mentions(
@@ -274,4 +267,4 @@ def write_labeled_mentions(
 
 
 def read_labeled_mentions(path: str) -> list[LabeledMention]:
-    return [labeled_mention_from_dict(obj) for obj in _read_jsonl(path)]
+    return [labeled_mention_from_dict(obj) for _, obj in jsonl_lines(path, ValueError)]

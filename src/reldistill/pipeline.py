@@ -20,12 +20,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 from .corpus import Document, ingest_corpus, write_corpus
+from .decode import decode, required
 from .evaluation import (
     Prediction,
     evaluate,
@@ -75,63 +75,6 @@ class StageError(ValueError):
     """Missing upstream artifact or config mismatch between stages."""
 
 
-_JSON_KINDS = {
-    int: "an integer",
-    float: "a number",
-    bool: "a boolean",
-    str: "a string",
-    type(None): "null",
-}
-
-
-def _fits(value, hint) -> bool:
-    if get_origin(hint) is list:
-        return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
-    kinds = get_args(hint) or (hint,)
-    if isinstance(value, bool):
-        return bool in kinds  # JSON true/false are not numbers
-    return isinstance(value, kinds + ((int,) if float in kinds else ()))
-
-
-def _describe(hint) -> str:
-    if get_origin(hint) is list:
-        return f"a list, each item {_describe(get_args(hint)[0])}"
-    return " or ".join(_JSON_KINDS[k] for k in get_args(hint) or (hint,))
-
-
-def _required(f) -> bool:
-    return f.default is MISSING and f.default_factory is MISSING
-
-
-def _decode(cls, obj, prefix: str = ""):
-    """Build the dataclass `cls` from a JSON object. A dataclass-typed
-    field is decoded as a nested section, every other value is checked
-    against its field's type, a field without a default is required and
-    an unknown key is refused; `prefix` names the enclosing section."""
-    if not isinstance(obj, dict):
-        where = prefix.rstrip(".") or "the config"
-        raise StageError(f"run config: {where} must be a JSON object")
-    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-    if unknown:
-        raise StageError(f"run config: unknown key {prefix + unknown[0]!r}")
-    hints = get_type_hints(cls)
-    values = {}
-    for f in fields(cls):
-        key, hint = prefix + f.name, hints[f.name]
-        if f.name not in obj:
-            if _required(f):
-                raise StageError(f"run config: missing required key {key!r}")
-        elif is_dataclass(hint):
-            values[f.name] = _decode(hint, obj[f.name], key + ".")
-        elif _fits(obj[f.name], hint):
-            values[f.name] = obj[f.name]
-        else:
-            raise StageError(
-                f"run config: {key!r} must be {_describe(hint)}, got {obj[f.name]!r}"
-            )
-    return cls(**values)
-
-
 @dataclass
 class RunConfig:
     # the input paths: every field without a default
@@ -156,14 +99,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
-        return _decode(cls, obj)
+        return decode(cls, obj, StageError, "run config")
 
     def config_hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
     def validate_paths(self) -> None:
-        for name in (f.name for f in fields(self) if _required(f)):
+        for name in (f.name for f in fields(self) if required(f)):
             if not Path(getattr(self, name)).is_file():
                 raise StageError(f"config path {name} does not exist: {getattr(self, name)}")
         VariantSpec.parse(self.variant)
@@ -321,18 +264,17 @@ def extract_all(
 def stage_ingest(ws: Workspace) -> None:
     cfg = ws.config
     cfg.validate_paths()
-    inputs, outputs = [], []
-    for name, tag in (
-        ("structured_corpus", "structured"),
-        ("target_corpus", "target"),
-        ("eval_corpus", "target"),
-    ):
-        src = Path(getattr(cfg, name))
-        docs = ingest_corpus(str(src), tag)
-        filename = f"documents_{name.removesuffix('_corpus')}.jsonl"
-        outputs.append(ws.write(filename, docs, write_corpus))
-        inputs.append(src)
-    ws.record_stage("ingest", inputs, outputs)
+    tags = {"structured": "structured", "target": "target", "eval": "target"}
+    docs = {name: ingest_corpus(getattr(cfg, f"{name}_corpus"), tag) for name, tag in tags.items()}
+    # a mention id starts with its doc_id, so the two corpora of the graph
+    # may not share one; the eval corpus never enters the graph
+    shared = {d.doc_id for d in docs["structured"]} & {d.doc_id for d in docs["target"]}
+    if shared:
+        raise StageError(
+            f"doc_id {min(shared)!r} is in both {cfg.structured_corpus} and {cfg.target_corpus}"
+        )
+    outputs = [ws.write(f"documents_{name}.jsonl", docs[name], write_corpus) for name in tags]
+    ws.record_stage("ingest", [Path(getattr(cfg, f"{name}_corpus")) for name in tags], outputs)
 
 
 def _load_documents(ws: Workspace, filename: str, tag: str) -> list[Document]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .decode import tsv_rows
 from .features import Mention, feature_matrix
 from .mentions import LabeledMention, MentionSets
 
@@ -254,13 +255,8 @@ def write_ranking(ranking: RankedLabeling, path: str) -> None:
 
 def read_ranking(path: str) -> RankedLabeling:
     per_class: dict[str, list[tuple[str, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cls, _rank, mid, score = line.split("\t")
-            per_class.setdefault(cls, []).append((mid, float(score)))
+    for _, (cls, _rank, mid, score) in tsv_rows(path, 4, ValueError):
+        per_class.setdefault(cls, []).append((mid, float(score)))
     return RankedLabeling(per_class=per_class)
 
 

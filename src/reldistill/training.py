@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .decode import decode
 from .features import FeatureConfig, FeatureFilter, Mention, build_feature_filter, feature_matrix
 from .mentions import MentionSets
 from .propagation import RankedLabeling
@@ -375,8 +376,8 @@ def load_model(path: str) -> LinearModel:
         if "platt" in rm:
             platt = (rm["platt"]["A"], rm["platt"]["B"])
         relations[rel] = RelationModel(weights=rm["weights"], bias=rm["bias"], platt=platt)
-    return LinearModel(
-        relations=relations,
-        feature_config=FeatureConfig(**obj["feature_config"]),
-        train_config=TrainConfig(**obj["train_config"]),
-    )
+    configs = {
+        key: decode(cls, obj[key], ValueError, "model", key)
+        for key, cls in (("feature_config", FeatureConfig), ("train_config", TrainConfig))
+    }
+    return LinearModel(relations=relations, **configs)

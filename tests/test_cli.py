@@ -241,6 +241,11 @@ class TestErrors:
             pytest.param({"sweep_n": [5, 0]}, "'sweep_n'", id="sweep_n-zero"),
             pytest.param({"sweep_n": [5, True]}, "'sweep_n'", id="sweep_n-bool"),
             pytest.param({"schema": 3}, "'schema'", id="path-int"),
+            # json writes and reads Infinity and NaN
+            pytest.param({"training": {"reg_lambda": float("inf")}},
+                         "'training.reg_lambda'", id="reg_lambda-inf"),
+            pytest.param({"propagation": {"concept_score_floor": float("nan")}},
+                         "'propagation.concept_score_floor'", id="concept_score_floor-nan"),
         ],
     )
     def test_wrongly_typed_value(self, run_config_file, tmp_path, capsys, patch, named):
@@ -301,8 +306,19 @@ class TestErrors:
         "schema_obj, named",
         [
             pytest.param({"concepts": ["C"], "relations": [{"name": "a"}]},
-                         "relation 'a': 'range_concept'", id="no-range_concept"),
+                         "schema: missing required key 'relations[0].range_concept'",
+                         id="no-range_concept"),
             pytest.param([], "schema must be a JSON object", id="list"),
+            # the toy schema with a misspelt key: read as absent, it would
+            # leave sideEffect without seeds and without a classifier
+            pytest.param({"concepts": ["DiseaseOrMedicalCondition", "Symptom"], "relations": [
+                {"name": "usedToTreat", "range_concept": "DiseaseOrMedicalCondition",
+                 "section_titles": ["Uses"]},
+                {"name": "conditionsThisMayPrevent", "range_concept": "DiseaseOrMedicalCondition",
+                 "section_titles": ["Prevention"]},
+                {"name": "sideEffect", "range_concept": "Symptom",
+                 "section_title": ["Side Effects"]},
+            ]}, "schema: unknown key 'relations[2].section_title'", id="key-typo"),
         ],
     )
     def test_malformed_schema_exits_1(self, run_config_file, tmp_path, capsys, schema_obj, named):
@@ -312,6 +328,19 @@ class TestErrors:
         run_config_file.write_text(json.dumps(cfg))
         assert run(run_config_file, tmp_path / "out", "run") == 1
         assert named in capsys.readouterr().err
+
+    def test_doc_id_in_both_corpora_exits_1(self, run_config_file, data_dir, tmp_path, capsys):
+        target = tmp_path / "target.jsonl"
+        target.write_text((data_dir / "target.jsonl").read_text().replace('"t2"', '"s2"'))
+        cfg = json.loads(run_config_file.read_text())
+        cfg["target_corpus"] = str(target)
+        run_config_file.write_text(json.dumps(cfg))
+        assert run(run_config_file, tmp_path / "out", "ingest") == 1
+        assert (
+            f"doc_id 's2' is in both {data_dir / 'structured.jsonl'} and {target}"
+            in capsys.readouterr().err
+        )
+        assert not (tmp_path / "out" / "documents_structured.jsonl").exists()
 
     def test_ill_typed_token_exits_1(self, run_config_file, data_dir, tmp_path, capsys):
         doc = json.loads((data_dir / "target.jsonl").read_text().splitlines()[0])

@@ -293,6 +293,11 @@ class TestIngest:
             pytest.param(("coordinate_lists", 0, "head"), [True, 3],
                          "coordinate list 0 field 'head' must be a span inside the 3-token "
                          "sentence, got [True, 3]", id="head-bool"),
+            # both would be mentions with the one mention_id d1|s0|t0|0-3
+            pytest.param(("np_chunks",), [[0, 2], [2, 3], [0, 3]],
+                         "duplicate mention span (0,3)", id="chunk-is-list-span"),
+            pytest.param(("coordinate_lists",), [{"items": [[0, 2], [2, 3]]}] * 2,
+                         "duplicate mention span (0,3)", id="list-twice"),
         ],
     )
     def test_ill_shaped_chunk_or_list_named(self, tmp_path, where, value, message):

@@ -1,0 +1,191 @@
+"""The readers of every input format: the typed JSON decoder behind the
+run config, `schema.json` and the configs of `model.json`, and the JSONL
+and TSV line readers."""
+
+import json
+from dataclasses import asdict, is_dataclass
+from typing import get_type_hints
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from reldistill.decode import jsonl_lines, tsv_rows
+from reldistill.evaluation import read_predictions
+from reldistill.features import FeatureConfig
+from reldistill.kb import SchemaError, load_schema
+from reldistill.pipeline import RunConfig, StageError
+from reldistill.propagation import read_ranking
+from reldistill.training import TrainConfig, load_model
+
+# every JSON value, the non-finite numbers that json reads and writes included
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+PATHS = ("structured_corpus", "target_corpus", "eval_corpus", "schema", "triples",
+         "concept_seeds", "gold")
+
+
+def _keys(cls, prefix=()):
+    """The key path of every field of `cls` and of its nested sections."""
+    for name, hint in get_type_hints(cls).items():
+        yield (*prefix, name)
+        if is_dataclass(hint):
+            yield from _keys(hint, (*prefix, name))
+
+
+RUN_CONFIG_KEYS = sorted(_keys(RunConfig))
+
+SCHEMA_KEYS = [
+    ("concepts",), ("relations",), ("relations", 0), ("relations", 0, "name"),
+    ("relations", 0, "range_concept"), ("relations", 0, "section_titles"),
+    ("relations", 0, "bogus"), ("bogus",),
+]
+
+
+def _put(obj, path, value):
+    for key in path[:-1]:
+        obj = obj.setdefault(key, {}) if isinstance(obj, dict) else obj[key]
+    obj[path[-1]] = value
+
+
+def test_every_run_config_section_key_is_drawn():
+    assert ("propagation", "alpha") in RUN_CONFIG_KEYS
+    assert ("training", "reg_lambda") in RUN_CONFIG_KEYS
+    assert ("features", "window") in RUN_CONFIG_KEYS
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(RUN_CONFIG_KEYS), value=json_values)
+def test_any_json_value_at_a_run_config_key_decodes_or_is_refused(key, value):
+    cfg = {name: f"{name}.path" for name in PATHS}
+    _put(cfg, key, value)
+    try:
+        config = RunConfig.from_dict(cfg)
+    except ValueError as exc:
+        # StageError from the decoder, ValueError from a section's range check:
+        # both exit 1; a TypeError or KeyError here would exit 2
+        assert isinstance(exc, StageError) or key[0] in ("propagation", "features", "training")
+    else:
+        json.dumps(asdict(config), allow_nan=False)  # no NaN or infinity got through
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(key=st.sampled_from(SCHEMA_KEYS), value=json_values)
+def test_any_json_value_at_a_schema_key_loads_or_is_refused(tmp_path, key, value):
+    obj = {"concepts": ["C"], "relations": [{"name": "a", "range_concept": "C"}]}
+    _put(obj, key, value)
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(obj))
+    try:
+        load_schema(str(path))
+    except SchemaError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        pytest.param({"training": {"reg_lambda": float("inf")}},
+                     "run config: 'training.reg_lambda' must be a finite number, got inf",
+                     id="inf"),
+        pytest.param({"training": {"negatives": float("-inf")}},
+                     "run config: 'training.negatives' must be an integer or null, got -inf",
+                     id="minus-inf"),
+        pytest.param({"variant": "RsRt"},
+                     "run config: 'variant' must be a list of strings, got 'RsRt'", id="variant"),
+        pytest.param({"propagation": 3},
+                     "run config: 'propagation' must be a JSON object, got 3", id="section"),
+    ],
+)
+def test_run_config_message_names_the_key(patch, message):
+    cfg = {name: f"{name}.path" for name in PATHS} | patch
+    with pytest.raises(StageError) as err:
+        RunConfig.from_dict(json.loads(json.dumps(cfg)))
+    assert str(err.value) == message
+
+
+def test_schema_keys_default_to_empty(tmp_path):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({"concepts": ["C"], "relations": [{"name": "a",
+                                                                 "range_concept": "C"}]}))
+    schema = load_schema(str(path))
+    assert schema.relation("a").section_titles == frozenset()
+    path.write_text("{}")
+    assert load_schema(str(path)).relation_names() == []
+
+
+def _saved_model(tmp_path, **configs):
+    obj = {
+        "feature_config": asdict(FeatureConfig()),
+        "train_config": asdict(TrainConfig()),
+        "relations": {"rel": {"bias": 0.5, "weights": {"tok=a": 1.0}}},
+    }
+    for key, patch in configs.items():
+        obj[key].update(patch)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_load_model_decodes_its_configs(tmp_path):
+    model = load_model(_saved_model(tmp_path, train_config={"negatives": 4}))
+    assert model.feature_config == FeatureConfig()
+    assert model.train_config == TrainConfig(negatives=4)
+
+
+@pytest.mark.parametrize(
+    "configs, message",
+    [
+        pytest.param({"feature_config": {"window": "3"}},
+                     "model: 'feature_config.window' must be an integer, got '3'", id="str"),
+        pytest.param({"feature_config": {"bogus": 1}},
+                     "model: unknown key 'feature_config.bogus'", id="unknown"),
+        pytest.param({"train_config": {"reg_lambda": float("nan")}},
+                     "model: 'train_config.reg_lambda' must be a finite number, got nan",
+                     id="nan"),
+    ],
+)
+def test_load_model_names_an_ill_typed_config_key(tmp_path, configs, message):
+    with pytest.raises(ValueError) as err:
+        load_model(_saved_model(tmp_path, **configs))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "reader, good, bad",
+    [
+        pytest.param(read_ranking, "rel\t1\td1|s0|t0|0-1\t0.5\n", "rel\t2\td1|s0|t0|2-3\n",
+                     id="ranking"),
+        pytest.param(read_predictions, "d1\trel\tpain\t0.5\n", "d1\trel\tpain\t0.5\textra\n",
+                     id="predictions"),
+    ],
+)
+def test_tsv_artifact_line_with_wrong_field_count_is_named(tmp_path, reader, good, bad):
+    path = tmp_path / "artifact.tsv"
+    path.write_text(good + "\n" + bad)
+    with pytest.raises(ValueError) as err:
+        reader(str(path))
+    assert str(err.value) == "line 3: expected 4 tab-separated fields"
+
+
+def test_tsv_rows_skips_blank_lines_and_numbers_the_rest(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_text("a\tb\n\n  \nc\td")
+    assert list(tsv_rows(str(path), 2, ValueError)) == [(1, ["a", "b"]), (4, ["c", "d"])]
+
+
+def test_jsonl_lines_raise_the_callers_error(tmp_path):
+    path = tmp_path / "lines.jsonl"
+    path.write_text('{"a": 1}\n\n[1, 2]\n{"a": \n')
+    lines = jsonl_lines(str(path), SchemaError)
+    assert next(lines) == (1, {"a": 1})
+    assert next(lines) == (3, [1, 2])
+    with pytest.raises(SchemaError, match=r"^line 4: invalid JSON \("):
+        next(lines)

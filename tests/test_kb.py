@@ -74,19 +74,23 @@ def test_unknown_concept_rejected(tmp_path):
     [
         ([{"name": "a", "range_concept": "C"}], "schema must be a JSON object, got a list"),
         ({"concepts": ["C"], "relations": [{"name": "a"}]},
-         "relation 'a': 'range_concept' must be a string, got None"),
+         "schema: missing required key 'relations[0].range_concept'"),
         ({"concepts": ["C"], "relations": [{"range_concept": "C"}]},
-         "relation 0: 'name' must be a string"),
+         "schema: missing required key 'relations[0].name'"),
         ({"concepts": ["C"], "relations": [{"name": "a", "range_concept": 1}]},
-         "relation 'a': 'range_concept' must be a string, got 1"),
+         "schema: 'relations[0].range_concept' must be a string, got 1"),
         ({"concepts": ["C"], "relations": [{"name": "a", "range_concept": "C",
                                             "section_titles": "Uses"}]},
-         "relation 'a': 'section_titles' must be a list of strings"),
+         "schema: 'relations[0].section_titles' must be a list of strings, got 'Uses'"),
         ({"concepts": "C", "relations": []}, "schema: 'concepts' must be a list of strings"),
         ({"concepts": ["C"], "relations": {"a": "C"}},
          "schema: 'relations' must be a list of objects"),
         ({"concepts": ["C"], "relations": ["a"]},
          "schema: 'relations' must be a list of objects"),
+        ({"concepts": ["C"], "relations": [{"name": "a", "range_concept": "C",
+                                            "section_title": ["Uses"]}]},
+         "schema: unknown key 'relations[0].section_title'"),
+        ({"concepts": ["C"], "relation": []}, "schema: unknown key 'relation'"),
     ],
 )
 def test_malformed_schema_names_relation_and_key(tmp_path, obj, message):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reldistill.cli import main
+from reldistill.corpus import ingest_corpus
 from reldistill.features import FeatureConfig, Mention
 from reldistill.kb import ConceptSeed
 from reldistill.mentions import (
     LabeledMention,
     MentionEncoder,
+    build_mention_sets,
     build_relation_mentions,
     corpus_mentions,
     enumerate_mentions,
@@ -293,26 +294,27 @@ class TestMentionEncoder:
         assert read_mentions(str(tmp_path / "pool.jsonl")) == structured_mentions
 
 
-def test_doc_id_in_both_corpora_is_written_with_each_corpus_tag(tmp_path, data_dir):
+def test_doc_id_in_both_corpora_is_written_with_each_corpus_tag(
+    tmp_path, data_dir, structured_mentions, triples, concept_seeds, schema
+):
     """A structured document copied into the target corpus yields mentions
-    equal in all but `corpus_tag`; each file must carry its own corpus's."""
+    equal in all but `corpus_tag`; one encoder must write each file with its
+    own corpus's. The `ingest` stage refuses such corpora, so the mention
+    stage's writers are called here directly."""
     shared = (data_dir / "structured.jsonl").read_text().splitlines()[0]
     target = tmp_path / "target.jsonl"
     target.write_text((data_dir / "target.jsonl").read_text() + shared + "\n")
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "structured_corpus": str(data_dir / "structured.jsonl"),
-        "target_corpus": str(target),
-        "eval_corpus": str(data_dir / "target.jsonl"),
-        "schema": str(data_dir / "schema.json"),
-        "triples": str(data_dir / "triples.tsv"),
-        "concept_seeds": str(data_dir / "concept_seeds.tsv"),
-        "gold": str(data_dir / "gold.tsv"),
-        "variant": ["Rs", "Cs", "Rt", "Ct"],
-    }))
+    target_mentions = corpus_mentions(ingest_corpus(str(target), "target"), FeatureConfig())
+    sets = build_mention_sets(
+        structured_mentions, target_mentions, triples, concept_seeds, schema, PropagationConfig()
+    )
     out = tmp_path / "out"
-    for stage in ("ingest", "mentions"):
-        assert main(["--config", str(config), "--out", str(out), stage]) == 0
+    out.mkdir()
+    encoder = MentionEncoder()
+    for name in ("Rs", "Rt", "Cs", "Ct"):
+        write_labeled_mentions(sets.get(name), str(out / f"mentions_{name}.jsonl"), encoder)
+    write_mentions(structured_mentions, str(out / "pool_structured.jsonl"), encoder)
+    write_mentions(target_mentions, str(out / "pool_target.jsonl"), encoder)
 
     tags = {
         "pool_structured": "structured", "mentions_Rs": "structured",
