@@ -7,12 +7,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import Document, ingest_corpus
+from .corpus import Document
 from .evaluation import EvalReport, GoldAnnotation, evaluate, load_gold, run_baseline
 from .features import FeatureConfig, Mention
 from .kb import RelationSchema, load_concept_seeds, load_schema, load_triples
 from .mentions import MentionSets, build_mention_sets, corpus_mentions
-from .pipeline import extract_all, fit_model
+from .pipeline import extract_all, fit_model, ingest_corpora
 from .propagation import (
     PropagationConfig,
     RankedLabeling,
@@ -47,17 +47,16 @@ def prepare(paths: BenchmarkPaths) -> BenchmarkArtifacts:
     schema = load_schema(paths.schema)
     triples = load_triples(paths.triples, schema)
     seeds = load_concept_seeds(paths.concept_seeds, schema)
-    structured = corpus_mentions(
-        ingest_corpus(paths.structured_corpus, "structured"), feature_config
-    )
-    target = corpus_mentions(ingest_corpus(paths.target_corpus, "target"), feature_config)
+    docs = ingest_corpora(paths)
+    structured = corpus_mentions(docs.pop("structured"), feature_config)
+    target = corpus_mentions(docs.pop("target"), feature_config)
     sets = build_mention_sets(structured, target, triples, seeds, schema, prop_config)
     return BenchmarkArtifacts(
         schema=schema,
         sets=sets,
         pool=structured + target,
         labeled_ids={lm.mention.mention_id for lm in sets.Rs + sets.Rt},
-        eval_docs=ingest_corpus(paths.eval_corpus, "target"),
+        eval_docs=docs["eval"],
         gold=load_gold(paths.gold, schema),
         feature_config=feature_config,
         prop_config=prop_config,

@@ -69,8 +69,14 @@ def enumerate_mentions(doc: Document, config: FeatureConfig) -> list[Mention]:
 
 
 def corpus_mentions(docs: list[Document], config: FeatureConfig) -> list[Mention]:
+    """The mentions of `docs` sorted by id. Every structure downstream is
+    keyed on `mention_id`, so two mentions may not share one."""
     out = [m for doc in docs for m in enumerate_mentions(doc, config)]
-    return sorted(out, key=lambda m: m.mention_id)
+    out.sort(key=lambda m: m.mention_id)
+    for a, b in zip(out, out[1:]):
+        if a.mention_id == b.mention_id:
+            raise ValueError(f"two mentions share mention_id {a.mention_id!r}")
+    return out
 
 
 def build_relation_mentions(

@@ -6,13 +6,16 @@ whose sha256 is not the one its producing stage recorded. Every artifact
 is written through a temp file and `os.replace`, so a failed write
 leaves the previous file whole.
 
-A `Workspace` holds the records it wrote for the documents, mention sets
-and pools; a later stage on the same workspace whose verified file hash
-equals the held one takes those records instead of decoding the file.
+The `Workspace` records what a stage did: each artifact it verified or
+wrote and each run-config file handed to `input`. It also holds the
+records it wrote for the documents, mention sets and pools; a later
+stage on the same workspace whose verified file hash equals the held one
+takes those records instead of decoding the file.
 
-`fit_model` and `extract_all` are the in-process core of the method
-(distill, train, extract). They do no I/O; the stages wrap them with
-artifact reads and writes, and `benchmark` calls them directly.
+`ingest_corpora`, `fit_model` and `extract_all` are the in-process core
+of the method (ingest, distill, train, extract). They write nothing; the
+stages wrap them with artifact reads and writes, and `benchmark` calls
+them directly.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from pathlib import Path
 from .corpus import Document, ingest_corpus, write_corpus
 from .decode import decode, required
 from .evaluation import (
+    GoldAnnotation,
     Prediction,
     evaluate,
     extract_document,
@@ -135,8 +139,9 @@ def _write_atomic(path: Path, write) -> None:
 
 
 class Workspace:
-    """Output directory plus the provenance manifest, the sha256 of each
-    artifact this workspace wrote or verified, and the records it wrote
+    """Output directory plus the provenance manifest, the files the
+    running stage read and wrote with their sha256 (a stage that raises
+    leaves them: go on with a new workspace), and the records written
     with `write`, keyed on filename with the sha256 of the bytes."""
 
     MENTION_SET_FILES = {
@@ -153,61 +158,52 @@ class Workspace:
         self.config = config
         self.manifest_path = self.out / "manifest.json"
         self._held: dict[str, tuple[str, list]] = {}
-        self._digests: dict[Path, str] = {}
-
-    def _hash(self, path: Path) -> str:
-        self._digests[path] = digest = _sha256(path)
-        return digest
+        # path -> sha256 of the files the running stage read and wrote
+        self._inputs: dict[Path, str] = {}
+        self._outputs: dict[Path, str] = {}
 
     def _load_manifest(self) -> dict:
         if self.manifest_path.is_file():
             return json.loads(self.manifest_path.read_text())
         return {"config_hash": self.config.config_hash(), "stages": {}}
 
-    def record_stage(self, stage: str, inputs: list[Path], outputs: list[Path]) -> None:
-        """Record a stage's files with the sha256 this workspace took when
-        it wrote or verified them; only the files the config names are
-        hashed here."""
+    def record_stage(self, stage: str) -> None:
+        """Record the files the stage read and wrote, with the sha256
+        this workspace took of each, and start gathering afresh."""
         manifest = self._load_manifest()
         manifest["config_hash"] = self.config.config_hash()
         manifest["stages"][stage] = {
             "config_hash": self.config.config_hash(),
-            "inputs": {p.name: self._digests.get(p) or _sha256(p) for p in sorted(inputs)},
-            "outputs": {p.name: self._digests[p] for p in sorted(outputs)},
+            "inputs": {p.name: digest for p, digest in sorted(self._inputs.items())},
+            "outputs": {p.name: digest for p, digest in sorted(self._outputs.items())},
         }
+        self._inputs, self._outputs = {}, {}
         text = json.dumps(manifest, sort_keys=True, indent=1) + "\n"
         _write_atomic(self.manifest_path, lambda tmp: Path(tmp).write_text(text))
 
-    def emit(self, filename: str, write) -> Path:
-        """Write one artifact atomically; `write(path)` fills the file."""
-        path = self.out / filename
-        _write_atomic(path, write)
-        self._hash(path)
+    def input(self, path: str) -> str:
+        """`path`, a file the run config names, recorded as read."""
+        self._inputs[Path(path)] = _sha256(Path(path))
         return path
 
-    def write(self, filename: str, records, writer) -> Path:
+    def emit(self, filename: str, write) -> str:
+        """Write one artifact atomically; `write(path)` fills the file.
+        Returns its sha256."""
+        path = self.out / filename
+        _write_atomic(path, write)
+        self._outputs[path] = digest = _sha256(path)
+        return digest
+
+    def write(self, filename: str, records, writer) -> None:
         """`writer(records, path)` writes the artifact atomically; the
         records are held for `read` under the sha256 of the bytes."""
         records = list(records)
-        path = self.emit(filename, lambda tmp: writer(records, tmp))
-        self._held[filename] = (self._digests[path], records)
-        return path
+        self._held[filename] = (self.emit(filename, lambda tmp: writer(records, tmp)), records)
 
-    def read(self, filename: str, produced_by: str, reader) -> list:
-        """The records of a verified artifact: those `write` held when
+    def read(self, filename: str, produced_by: str, reader):
+        """The records of an artifact that exists, was produced under this
+        config and has the hash its stage recorded: those `write` held when
         the file still has the bytes written, else `reader(path)`."""
-        path, digest = self._verified(filename, produced_by)
-        held = self._held.get(filename)
-        if held is not None and held[0] == digest:
-            return list(held[1])
-        return reader(str(path))
-
-    def require(self, filename: str, produced_by: str) -> Path:
-        return self._verified(filename, produced_by)[0]
-
-    def _verified(self, filename: str, produced_by: str) -> tuple[Path, str]:
-        """The path and sha256 of an artifact that exists, was produced
-        under this config and has the hash its stage recorded."""
         path = self.out / filename
         if not path.is_file():
             raise StageError(
@@ -226,13 +222,17 @@ class Workspace:
                 f"artifact {filename!r} is not recorded as an output of the "
                 f"{produced_by!r} stage in manifest.json; re-run {produced_by!r}"
             )
-        digest = self._hash(path)
+        digest = _sha256(path)
         if digest != recorded:
             raise StageError(
                 f"artifact {filename!r} has changed since the {produced_by!r} stage "
                 f"wrote it (sha256 differs from manifest.json); re-run {produced_by!r}"
             )
-        return path, digest
+        self._inputs[path] = digest
+        held = self._held.get(filename)
+        if held is not None and held[0] == digest:
+            return list(held[1])
+        return reader(str(path))
 
 
 def fit_model(
@@ -261,20 +261,31 @@ def extract_all(
     return predictions
 
 
-def stage_ingest(ws: Workspace) -> None:
-    cfg = ws.config
-    cfg.validate_paths()
+def ingest_corpora(paths) -> dict[str, list[Document]]:
+    """The documents of the structured, target and eval corpora of a
+    `RunConfig` or `BenchmarkPaths`, keyed on corpus name. A mention id
+    starts with its doc_id, so the two corpora of the graph may not share
+    one; the eval corpus never enters the graph."""
     tags = {"structured": "structured", "target": "target", "eval": "target"}
-    docs = {name: ingest_corpus(getattr(cfg, f"{name}_corpus"), tag) for name, tag in tags.items()}
-    # a mention id starts with its doc_id, so the two corpora of the graph
-    # may not share one; the eval corpus never enters the graph
+    docs = {
+        name: ingest_corpus(getattr(paths, f"{name}_corpus"), tag) for name, tag in tags.items()
+    }
     shared = {d.doc_id for d in docs["structured"]} & {d.doc_id for d in docs["target"]}
     if shared:
         raise StageError(
-            f"doc_id {min(shared)!r} is in both {cfg.structured_corpus} and {cfg.target_corpus}"
+            f"doc_id {min(shared)!r} is in both {paths.structured_corpus} "
+            f"and {paths.target_corpus}"
         )
-    outputs = [ws.write(f"documents_{name}.jsonl", docs[name], write_corpus) for name in tags]
-    ws.record_stage("ingest", [Path(getattr(cfg, f"{name}_corpus")) for name in tags], outputs)
+    return docs
+
+
+def stage_ingest(ws: Workspace) -> None:
+    cfg = ws.config
+    cfg.validate_paths()
+    for name, docs in ingest_corpora(cfg).items():
+        ws.input(getattr(cfg, f"{name}_corpus"))
+        ws.write(f"documents_{name}.jsonl", docs, write_corpus)
+    ws.record_stage("ingest")
 
 
 def _load_documents(ws: Workspace, filename: str, tag: str) -> list[Document]:
@@ -285,32 +296,20 @@ def stage_mentions(ws: Workspace) -> None:
     cfg = ws.config
     structured_docs = _load_documents(ws, "documents_structured.jsonl", "structured")
     target_docs = _load_documents(ws, "documents_target.jsonl", "target")
-    schema = load_schema(cfg.schema)
-    triples = load_triples(cfg.triples, schema)
-    seeds = load_concept_seeds(cfg.concept_seeds, schema)
+    schema = load_schema(ws.input(cfg.schema))
+    triples = load_triples(ws.input(cfg.triples), schema)
+    seeds = load_concept_seeds(ws.input(cfg.concept_seeds), schema)
 
     structured = corpus_mentions(structured_docs, cfg.features)
     target = corpus_mentions(target_docs, cfg.features)
     sets = build_mention_sets(structured, target, triples, seeds, schema, cfg.propagation)
 
     encoder = MentionEncoder()  # encodes each mention once for the six files
-    outputs = [
+    for name, filename in Workspace.MENTION_SET_FILES.items():
         ws.write(filename, sets.get(name), partial(write_labeled_mentions, encoder=encoder))
-        for name, filename in Workspace.MENTION_SET_FILES.items()
-    ]
     for pool, filename in zip((structured, target), Workspace.POOL_FILES):
-        outputs.append(ws.write(filename, pool, partial(write_mentions, encoder=encoder)))
-    ws.record_stage(
-        "mentions",
-        [
-            ws.out / "documents_structured.jsonl",
-            ws.out / "documents_target.jsonl",
-            Path(cfg.schema),
-            Path(cfg.triples),
-            Path(cfg.concept_seeds),
-        ],
-        outputs,
-    )
+        ws.write(filename, pool, partial(write_mentions, encoder=encoder))
+    ws.record_stage("mentions")
 
 
 def _load_sets(ws: Workspace) -> MentionSets:
@@ -327,10 +326,9 @@ def _load_pool(ws: Workspace) -> list[Mention]:
     return pool
 
 
-def _mention_artifacts(ws: Workspace) -> list[Path]:
-    """The files `_load_sets` and `_load_pool` read."""
-    names = [*Workspace.MENTION_SET_FILES.values(), *Workspace.POOL_FILES]
-    return [ws.out / name for name in names]
+def _load_gold(ws: Workspace) -> list[GoldAnnotation]:
+    schema = load_schema(ws.input(ws.config.schema))
+    return load_gold(ws.input(ws.config.gold), schema)
 
 
 def stage_propagate(ws: Workspace) -> None:
@@ -338,48 +336,36 @@ def stage_propagate(ws: Workspace) -> None:
     sets = _load_sets(ws)
     graph = build_graph(sets, VariantSpec.parse(cfg.variant))
     ranking = multirankwalk(graph, relation_seeds(graph, sets.Rs), cfg.propagation)
-
-    ranking_path = ws.emit("ranking.tsv", lambda path: write_ranking(ranking, path))
-    graph_path = ws.emit("graph.tsv", lambda path: write_graph_dump(graph, path))
-    ws.record_stage(
-        "propagate",
-        [ws.out / f for f in Workspace.MENTION_SET_FILES.values()],
-        [ranking_path, graph_path],
-    )
+    ws.emit("ranking.tsv", lambda path: write_ranking(ranking, path))
+    ws.emit("graph.tsv", lambda path: write_graph_dump(graph, path))
+    ws.record_stage("propagate")
 
 
 def stage_train(ws: Workspace) -> None:
     cfg = ws.config
-    ranking_path = ws.require("ranking.tsv", "propagate")
-    ranking = read_ranking(str(ranking_path))
+    ranking = ws.read("ranking.tsv", "propagate", read_ranking)
     model = fit_model(ranking, _load_sets(ws), _load_pool(ws), cfg.training, cfg.features)
-    model_path = ws.emit("model.json", lambda path: save_model(model, path))
-    ws.record_stage("train", [ranking_path, *_mention_artifacts(ws)], [model_path])
+    ws.emit("model.json", lambda path: save_model(model, path))
+    ws.record_stage("train")
 
 
 def stage_extract(ws: Workspace) -> None:
     cfg = ws.config
-    model_path = ws.require("model.json", "train")
+    model = ws.read("model.json", "train", load_model)
     docs = _load_documents(ws, "documents_eval.jsonl", "target")
-    predictions = extract_all(docs, load_model(str(model_path)), cfg.features)
-    pred_path = ws.emit("predictions.tsv", lambda path: write_predictions(predictions, path))
-    ws.record_stage("extract", [model_path, ws.out / "documents_eval.jsonl"], [pred_path])
+    predictions = extract_all(docs, model, cfg.features)
+    ws.emit("predictions.tsv", lambda path: write_predictions(predictions, path))
+    ws.record_stage("extract")
 
 
 def stage_eval(ws: Workspace) -> None:
-    cfg = ws.config
-    pred_path = ws.require("predictions.tsv", "extract")
-    schema = load_schema(cfg.schema)
-    gold = load_gold(cfg.gold, schema)
-    predictions = read_predictions(str(pred_path))
+    predictions = ws.read("predictions.tsv", "extract", read_predictions)
+    gold = _load_gold(ws)
     report = evaluate(predictions, gold)
     points = pr_curve(predictions, gold)
-
-    report_path = ws.emit("report.json", lambda path: write_report(report, path))
-    curve_path = ws.emit("pr_curve.csv", lambda path: write_pr_curve(points, path))
-    ws.record_stage(
-        "eval", [pred_path, Path(cfg.schema), Path(cfg.gold)], [report_path, curve_path]
-    )
+    ws.emit("report.json", lambda path: write_report(report, path))
+    ws.emit("pr_curve.csv", lambda path: write_pr_curve(points, path))
+    ws.record_stage("eval")
 
 
 def stage_sweep(ws: Workspace) -> None:
@@ -387,12 +373,11 @@ def stage_sweep(ws: Workspace) -> None:
     strategies; emits F1-vs-N rows for the configured variant. The CSV is
     written only after every cell has succeeded."""
     cfg = ws.config
-    ranking_path = ws.require("ranking.tsv", "propagate")
-    ranking = read_ranking(str(ranking_path))
+    ranking = ws.read("ranking.tsv", "propagate", read_ranking)
     sets = _load_sets(ws)
     pool = _load_pool(ws)
     eval_docs = _load_documents(ws, "documents_eval.jsonl", "target")
-    gold = load_gold(cfg.gold, load_schema(cfg.schema))
+    gold = _load_gold(ws)
     variant_name = VariantSpec.parse(cfg.variant).name
 
     rows = []
@@ -409,18 +394,8 @@ def stage_sweep(ws: Workspace) -> None:
             for strategy, n, p, r, f1 in rows:
                 fh.write(f"{variant_name},{strategy},{n},{p:.12g},{r:.12g},{f1:.12g}\n")
 
-    sweep_path = ws.emit("sweep.csv", write_sweep)
-    ws.record_stage(
-        "sweep",
-        [
-            ranking_path,
-            *_mention_artifacts(ws),
-            ws.out / "documents_eval.jsonl",
-            Path(cfg.schema),
-            Path(cfg.gold),
-        ],
-        [sweep_path],
-    )
+    ws.emit("sweep.csv", write_sweep)
+    ws.record_stage("sweep")
 
 
 STAGES = {

@@ -67,6 +67,9 @@ class PropagationConfig:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
         if self.max_iters < 1 or self.tolerance <= 0:
             raise ValueError("max_iters must be >=1 and tolerance > 0")
+        # 0 keeps only the seeds of each concept
+        if self.concept_top_k < 0:
+            raise ValueError(f"concept_top_k must be >= 0, got {self.concept_top_k}")
 
 
 @dataclass

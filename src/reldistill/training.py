@@ -33,8 +33,10 @@ class TrainConfig:
     calibration: str = "platt"  # platt | raw_margin
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        for key, low in (("n", 1), ("negatives", 0), ("rng_seed", 0), ("epochs", 1)):
+            value = getattr(self, key)
+            if value is not None and value < low:  # negatives None means n
+                raise ValueError(f"{key} must be >= {low}, got {value}")
         if self.strategy not in ("Both", "Target"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.calibration not in ("platt", "raw_margin"):
@@ -140,9 +142,6 @@ def sample_negatives(
         (m for m in pool if m.mention_id not in labeled_ids),
         key=lambda m: m.mention_id,
     )
-    # one id may appear under several corpora pools; dedup defensively
-    dedup = {m.mention_id: m for m in eligible}
-    eligible = [dedup[k] for k in sorted(dedup)]
     if len(eligible) < count:
         raise ValueError(
             f"need {count} negatives but only {len(eligible)} unlabeled mentions"

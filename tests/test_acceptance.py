@@ -362,28 +362,38 @@ def test_run_hands_on_records_equal_to_their_files(bench0_paths, tmp_path):
 
 def test_manifest_records_every_file_train_and_sweep_read(bench0_paths, bench0_run):
     manifest = json.loads((bench0_run / "manifest.json").read_text())
+
+    def artifacts(*names):
+        return {name: bench0_run / name for name in names}
+
+    def given(*keys):
+        paths = [Path(getattr(bench0_paths, key)) for key in keys]
+        return {path.name: path for path in paths}
+
+    sets = artifacts(
+        "mentions_Rs.jsonl", "mentions_Rt.jsonl", "mentions_Cs.jsonl", "mentions_Ct.jsonl"
+    )
     read = {
-        name: bench0_run / name
-        for name in (
-            "ranking.tsv", "mentions_Rs.jsonl", "mentions_Rt.jsonl",
-            "mentions_Cs.jsonl", "mentions_Ct.jsonl", "pool_structured.jsonl",
-            "pool_target.jsonl",
-        )
+        **artifacts("ranking.tsv", "pool_structured.jsonl", "pool_target.jsonl"), **sets
     }
-    gold, schema = Path(bench0_paths.gold), Path(bench0_paths.schema)
     expected = {
+        "ingest": given("structured_corpus", "target_corpus", "eval_corpus"),
+        "mentions": {
+            **artifacts("documents_structured.jsonl", "documents_target.jsonl"),
+            **given("schema", "triples", "concept_seeds"),
+        },
+        "propagate": sets,
         "train": read,
-        "sweep": {**read, "documents_eval.jsonl": bench0_run / "documents_eval.jsonl",
-                  gold.name: gold, schema.name: schema},
-        "eval": {"predictions.tsv": bench0_run / "predictions.tsv",
-                 gold.name: gold, schema.name: schema},
+        "extract": artifacts("model.json", "documents_eval.jsonl"),
+        "sweep": {**read, **artifacts("documents_eval.jsonl"), **given("gold", "schema")},
+        "eval": {**artifacts("predictions.tsv"), **given("gold", "schema")},
     }
     for stage, files in expected.items():
         inputs = manifest["stages"][stage]["inputs"]
         assert set(inputs) == set(files), stage
         for name, path in files.items():
             assert inputs[name] == hashlib.sha256(path.read_bytes()).hexdigest(), name
-    ok("manifest inputs of train, eval and sweep name and hash every file they read")
+    ok(f"manifest inputs of all {len(expected)} stages name and hash every file they read")
 
 
 def test_distillation_strategy_semantics(bench0):

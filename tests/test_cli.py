@@ -257,21 +257,34 @@ class TestErrors:
         assert named in err and "must be" in err
 
     @pytest.mark.parametrize(
-        "features, message",
+        "section, values, message",
         [
-            pytest.param({"window": -2}, "window must be >= 0, got -2", id="window"),
-            pytest.param({"affix_min": 0}, "affix_min must be >= 1, got 0", id="affix_min"),
-            pytest.param({"affix_max": -1}, "affix_max must be >= 0, got -1", id="affix_max"),
+            pytest.param("features", {"window": -2}, "window must be >= 0, got -2", id="window"),
+            pytest.param("features", {"affix_min": 0}, "affix_min must be >= 1, got 0", id="affix_min"),
+            pytest.param("features", {"affix_max": -1}, "affix_max must be >= 0, got -1", id="affix_max"),
+            pytest.param("training", {"epochs": 0}, "epochs must be >= 1, got 0", id="epochs-0"),
+            pytest.param("training", {"epochs": -3}, "epochs must be >= 1, got -3", id="epochs-neg"),
+            pytest.param("training", {"negatives": -2}, "negatives must be >= 0, got -2", id="negatives"),
+            pytest.param("training", {"rng_seed": -1}, "rng_seed must be >= 0, got -1", id="rng_seed"),
+            pytest.param(
+                "propagation", {"concept_top_k": -5}, "concept_top_k must be >= 0, got -5",
+                id="concept_top_k",
+            ),
         ],
     )
     def test_out_of_range_feature_config(
-        self, run_config_file, tmp_path, capsys, features, message
+        self, run_config_file, tmp_path, capsys, section, values, message
     ):
         cfg = json.loads(run_config_file.read_text())
-        cfg["features"] = features
+        cfg[section] = {**cfg.get(section, {}), **values}
+        cfg["variant"] = ["Rs", "Cs", "Rt", "Ct"]  # concept_top_k cuts Ct
         run_config_file.write_text(json.dumps(cfg))
         assert run(run_config_file, tmp_path / "out", "run") == 1
         assert message in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_1(self, run_config_file, tmp_path, capsys):
+        assert run(run_config_file, tmp_path / "out", "--seed", "-1", "run") == 1
+        assert "rng_seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_json_number_kinds_accepted(self, run_config_file):
         cfg = json.loads(run_config_file.read_text())

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,13 @@ class TestEnumeration:
     def test_ids_unique(self, structured_mentions, target_mentions):
         ids = [m.mention_id for m in structured_mentions + target_mentions]
         assert len(ids) == len(set(ids))
+
+    def test_shared_mention_id_is_refused(self, structured_docs):
+        # ingest refuses a repeated doc_id; a document list built by hand does not
+        doc = structured_docs[0]
+        first = min(m.mention_id for m in enumerate_mentions(doc, FeatureConfig()))
+        with pytest.raises(ValueError, match=f"^two mentions share mention_id '{re.escape(first)}'$"):
+            corpus_mentions([doc, doc], FeatureConfig())
 
 
 class TestDistantLabeling:

@@ -1,13 +1,17 @@
-"""The run-config codec against the README, and the hashing done by
-`Workspace` in an in-process run."""
+"""The run-config codec against the README, the hashing done by
+`Workspace` in an in-process run, and the corpus check that the stages
+and the benchmark harness share."""
 
 import json
 from collections import Counter
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
-from reldistill import pipeline
-from reldistill.pipeline import RunConfig
+import pytest
+
+from reldistill import benchmark, pipeline
+from reldistill.pipeline import RunConfig, StageError
+from reldistill.synthetic import generate_benchmark
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -59,3 +63,17 @@ def test_run_hashes_each_artifact_once_per_stage(run_config_file, tmp_path, monk
         got = Counter(p.name for s, p in hashed if s == stage and p.parent == out)
         recorded = [n for n in (*record["inputs"], *record["outputs"]) if (out / n).is_file()]
         assert got == Counter(recorded), stage
+
+
+def test_harness_refuses_a_doc_id_of_both_graph_corpora(tmp_path):
+    paths = generate_benchmark(str(tmp_path), seed=0, n_target=20, k_true=20, n_eval=5)
+    target = Path(paths.target_corpus)
+    text = target.read_text(encoding="utf-8")
+    assert '"doc_id": "t-drug000"' in text
+    assert '"doc_id": "s-drug000"' in Path(paths.structured_corpus).read_text(encoding="utf-8")
+    target.write_text(text.replace('"doc_id": "t-drug000"', '"doc_id": "s-drug000"'))
+    with pytest.raises(StageError) as err:
+        benchmark.prepare(paths)
+    assert str(err.value) == (
+        f"doc_id 's-drug000' is in both {paths.structured_corpus} and {paths.target_corpus}"
+    )
