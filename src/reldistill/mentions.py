@@ -40,8 +40,12 @@ def _surface(doc_tokens, span) -> str:
     return " ".join(t.surface for t in doc_tokens[span[0] : span[1]])
 
 
-def enumerate_mentions(doc: Document, config: FeatureConfig) -> list[Mention]:
-    """All coordinate lists plus NP chunks not inside any list."""
+def enumerate_mentions(
+    doc: Document, config: FeatureConfig, pairs: dict | None = None
+) -> list[Mention]:
+    """All coordinate lists plus NP chunks not inside any list. With a
+    `pairs` table, each (name, count) pair of `Mention.features` is the
+    table's tuple for that pair; pairs the table lacks are added."""
     out = []
     for sec_i, sec in enumerate(doc.sections):
         section_title = normalize(sec.title)
@@ -52,26 +56,32 @@ def enumerate_mentions(doc: Document, config: FeatureConfig) -> list[Mention]:
                 (cl, "list", cl.span, cl.item_spans)
                 for cl in sent.coordinate_lists
             ] + [(s, "singleton", s, (s,)) for s in sent.np_chunks if s not in in_list]
-            out += [
-                Mention(
-                    mention_id=f"{doc.doc_id}|s{sec_i}|t{sent_i}|{span[0]}-{span[1]}",
-                    doc_id=doc.doc_id,
-                    title_entity=doc.title_entity,
-                    section_title=section_title,
-                    kind=kind,
-                    item_surfaces=tuple(_surface(sent.tokens, s) for s in item_spans),
-                    features=tuple(sorted(extract_features(sent, target, config).items())),
-                    corpus_tag=doc.corpus_tag,
+            for target, kind, span, item_spans in targets:
+                items = sorted(extract_features(sent, target, config).items())
+                if pairs is not None:
+                    items = map(pairs.setdefault, items, items)
+                out.append(
+                    Mention(
+                        mention_id=f"{doc.doc_id}|s{sec_i}|t{sent_i}|{span[0]}-{span[1]}",
+                        doc_id=doc.doc_id,
+                        title_entity=doc.title_entity,
+                        section_title=section_title,
+                        kind=kind,
+                        item_surfaces=tuple(_surface(sent.tokens, s) for s in item_spans),
+                        features=tuple(items),
+                        corpus_tag=doc.corpus_tag,
+                    )
                 )
-                for target, kind, span, item_spans in targets
-            ]
     return out
 
 
 def corpus_mentions(docs: list[Document], config: FeatureConfig) -> list[Mention]:
     """The mentions of `docs` sorted by id. Every structure downstream is
-    keyed on `mention_id`, so two mentions may not share one."""
-    out = [m for doc in docs for m in enumerate_mentions(doc, config)]
+    keyed on `mention_id`, so two mentions may not share one. Equal
+    (name, count) feature pairs are one tuple across the mentions: a
+    corpus has far fewer distinct pairs than its mentions hold."""
+    pairs: dict = {}
+    out = [m for doc in docs for m in enumerate_mentions(doc, config, pairs)]
     out.sort(key=lambda m: m.mention_id)
     for a, b in zip(out, out[1:]):
         if a.mention_id == b.mention_id:
@@ -203,7 +213,12 @@ def mention_to_dict(m: Mention) -> dict:
     }
 
 
-def mention_from_dict(obj: dict) -> Mention:
+def mention_from_dict(obj: dict, pairs: dict | None = None) -> Mention:
+    """The mention of `obj`; with a `pairs` table its feature pairs are
+    shared as in `enumerate_mentions`."""
+    items = sorted(obj["features"].items())
+    if pairs is not None:
+        items = map(pairs.setdefault, items, items)
     return Mention(
         mention_id=obj["mention_id"],
         doc_id=obj["doc_id"],
@@ -211,7 +226,7 @@ def mention_from_dict(obj: dict) -> Mention:
         section_title=obj["section"],
         kind=obj["kind"],
         item_surfaces=tuple(obj["surfaces"]),
-        features=tuple(sorted(obj["features"].items())),
+        features=tuple(items),
         corpus_tag=obj["corpus_tag"],
     )
 
@@ -220,23 +235,40 @@ def labeled_mention_to_dict(lm: LabeledMention) -> dict:
     return {**mention_to_dict(lm.mention), "label": lm.label, "source_set": lm.source_set}
 
 
-def labeled_mention_from_dict(obj: dict) -> LabeledMention:
-    return LabeledMention(mention_from_dict(obj), obj["label"], obj["source_set"])
+def labeled_mention_from_dict(obj: dict, pairs: dict | None = None) -> LabeledMention:
+    return LabeledMention(mention_from_dict(obj, pairs), obj["label"], obj["source_set"])
+
+
+class _PairText(dict):
+    """(name, count) -> its JSON text `"name": count`, made on first lookup."""
+
+    def __missing__(self, pair: tuple[str, int]) -> str:
+        text = self[pair] = f"{_str(pair[0])}: {pair[1]}"
+        return text
 
 
 class MentionEncoder:
     """Lines equal to `json.dumps(mention_to_dict(m), sort_keys=True)` and its
     labeled form, spliced from three fragments per mention object, cut where
-    `label` and `source_set` go. `Mention.features` must be sorted, names unique."""
+    `label` and `source_set` go. `Mention.features` must be sorted, names unique.
+
+    Two memos live as long as the encoder, which is one stage's:
+    - the fragments, keyed on the mention object and not on `mention_id`.
+      The mention stage never hands it two mentions with one id, but the
+      writers accept any lists, and a structured and a target mention that
+      share an id differ in `corpus_tag`, so each must keep its own lines.
+    - the text of each distinct (name, count) feature pair, so a pair that
+      thousands of mentions hold is encoded once."""
 
     def __init__(self):
         self._parts: dict[int, tuple[Mention, str, str, str]] = {}
+        self._pair_text = _PairText()
 
     def _fragments(self, m: Mention) -> tuple[Mention, str, str, str]:
         # an entry holds its mention, so no other live object can have that id
         parts = self._parts.get(id(m))
         if parts is None or parts[0] is not m:
-            features = ", ".join([f"{_str(f)}: {c}" for f, c in m.features])
+            features = ", ".join(map(self._pair_text.__getitem__, m.features))
             parts = self._parts[id(m)] = (
                 m,
                 f'{{"corpus_tag": {_str(m.corpus_tag)}, "doc_id": {_str(m.doc_id)}, '
@@ -262,7 +294,8 @@ def write_mentions(mentions: list[Mention], path: str, encoder: MentionEncoder) 
 
 
 def read_mentions(path: str) -> list[Mention]:
-    return [mention_from_dict(obj) for _, obj in jsonl_lines(path, ValueError)]
+    pairs: dict = {}  # one tuple per distinct feature pair of the file
+    return [mention_from_dict(obj, pairs) for _, obj in jsonl_lines(path, ValueError)]
 
 
 def write_labeled_mentions(
@@ -273,4 +306,5 @@ def write_labeled_mentions(
 
 
 def read_labeled_mentions(path: str) -> list[LabeledMention]:
-    return [labeled_mention_from_dict(obj) for _, obj in jsonl_lines(path, ValueError)]
+    pairs: dict = {}  # one tuple per distinct feature pair of the file
+    return [labeled_mention_from_dict(obj, pairs) for _, obj in jsonl_lines(path, ValueError)]

@@ -96,9 +96,14 @@ class RunConfig:
     sweep_n: list[int] = field(default_factory=lambda: [5, 10, 20])
 
     def __post_init__(self):
-        if not all(n > 0 for n in self.sweep_n):
+        if not all(n > 0 for n in self.sweep_n) or len(set(self.sweep_n)) < len(self.sweep_n):
             raise StageError(
-                f"run config: 'sweep_n' must be a list of positive integers, got {self.sweep_n!r}"
+                "run config: 'sweep_n' must be a list of distinct positive integers, "
+                f"got {self.sweep_n!r}"
+            )
+        if len(set(self.variant)) < len(self.variant):
+            raise StageError(
+                f"run config: 'variant' must be a list of distinct set names, got {self.variant!r}"
             )
 
     @classmethod

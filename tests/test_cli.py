@@ -240,6 +240,10 @@ class TestErrors:
             pytest.param({"variant": ["Rs", 1]}, "'variant'", id="variant-int-item"),
             pytest.param({"sweep_n": [5, 0]}, "'sweep_n'", id="sweep_n-zero"),
             pytest.param({"sweep_n": [5, True]}, "'sweep_n'", id="sweep_n-bool"),
+            # a repeated N fits every cell and writes every row twice
+            pytest.param({"sweep_n": [3, 3]}, "'sweep_n'", id="sweep_n-repeated"),
+            # a repeated set name would run as RsRt under a config hash of its own
+            pytest.param({"variant": ["Rs", "Rs", "Rt"]}, "'variant'", id="variant-repeated"),
             pytest.param({"schema": 3}, "'schema'", id="path-int"),
             # json writes and reads Infinity and NaN
             pytest.param({"training": {"reg_lambda": float("inf")}},

@@ -1,9 +1,11 @@
-"""The array kernels of `training`, `propagation` and `evaluation`, and
-the per-mention feature and scoring kernels of the read path, against
-the per-element loops they replaced, kept here as oracles.
+"""The array kernels of `training`, `propagation` and `evaluation`, the
+per-mention feature and scoring kernels of the read path, and the mention
+list whose feature pairs are shared, against the per-element loops and
+unshared lists they replaced, kept here as oracles.
 Every artifact depends on these kernels, so each must agree with its
 oracle bit for bit, not just to a tolerance."""
 
+import json
 import math
 from collections import Counter
 
@@ -13,15 +15,29 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings, strategies as st
 
 from reldistill import training
-from reldistill.corpus import CoordinateList, Sentence, Token
+from reldistill.corpus import CoordinateList, Document, Section, Sentence, Token
 from reldistill.evaluation import GoldAnnotation, Prediction, pr_curve
 from reldistill.features import (
     FeatureConfig,
     FeatureFilter,
+    Mention,
     _closest_ancestor_verb,
     extract_features,
     feature_matrix,
 )
+from reldistill.mentions import (
+    LabeledMention,
+    MentionEncoder,
+    corpus_mentions,
+    enumerate_mentions,
+    labeled_mention_to_dict,
+    mention_to_dict,
+    read_labeled_mentions,
+    read_mentions,
+    write_labeled_mentions,
+    write_mentions,
+)
+from reldistill.norm import normalize
 from reldistill.propagation import (
     BipartiteGraph,
     PropagationConfig,
@@ -235,6 +251,35 @@ def extract_features_loop_oracle(sentence, target, config):
     return dict(feats)
 
 
+def enumerate_mentions_unshared_oracle(doc, config):
+    """Every mention with feature pairs of its own."""
+    out = []
+    for sec_i, sec in enumerate(doc.sections):
+        section_title = normalize(sec.title)
+        for sent_i, sent in enumerate(sec.sentences):
+            in_list = {s for cl in sent.coordinate_lists for s in cl.item_spans}
+            targets = [
+                (cl, "list", cl.span, cl.item_spans)
+                for cl in sent.coordinate_lists
+            ] + [(s, "singleton", s, (s,)) for s in sent.np_chunks if s not in in_list]
+            out += [
+                Mention(
+                    mention_id=f"{doc.doc_id}|s{sec_i}|t{sent_i}|{span[0]}-{span[1]}",
+                    doc_id=doc.doc_id,
+                    title_entity=doc.title_entity,
+                    section_title=section_title,
+                    kind=kind,
+                    item_surfaces=tuple(
+                        " ".join(t.surface for t in sent.tokens[s:e]) for s, e in item_spans
+                    ),
+                    features=tuple(sorted(extract_features(sent, target, config).items())),
+                    corpus_tag=doc.corpus_tag,
+                )
+                for target, kind, span, item_spans in targets
+            ]
+    return out
+
+
 def classify_scored_loop_oracle(model, mention):
     counts = mention.feature_counts()
     best_label, best_score = "other", 0.0
@@ -381,6 +426,39 @@ def feature_targets(draw):
         dependency_features=draw(st.booleans()),
     )
     return Sentence(tokens), target, config
+
+
+@st.composite
+def feature_corpora(draw):
+    """Documents of sentences drawn by `feature_targets`, each holding its
+    target as a chunk or a list and up to three more chunks, under the
+    first draw's feature config. The small vocabulary makes equal pairs
+    recur across mentions; mention ids are unique, as ingest makes them."""
+    cases = draw(st.lists(feature_targets(), min_size=1, max_size=8))
+    sentences = []
+    for sentence, target, _ in cases:
+        n = len(sentence.tokens)
+        spans = st.tuples(st.integers(0, n - 1), st.integers(1, n)).filter(lambda se: se[0] < se[1])
+        if isinstance(target, CoordinateList):
+            lists, chunks = [target], list(target.item_spans)
+            taken = {target.span, *target.item_spans}
+        else:
+            lists, chunks, taken = [], [target], {target}
+        chunks += [s for s in dict.fromkeys(draw(st.lists(spans, max_size=3))) if s not in taken]
+        sentences.append(Sentence(sentence.tokens, chunks, lists))
+    sections, start = [], 0
+    while start < len(sentences):
+        k = draw(st.integers(1, 3))
+        title = draw(st.sampled_from(["Uses", "side  Effects", ""]))
+        sections.append(Section(title, sentences[start : start + k]))
+        start += k
+    docs = []
+    while sections:
+        k = draw(st.integers(1, 2))
+        tag = draw(st.sampled_from(["structured", "target"]))
+        docs.append(Document(f"d{len(docs)}", "drugx", sections[:k], tag))
+        sections = sections[k:]
+    return docs, cases[0][2]
 
 
 @st.composite
@@ -635,6 +713,52 @@ def test_extract_features_matches_counter_loop(case):
     assert extract_features(sentence, target, config) == extract_features_loop_oracle(
         sentence, target, config
     )
+
+
+@given(feature_corpora())
+@settings(max_examples=200, deadline=None)
+def test_shared_pairs_give_the_unshared_mentions_and_lines(tmp_path_factory, corpus):
+    docs, config = corpus
+    want = [m for doc in docs for m in enumerate_mentions_unshared_oracle(doc, config)]
+    for doc in docs:  # the read path's call, without a table
+        assert enumerate_mentions(doc, config) == enumerate_mentions_unshared_oracle(doc, config)
+    want.sort(key=lambda m: m.mention_id)
+    got = corpus_mentions(docs, config)
+    assert got == want
+
+    encoder = MentionEncoder()
+    lms = [LabeledMention(m, "usedToTreat", "Rt") for m in got]
+    for lm, m in zip(lms, want):
+        assert encoder.line(lm.mention) == json.dumps(mention_to_dict(m), sort_keys=True) + "\n"
+        assert encoder.labeled_line(lm) == json.dumps(
+            labeled_mention_to_dict(LabeledMention(m, lm.label, lm.source_set)), sort_keys=True
+        ) + "\n"
+    path = tmp_path_factory.mktemp("pool") / "pool.jsonl"
+    write_mentions(got, str(path), encoder)
+    assert read_mentions(str(path)) == want
+
+
+def assert_equal_pairs_are_one_tuple(mentions):
+    pairs = [p for m in mentions for p in m.features]
+    first = {}
+    for p in pairs:
+        assert first.setdefault(p, p) is p
+    assert len(first) < len(pairs)  # some pair recurs
+
+
+def test_equal_pairs_are_one_tuple_within_a_build_and_a_read(
+    tmp_path, structured_docs, target_docs
+):
+    encoder = MentionEncoder()
+    for docs in (structured_docs, target_docs):
+        mentions = corpus_mentions(docs, FeatureConfig())
+        assert_equal_pairs_are_one_tuple(mentions)
+        write_mentions(mentions, str(tmp_path / "pool.jsonl"), encoder)
+        assert_equal_pairs_are_one_tuple(read_mentions(str(tmp_path / "pool.jsonl")))
+        lms = [LabeledMention(m, "Symptom", "Ct") for m in mentions]
+        write_labeled_mentions(lms, str(tmp_path / "set.jsonl"), encoder)
+        read = read_labeled_mentions(str(tmp_path / "set.jsonl"))
+        assert_equal_pairs_are_one_tuple([lm.mention for lm in read])
 
 
 def raw(relations):
