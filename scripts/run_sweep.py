@@ -13,6 +13,7 @@ import tempfile
 from pathlib import Path
 
 from reldistill import benchmark
+from reldistill.evaluation import BASELINES
 from reldistill.propagation import LEGAL_VARIANTS, VariantSpec
 from reldistill.synthetic import generate_benchmark
 from reldistill.training import TrainConfig
@@ -49,7 +50,7 @@ def main() -> None:
                     print(f"{name:8s} {strategy:6s} n={n:<3d} "
                           f"P={m.precision:.3f} R={m.recall:.3f} F1={m.f1:.3f}")
 
-        for kind in ("DS_Struct", "DS_Target", "DS_Both"):
+        for kind in BASELINES:
             report = benchmark.baseline_report(art, kind, base)
             m = report.micro
             rows.append((kind, "-", 0, m.precision, m.recall, m.f1))

@@ -55,7 +55,7 @@ def prepare(paths: BenchmarkPaths) -> BenchmarkArtifacts:
         schema=schema,
         sets=sets,
         pool=structured + target,
-        labeled_ids={lm.mention.mention_id for lm in sets.Rs + sets.Rt},
+        labeled_ids=sets.labeled_ids(),
         eval_docs=docs["eval"],
         gold=load_gold(paths.gold, schema),
         feature_config=feature_config,

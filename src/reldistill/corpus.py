@@ -74,6 +74,12 @@ class Sentence:
     np_chunks: list[tuple[int, int]] = field(default_factory=list)
     coordinate_lists: list[CoordinateList] = field(default_factory=list)
 
+    def mention_targets(self) -> list[tuple]:
+        """(feature target, kind, span, item spans) of each list, then each chunk in no list."""
+        in_list = {s for cl in self.coordinate_lists for s in cl.item_spans}
+        lists = [(cl, "list", cl.span, cl.item_spans) for cl in self.coordinate_lists]
+        return lists + [(s, "singleton", s, (s,)) for s in self.np_chunks if s not in in_list]
+
 
 @dataclass
 class Section:
@@ -249,12 +255,9 @@ def _parse_sentence(obj: dict, line_no: int) -> Sentence:
             else:
                 head = items[-1]
             sent.coordinate_lists.append(CoordinateList(items, head))
-        # each list and each chunk in no list is a mention whose id ends in
-        # its span; the chunks are distinct already
-        in_list = {s for cl in sent.coordinate_lists for s in cl.item_spans}
-        spans = set(chunks) - in_list
-        for cl in sent.coordinate_lists:
-            s, e = cl.span
+        # a mention's id ends in its span, so no two mentions may share one
+        spans = set()
+        for _, _, (s, e), _ in sent.mention_targets():
             if (s, e) in spans:
                 raise CorpusFormatError(f"line {line_no}: duplicate mention span ({s},{e})")
             spans.add((s, e))

@@ -6,13 +6,13 @@ baselines (no propagation step).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .corpus import Document
 from .decode import tsv_rows
 from .features import FeatureConfig, Mention
 from .kb import RelationSchema
-from .mentions import LabeledMention, MentionSets, enumerate_mentions
+from .mentions import MentionSets, enumerate_mentions
 from .norm import normalize
 from .training import LinearModel, TrainConfig, build_training_set, classify_scored, train
 
@@ -176,7 +176,8 @@ def ranking_metrics(
     return rr_sum / n, ap_sum / n, rec_sum / n
 
 
-BASELINE_KINDS = ("DS_Struct", "DS_Target", "DS_Both")
+# baseline -> the distantly labeled sets it trains on
+BASELINES = {"DS_Struct": ("Rs",), "DS_Target": ("Rt",), "DS_Both": ("Rs", "Rt")}
 
 
 def run_baseline(
@@ -188,21 +189,15 @@ def run_baseline(
     feature_config: FeatureConfig,
     schema: RelationSchema,
 ) -> LinearModel:
-    """Train directly on the distantly labeled sets, skipping propagation:
-    Rs (DS_Struct), Rt (DS_Target), or Rs u Rt (DS_Both). Every relation of
-    `schema` needs a labeled mention."""
-    if kind not in BASELINE_KINDS:
+    """Train directly on the distantly labeled sets `BASELINES[kind]`,
+    skipping propagation. Every relation of `schema` needs a labeled
+    mention."""
+    if kind not in BASELINES:
         raise ValueError(f"unknown baseline {kind!r}")
-    if kind == "DS_Struct":
-        labeled: list[LabeledMention] = list(sets.Rs)
-    elif kind == "DS_Target":
-        labeled = list(sets.Rt)
-    else:
-        labeled = list(sets.Rs) + list(sets.Rt)
-
     positives: dict[str, dict[str, Mention]] = {}
-    for lm in labeled:
-        positives.setdefault(lm.label, {})[lm.mention.mention_id] = lm.mention
+    for name in BASELINES[kind]:
+        for lm in sets.get(name):
+            positives.setdefault(lm.label, {})[lm.mention.mention_id] = lm.mention
     if not positives:
         raise ValueError(f"{kind}: no labeled mentions at all")
     for relation in schema.relation_names():

@@ -15,6 +15,11 @@ class SchemaError(ValueError):
     pass
 
 
+def _is_noise(surface: str) -> bool:
+    """Whether a KB object or seed instance is dropped as noise."""
+    return len(surface) > MAX_SURFACE_LEN or "," in surface
+
+
 @dataclass(frozen=True)
 class RelationDef:
     name: str
@@ -87,11 +92,8 @@ def load_schema(path: str) -> RelationSchema:
 
 
 def load_triples(path: str, schema: RelationSchema) -> list[Triple]:
-    """Load TSV triples; normalized, deduplicated, noise-filtered.
-
-    Objects longer than `MAX_SURFACE_LEN` characters or containing a
-    comma are dropped (KB noise heuristics).
-    """
+    """Load TSV triples; normalized, deduplicated, and without the
+    triples whose object `_is_noise`."""
     out: list[Triple] = []
     seen = set()
     for line_no, (rel, subj, obj) in tsv_rows(path, 3, SchemaError):
@@ -100,7 +102,7 @@ def load_triples(path: str, schema: RelationSchema) -> list[Triple]:
         subj, obj = normalize(subj), normalize(obj)
         if not subj or not obj:
             raise SchemaError(f"line {line_no}: empty subject or object")
-        if len(obj) > MAX_SURFACE_LEN or "," in obj:
+        if _is_noise(obj):
             continue
         t = Triple(rel, subj, obj)
         if t not in seen:
@@ -110,8 +112,8 @@ def load_triples(path: str, schema: RelationSchema) -> list[Triple]:
 
 
 def load_concept_seeds(path: str, schema: RelationSchema) -> list[ConceptSeed]:
-    """Load TSV concept seeds; normalized, deduplicated, and noise-filtered
-    as `load_triples` filters objects."""
+    """Load TSV concept seeds; normalized, deduplicated, and without the
+    seeds whose instance `_is_noise`."""
     out: list[ConceptSeed] = []
     seen = set()
     known = set(schema.concepts)
@@ -121,7 +123,7 @@ def load_concept_seeds(path: str, schema: RelationSchema) -> list[ConceptSeed]:
         instance = normalize(instance)
         if not instance:
             raise SchemaError(f"line {line_no}: empty instance")
-        if len(instance) > MAX_SURFACE_LEN or "," in instance:
+        if _is_noise(instance):
             continue
         s = ConceptSeed(concept, instance)
         if s not in seen:

@@ -17,12 +17,15 @@ from .features import FeatureConfig, Mention, extract_features
 from .kb import ConceptSeed, RelationSchema, Triple
 from .norm import normalize
 
+# the four labeled sets, in the order a graph variant's name spells them
+SET_NAMES = ("Rs", "Cs", "Rt", "Ct")
+
 
 @dataclass(frozen=True)
 class LabeledMention:
     mention: Mention
     label: str
-    source_set: str  # Rs | Rt | Cs | Ct
+    source_set: str  # one of SET_NAMES
 
 
 @dataclass
@@ -34,6 +37,19 @@ class MentionSets:
 
     def get(self, name: str) -> list[LabeledMention]:
         return getattr(self, name)
+
+    def by_id(self, names) -> dict[str, Mention]:
+        """mention_id -> mention of the sets `names`, the first in `SET_NAMES` order."""
+        out: dict[str, Mention] = {}
+        for name in SET_NAMES:
+            if name in names:
+                for lm in self.get(name):
+                    out.setdefault(lm.mention.mention_id, lm.mention)
+        return out
+
+    def labeled_ids(self) -> set[str]:
+        """Ids of the relation-labeled mentions (Rs, Rt): never sampled as negatives."""
+        return {lm.mention.mention_id for lm in self.Rs + self.Rt}
 
 
 def _surface(doc_tokens, span) -> str:
@@ -50,13 +66,7 @@ def enumerate_mentions(
     for sec_i, sec in enumerate(doc.sections):
         section_title = normalize(sec.title)
         for sent_i, sent in enumerate(sec.sentences):
-            in_list = {s for cl in sent.coordinate_lists for s in cl.item_spans}
-            # (feature target, kind, mention span, item spans)
-            targets = [
-                (cl, "list", cl.span, cl.item_spans)
-                for cl in sent.coordinate_lists
-            ] + [(s, "singleton", s, (s,)) for s in sent.np_chunks if s not in in_list]
-            for target, kind, span, item_spans in targets:
+            for target, kind, span, item_spans in sent.mention_targets():
                 items = sorted(extract_features(sent, target, config).items())
                 if pairs is not None:
                     items = map(pairs.setdefault, items, items)

@@ -6,11 +6,12 @@ whose sha256 is not the one its producing stage recorded. Every artifact
 is written through a temp file and `os.replace`, so a failed write
 leaves the previous file whole.
 
-The `Workspace` records what a stage did: each artifact it verified or
-wrote and each run-config file handed to `input`. It also holds the
-records it wrote for the documents, mention sets and pools; a later
-stage on the same workspace whose verified file hash equals the held one
-takes those records instead of decoding the file.
+The `Workspace` records what a stage did once it completes: each
+artifact it verified or wrote and each run-config file handed to
+`input`. It also holds the records it wrote for the documents, mention
+sets and pools; a later stage on the same workspace whose verified file
+hash equals the held one takes those records instead of decoding the
+file.
 
 `ingest_corpora`, `fit_model` and `extract_all` are the in-process core
 of the method (ingest, distill, train, extract). They write nothing; the
@@ -23,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -44,6 +46,7 @@ from .evaluation import (
 from .features import FeatureConfig, Mention
 from .kb import load_concept_seeds, load_schema, load_triples
 from .mentions import (
+    SET_NAMES,
     MentionEncoder,
     MentionSets,
     build_mention_sets,
@@ -54,6 +57,7 @@ from .mentions import (
     write_mentions,
 )
 from .propagation import (
+    LEGAL_VARIANTS,
     PropagationConfig,
     RankedLabeling,
     VariantSpec,
@@ -79,6 +83,12 @@ class StageError(ValueError):
     """Missing upstream artifact or config mismatch between stages."""
 
 
+# corpus name -> the corpus_tag of its documents; the eval corpus is
+# held-out target text, and the other two build the graph
+CORPUS_TAGS = {"structured": "structured", "target": "target", "eval": "target"}
+_GRAPH_CORPORA = ("structured", "target")
+
+
 @dataclass
 class RunConfig:
     # the input paths: every field without a default
@@ -101,9 +111,11 @@ class RunConfig:
                 "run config: 'sweep_n' must be a list of distinct positive integers, "
                 f"got {self.sweep_n!r}"
             )
-        if len(set(self.variant)) < len(self.variant):
+        variant = frozenset(self.variant)
+        if len(variant) < len(self.variant) or variant not in LEGAL_VARIANTS:
             raise StageError(
-                f"run config: 'variant' must be a list of distinct set names, got {self.variant!r}"
+                "run config: 'variant' must be a list of distinct set names, Rs plus "
+                f"at least one of {', '.join(SET_NAMES[1:])}, got {self.variant!r}"
             )
 
     @classmethod
@@ -118,7 +130,6 @@ class RunConfig:
         for name in (f.name for f in fields(self) if required(f)):
             if not Path(getattr(self, name)).is_file():
                 raise StageError(f"config path {name} does not exist: {getattr(self, name)}")
-        VariantSpec.parse(self.variant)
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -145,17 +156,11 @@ def _write_atomic(path: Path, write) -> None:
 
 class Workspace:
     """Output directory plus the provenance manifest, the files the
-    running stage read and wrote with their sha256 (a stage that raises
-    leaves them: go on with a new workspace), and the records written
-    with `write`, keyed on filename with the sha256 of the bytes."""
+    running stage read and wrote with their sha256, and the records
+    written with `write`, keyed on filename with the sha256 of the bytes."""
 
-    MENTION_SET_FILES = {
-        "Rs": "mentions_Rs.jsonl",
-        "Rt": "mentions_Rt.jsonl",
-        "Cs": "mentions_Cs.jsonl",
-        "Ct": "mentions_Ct.jsonl",
-    }
-    POOL_FILES = ("pool_structured.jsonl", "pool_target.jsonl")
+    MENTION_SET_FILES = {name: f"mentions_{name}.jsonl" for name in SET_NAMES}
+    POOL_FILES = tuple(f"pool_{name}.jsonl" for name in _GRAPH_CORPORA)
 
     def __init__(self, out_dir: str, config: RunConfig):
         self.out = Path(out_dir)
@@ -172,9 +177,13 @@ class Workspace:
             return json.loads(self.manifest_path.read_text())
         return {"config_hash": self.config.config_hash(), "stages": {}}
 
-    def record_stage(self, stage: str) -> None:
-        """Record the files the stage read and wrote, with the sha256
-        this workspace took of each, and start gathering afresh."""
+    @contextmanager
+    def stage(self, stage: str):
+        """Gather the files the body reads and writes, then record them as
+        `stage`'s with the sha256 taken of each; a body that raises records
+        nothing, and the next stage starts from no files."""
+        self._inputs, self._outputs = {}, {}
+        yield
         manifest = self._load_manifest()
         manifest["config_hash"] = self.config.config_hash()
         manifest["stages"][stage] = {
@@ -182,7 +191,6 @@ class Workspace:
             "inputs": {p.name: digest for p, digest in sorted(self._inputs.items())},
             "outputs": {p.name: digest for p, digest in sorted(self._outputs.items())},
         }
-        self._inputs, self._outputs = {}, {}
         text = json.dumps(manifest, sort_keys=True, indent=1) + "\n"
         _write_atomic(self.manifest_path, lambda tmp: Path(tmp).write_text(text))
 
@@ -250,9 +258,8 @@ def fit_model(
     """Distill the top-N positives from a propagation ranking, sample
     negatives from the mentions no Rs/Rt label touches, and train."""
     positives, shortfalls = distill(ranking, sets, train_config)
-    labeled_ids = {lm.mention.mention_id for lm in sets.Rs + sets.Rt}
     training_set = build_training_set(
-        positives, pool, labeled_ids, train_config, shortfalls
+        positives, pool, sets.labeled_ids(), train_config, shortfalls
     )
     return train(training_set, train_config, feature_config)
 
@@ -271,9 +278,9 @@ def ingest_corpora(paths) -> dict[str, list[Document]]:
     `RunConfig` or `BenchmarkPaths`, keyed on corpus name. A mention id
     starts with its doc_id, so the two corpora of the graph may not share
     one; the eval corpus never enters the graph."""
-    tags = {"structured": "structured", "target": "target", "eval": "target"}
     docs = {
-        name: ingest_corpus(getattr(paths, f"{name}_corpus"), tag) for name, tag in tags.items()
+        name: ingest_corpus(getattr(paths, f"{name}_corpus"), tag)
+        for name, tag in CORPUS_TAGS.items()
     }
     shared = {d.doc_id for d in docs["structured"]} & {d.doc_id for d in docs["target"]}
     if shared:
@@ -286,35 +293,36 @@ def ingest_corpora(paths) -> dict[str, list[Document]]:
 
 def stage_ingest(ws: Workspace) -> None:
     cfg = ws.config
-    cfg.validate_paths()
-    for name, docs in ingest_corpora(cfg).items():
-        ws.input(getattr(cfg, f"{name}_corpus"))
-        ws.write(f"documents_{name}.jsonl", docs, write_corpus)
-    ws.record_stage("ingest")
+    with ws.stage("ingest"):
+        cfg.validate_paths()
+        for name, docs in ingest_corpora(cfg).items():
+            ws.input(getattr(cfg, f"{name}_corpus"))
+            ws.write(f"documents_{name}.jsonl", docs, write_corpus)
 
 
-def _load_documents(ws: Workspace, filename: str, tag: str) -> list[Document]:
-    return ws.read(filename, "ingest", lambda path: ingest_corpus(path, tag))
+def _load_documents(ws: Workspace, name: str) -> list[Document]:
+    return ws.read(
+        f"documents_{name}.jsonl", "ingest", lambda path: ingest_corpus(path, CORPUS_TAGS[name])
+    )
 
 
 def stage_mentions(ws: Workspace) -> None:
     cfg = ws.config
-    structured_docs = _load_documents(ws, "documents_structured.jsonl", "structured")
-    target_docs = _load_documents(ws, "documents_target.jsonl", "target")
-    schema = load_schema(ws.input(cfg.schema))
-    triples = load_triples(ws.input(cfg.triples), schema)
-    seeds = load_concept_seeds(ws.input(cfg.concept_seeds), schema)
+    with ws.stage("mentions"):
+        structured_docs, target_docs = (_load_documents(ws, name) for name in _GRAPH_CORPORA)
+        schema = load_schema(ws.input(cfg.schema))
+        triples = load_triples(ws.input(cfg.triples), schema)
+        seeds = load_concept_seeds(ws.input(cfg.concept_seeds), schema)
 
-    structured = corpus_mentions(structured_docs, cfg.features)
-    target = corpus_mentions(target_docs, cfg.features)
-    sets = build_mention_sets(structured, target, triples, seeds, schema, cfg.propagation)
+        structured = corpus_mentions(structured_docs, cfg.features)
+        target = corpus_mentions(target_docs, cfg.features)
+        sets = build_mention_sets(structured, target, triples, seeds, schema, cfg.propagation)
 
-    encoder = MentionEncoder()  # encodes each mention once for the six files
-    for name, filename in Workspace.MENTION_SET_FILES.items():
-        ws.write(filename, sets.get(name), partial(write_labeled_mentions, encoder=encoder))
-    for pool, filename in zip((structured, target), Workspace.POOL_FILES):
-        ws.write(filename, pool, partial(write_mentions, encoder=encoder))
-    ws.record_stage("mentions")
+        encoder = MentionEncoder()  # encodes each mention once for the six files
+        for name, filename in Workspace.MENTION_SET_FILES.items():
+            ws.write(filename, sets.get(name), partial(write_labeled_mentions, encoder=encoder))
+        for pool, filename in zip((structured, target), Workspace.POOL_FILES):
+            ws.write(filename, pool, partial(write_mentions, encoder=encoder))
 
 
 def _load_sets(ws: Workspace) -> MentionSets:
@@ -338,39 +346,38 @@ def _load_gold(ws: Workspace) -> list[GoldAnnotation]:
 
 def stage_propagate(ws: Workspace) -> None:
     cfg = ws.config
-    sets = _load_sets(ws)
-    graph = build_graph(sets, VariantSpec.parse(cfg.variant))
-    ranking = multirankwalk(graph, relation_seeds(graph, sets.Rs), cfg.propagation)
-    ws.emit("ranking.tsv", lambda path: write_ranking(ranking, path))
-    ws.emit("graph.tsv", lambda path: write_graph_dump(graph, path))
-    ws.record_stage("propagate")
+    with ws.stage("propagate"):
+        sets = _load_sets(ws)
+        graph = build_graph(sets, VariantSpec.parse(cfg.variant))
+        ranking = multirankwalk(graph, relation_seeds(graph, sets.Rs), cfg.propagation)
+        ws.emit("ranking.tsv", lambda path: write_ranking(ranking, path))
+        ws.emit("graph.tsv", lambda path: write_graph_dump(graph, path))
 
 
 def stage_train(ws: Workspace) -> None:
     cfg = ws.config
-    ranking = ws.read("ranking.tsv", "propagate", read_ranking)
-    model = fit_model(ranking, _load_sets(ws), _load_pool(ws), cfg.training, cfg.features)
-    ws.emit("model.json", lambda path: save_model(model, path))
-    ws.record_stage("train")
+    with ws.stage("train"):
+        ranking = ws.read("ranking.tsv", "propagate", read_ranking)
+        model = fit_model(ranking, _load_sets(ws), _load_pool(ws), cfg.training, cfg.features)
+        ws.emit("model.json", lambda path: save_model(model, path))
 
 
 def stage_extract(ws: Workspace) -> None:
     cfg = ws.config
-    model = ws.read("model.json", "train", load_model)
-    docs = _load_documents(ws, "documents_eval.jsonl", "target")
-    predictions = extract_all(docs, model, cfg.features)
-    ws.emit("predictions.tsv", lambda path: write_predictions(predictions, path))
-    ws.record_stage("extract")
+    with ws.stage("extract"):
+        model = ws.read("model.json", "train", load_model)
+        predictions = extract_all(_load_documents(ws, "eval"), model, cfg.features)
+        ws.emit("predictions.tsv", lambda path: write_predictions(predictions, path))
 
 
 def stage_eval(ws: Workspace) -> None:
-    predictions = ws.read("predictions.tsv", "extract", read_predictions)
-    gold = _load_gold(ws)
-    report = evaluate(predictions, gold)
-    points = pr_curve(predictions, gold)
-    ws.emit("report.json", lambda path: write_report(report, path))
-    ws.emit("pr_curve.csv", lambda path: write_pr_curve(points, path))
-    ws.record_stage("eval")
+    with ws.stage("eval"):
+        predictions = ws.read("predictions.tsv", "extract", read_predictions)
+        gold = _load_gold(ws)
+        report = evaluate(predictions, gold)
+        points = pr_curve(predictions, gold)
+        ws.emit("report.json", lambda path: write_report(report, path))
+        ws.emit("pr_curve.csv", lambda path: write_pr_curve(points, path))
 
 
 def stage_sweep(ws: Workspace) -> None:
@@ -378,29 +385,29 @@ def stage_sweep(ws: Workspace) -> None:
     strategies; emits F1-vs-N rows for the configured variant. The CSV is
     written only after every cell has succeeded."""
     cfg = ws.config
-    ranking = ws.read("ranking.tsv", "propagate", read_ranking)
-    sets = _load_sets(ws)
-    pool = _load_pool(ws)
-    eval_docs = _load_documents(ws, "documents_eval.jsonl", "target")
-    gold = _load_gold(ws)
-    variant_name = VariantSpec.parse(cfg.variant).name
+    with ws.stage("sweep"):
+        ranking = ws.read("ranking.tsv", "propagate", read_ranking)
+        sets = _load_sets(ws)
+        pool = _load_pool(ws)
+        eval_docs = _load_documents(ws, "eval")
+        gold = _load_gold(ws)
+        variant_name = VariantSpec.parse(cfg.variant).name
 
-    rows = []
-    for strategy in ("Both", "Target"):
-        for n in cfg.sweep_n:
-            tc = replace(cfg.training, n=n, strategy=strategy)
-            model = fit_model(ranking, sets, pool, tc, cfg.features)
-            micro = evaluate(extract_all(eval_docs, model, cfg.features), gold).micro
-            rows.append((strategy, n, micro.precision, micro.recall, micro.f1))
+        rows = []
+        for strategy in ("Both", "Target"):
+            for n in cfg.sweep_n:
+                tc = replace(cfg.training, n=n, strategy=strategy)
+                model = fit_model(ranking, sets, pool, tc, cfg.features)
+                micro = evaluate(extract_all(eval_docs, model, cfg.features), gold).micro
+                rows.append((strategy, n, micro.precision, micro.recall, micro.f1))
 
-    def write_sweep(path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("variant,strategy,n,precision,recall,f1\n")
-            for strategy, n, p, r, f1 in rows:
-                fh.write(f"{variant_name},{strategy},{n},{p:.12g},{r:.12g},{f1:.12g}\n")
+        def write_sweep(path: str) -> None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("variant,strategy,n,precision,recall,f1\n")
+                for strategy, n, p, r, f1 in rows:
+                    fh.write(f"{variant_name},{strategy},{n},{p:.12g},{r:.12g},{f1:.12g}\n")
 
-    ws.emit("sweep.csv", write_sweep)
-    ws.record_stage("sweep")
+        ws.emit("sweep.csv", write_sweep)
 
 
 STAGES = {

@@ -10,28 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
 
 from .decode import tsv_rows
 from .features import Mention, feature_matrix
-from .mentions import LabeledMention, MentionSets
+from .mentions import SET_NAMES, LabeledMention, MentionSets
 
+# a graph holds Rs, the seeds of relation propagation, and at least one other set
 LEGAL_VARIANTS = [
-    frozenset(c)
-    for c in (
-        {"Rs", "Cs", "Rt", "Ct"},
-        {"Rs", "Cs", "Rt"},
-        {"Rs", "Cs", "Ct"},
-        {"Rs", "Cs"},
-        {"Rs", "Rt", "Ct"},
-        {"Rs", "Rt"},
-        {"Rs", "Ct"},
-    )
+    frozenset(("Rs", *others))
+    for k in range(1, len(SET_NAMES))
+    for others in combinations(SET_NAMES[1:], k)
 ]
-
-_SET_ORDER = ("Rs", "Cs", "Rt", "Ct")
 
 
 @dataclass(frozen=True)
@@ -41,8 +34,8 @@ class VariantSpec:
     def __post_init__(self):
         if self.include not in LEGAL_VARIANTS:
             raise ValueError(
-                f"variant {sorted(self.include)} is not one of the 7 legal "
-                "combinations (must contain Rs)"
+                f"variant {sorted(self.include)} is not one of the {len(LEGAL_VARIANTS)} "
+                "legal combinations (Rs plus at least one other set)"
             )
 
     @classmethod
@@ -51,7 +44,7 @@ class VariantSpec:
 
     @property
     def name(self) -> str:
-        return "".join(s for s in _SET_ORDER if s in self.include)
+        return "".join(s for s in SET_NAMES if s in self.include)
 
 
 @dataclass(frozen=True)
@@ -134,11 +127,7 @@ def build_graph_from_mentions(mentions: list[Mention]) -> BipartiteGraph:
 
 def build_graph(sets: MentionSets, variant: VariantSpec) -> BipartiteGraph:
     """Graph over the union of mentions in the variant's sets."""
-    pool: dict[str, Mention] = {}
-    for name in _SET_ORDER:
-        if name in variant.include:
-            for lm in sets.get(name):
-                pool.setdefault(lm.mention.mention_id, lm.mention)
+    pool = sets.by_id(variant.include)
     if not pool:
         raise ValueError(f"variant {variant.name} selects no mentions")
     return build_graph_from_mentions(list(pool.values()))

@@ -24,6 +24,8 @@ RELATIONS = {
     "sideEffect": {"range": "Symptom", "sections": ["Side Effects"]},
 }
 
+N_VALUES = 40  # distinct conditions and distinct symptoms the KB draws values from
+
 _TEMPLATES = {
     "usedToTreat": [
         [("it", "OTHER"), ("is", "VERB"), ("commonly", "OTHER"),
@@ -126,14 +128,13 @@ def generate_benchmark(
     k_true: int = 200,
     spurious_rate: float = 0.3,
     n_eval: int = 30,
-    n_values: int = 40,
 ) -> BenchmarkPaths:
     rng = random.Random(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    conditions = [f"cond{i:02d}" for i in range(n_values)]
-    symptoms = [f"sym{i:02d}" for i in range(n_values)]
+    conditions = [f"cond{i:02d}" for i in range(N_VALUES)]
+    symptoms = [f"sym{i:02d}" for i in range(N_VALUES)]
     value_pool = {
         "usedToTreat": conditions,
         "conditionsThisMayPrevent": conditions,
@@ -241,9 +242,9 @@ def generate_benchmark(
             fh.write(f"{relation}\t{subject}\t{obj}\n")
 
     with open(paths.concept_seeds, "w", encoding="utf-8") as fh:
-        for v in conditions[: max(5, n_values // 4)]:
+        for v in conditions[: max(5, N_VALUES // 4)]:
             fh.write(f"DiseaseOrMedicalCondition\t{v}\n")
-        for v in symptoms[: max(5, n_values // 4)]:
+        for v in symptoms[: max(5, N_VALUES // 4)]:
             fh.write(f"Symptom\t{v}\n")
 
     with open(paths.gold, "w", encoding="utf-8") as fh:

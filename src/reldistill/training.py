@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from .decode import decode
 from .features import FeatureConfig, FeatureFilter, Mention, build_feature_filter, feature_matrix
-from .mentions import MentionSets
+from .mentions import SET_NAMES, MentionSets
 from .propagation import RankedLabeling
 
 SCORE_THRESHOLD = 0.5  # a relation's score must reach it to beat "other"
@@ -109,10 +109,7 @@ def distill(
 ) -> tuple[dict[str, list[Mention]], dict[str, int]]:
     """Top-N ranking prefix per relation; Target keeps only mentions that
     originate from the target corpus. Returns (positives, shortfalls)."""
-    by_id: dict[str, Mention] = {}
-    for name in ("Rs", "Rt", "Cs", "Ct"):
-        for lm in sets.get(name):
-            by_id.setdefault(lm.mention.mention_id, lm.mention)
+    by_id = sets.by_id(SET_NAMES)
 
     positives: dict[str, list[Mention]] = {}
     shortfalls: dict[str, int] = {}

@@ -260,6 +260,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert named in err and "must be" in err
 
+    @pytest.mark.parametrize("command", ["ingest", "mentions", "propagate", "eval", "sweep"])
+    def test_illegal_variant_refused_by_every_command(
+        self, run_config_file, tmp_path, capsys, command
+    ):
+        # the run config is refused as it is decoded, before any artifact is looked for
+        cfg = json.loads(run_config_file.read_text())
+        cfg["variant"] = ["Rt", "Ct"]
+        run_config_file.write_text(json.dumps(cfg))
+        assert run(run_config_file, tmp_path / "out", command) == 1
+        err = capsys.readouterr().err
+        assert "'variant' must be" in err and "['Rt', 'Ct']" in err
+
     @pytest.mark.parametrize(
         "section, values, message",
         [

@@ -77,3 +77,24 @@ def test_harness_refuses_a_doc_id_of_both_graph_corpora(tmp_path):
     assert str(err.value) == (
         f"doc_id 's-drug000' is in both {paths.structured_corpus} and {paths.target_corpus}"
     )
+
+
+def test_a_failed_stage_leaks_no_file_into_the_next_record(
+    run_config_file, tmp_path, monkeypatch
+):
+    """A stage records only the files it read and wrote itself, and only
+    once it completes: an `ingest` after a `mentions` that failed on the
+    same workspace records what the first `ingest` did."""
+    ws = pipeline.Workspace(str(tmp_path / "out"), pipeline.load_run_config(str(run_config_file)))
+    pipeline.stage_ingest(ws)
+    first = json.loads(ws.manifest_path.read_text())["stages"]["ingest"]
+
+    def failing_write(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pipeline, "write_mentions", failing_write)
+    with pytest.raises(OSError):
+        pipeline.stage_mentions(ws)  # fails after the four set files are written
+    assert "mentions" not in json.loads(ws.manifest_path.read_text())["stages"]
+    pipeline.stage_ingest(ws)
+    assert json.loads(ws.manifest_path.read_text())["stages"]["ingest"] == first

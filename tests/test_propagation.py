@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from reldistill.features import Mention
 from reldistill.mentions import LabeledMention, MentionSets
 from reldistill.propagation import (
+    LEGAL_VARIANTS,
     BipartiteGraph,
     PropagationConfig,
     VariantSpec,
@@ -67,6 +68,20 @@ class TestVariantSpec:
     def test_rs_required(self):
         with pytest.raises(ValueError):
             VariantSpec.parse({"Rt", "Ct"})
+
+    def test_rule_gives_the_seven_variants_and_their_names(self):
+        # the table the rule "Rs plus at least one other set" replaced
+        table = {
+            frozenset({"Rs", "Cs", "Rt", "Ct"}): "RsCsRtCt",
+            frozenset({"Rs", "Cs", "Rt"}): "RsCsRt",
+            frozenset({"Rs", "Cs", "Ct"}): "RsCsCt",
+            frozenset({"Rs", "Cs"}): "RsCs",
+            frozenset({"Rs", "Rt", "Ct"}): "RsRtCt",
+            frozenset({"Rs", "Rt"}): "RsRt",
+            frozenset({"Rs", "Ct"}): "RsCt",
+        }
+        assert len(LEGAL_VARIANTS) == 7 and set(LEGAL_VARIANTS) == set(table)
+        assert {v: VariantSpec(v).name for v in LEGAL_VARIANTS} == table
 
 
 class TestBuildGraph:
