@@ -66,8 +66,8 @@ def feature_matrix(mentions: list[Mention]) -> tuple[list[str], sp.csr_matrix]:
     indptr = np.cumsum([0] + [len(m.features) for m in mentions])
     x = sp.csr_matrix(
         (
-            np.array([c for m in mentions for _, c in m.features], dtype=float),
-            np.array([column[f] for f in names], dtype=np.intp),
+            np.fromiter((c for m in mentions for _, c in m.features), float, len(names)),
+            np.fromiter(map(column.__getitem__, names), np.int32, len(names)),
             indptr,
         ),
         shape=(len(mentions), len(vocab)),

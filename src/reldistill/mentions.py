@@ -160,7 +160,7 @@ def expand_concept_mentions(
         return []
 
     graph = build_graph_from_mentions(mentions)
-    seeds_in_graph = {c: ids & set(graph.mention_nodes) for c, ids in seed_ids.items()}
+    seeds_in_graph = {c: ids & graph.node_index.keys() for c, ids in seed_ids.items()}
     seeds_in_graph = {c: ids for c, ids in seeds_in_graph.items() if ids}
     by_id = {m.mention_id: m for m in mentions}
 

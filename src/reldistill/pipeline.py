@@ -137,8 +137,15 @@ def load_run_config(path: str) -> RunConfig:
         return RunConfig.from_dict(json.load(fh))
 
 
+_HASH_BLOCK = 1 << 20  # bytes read at a time to hash a file
+
+
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(_HASH_BLOCK):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _write_atomic(path: Path, write) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,18 +65,26 @@ class PropagationConfig:
             raise ValueError(f"concept_top_k must be >= 0, got {self.concept_top_k}")
 
 
+# mention rows per block that `BipartiteGraph.edges` turns into lists
+_EDGE_BLOCK_ROWS = 1024
+
+
 @dataclass
 class BipartiteGraph:
+    """A mention-feature graph. The adjacency is a CSR matrix over the
+    mention nodes, then the feature nodes; it is symmetric, every row's
+    column indices ascend, and mentions link only to features. So a
+    mention row holds the edges of the upper triangle, and a column of
+    the adjacency is its row. `node_index` maps each mention id, the only
+    kind of node a walk restarts from, to its row."""
+
     mention_nodes: list[str]
     feature_nodes: list[str]
     adjacency: sp.csr_matrix  # symmetric, (m + f) x (m + f), mentions first
     node_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.node_index = {
-            node: i
-            for i, node in enumerate(self.mention_nodes + self.feature_nodes)
-        }
+        self.node_index = {mid: i for i, mid in enumerate(self.mention_nodes)}
 
     @property
     def n_nodes(self) -> int:
@@ -84,23 +92,30 @@ class BipartiteGraph:
 
     def edges(self):
         """Iterate (mention_id, feature_id, weight) over the mention rows of
-        the adjacency in storage order: the edges of its upper triangle."""
+        the adjacency in storage order: the edges of its upper triangle.
+        The rows are turned into Python lists a block at a time."""
         m = len(self.mention_nodes)
-        indptr = self.adjacency.indptr[: m + 1].tolist()
-        stop = indptr[-1]
-        columns = (self.adjacency.indices[:stop] - m).tolist()
-        weights = self.adjacency.data[:stop].tolist()
-        features = self.feature_nodes
-        for i, mid in enumerate(self.mention_nodes):
-            for k in range(indptr[i], indptr[i + 1]):
-                yield mid, features[columns[k]], weights[k]
+        a = self.adjacency
+        for lo in range(0, m, _EDGE_BLOCK_ROWS):
+            hi = min(lo + _EDGE_BLOCK_ROWS, m)
+            indptr = a.indptr[lo : hi + 1]
+            start, stop = int(indptr[0]), int(indptr[-1])
+            degrees = np.diff(indptr).tolist()
+            yield from zip(
+                chain.from_iterable(map(repeat, self.mention_nodes[lo:hi], degrees)),
+                map(self.feature_nodes.__getitem__, (a.indices[start:stop] - m).tolist()),
+                a.data[start:stop].tolist(),
+            )
 
 
 def build_graph_from_mentions(mentions: list[Mention]) -> BipartiteGraph:
     """TF-IDF weighted bipartite graph: w(m,f) = tf(f,m) * ln(M / df(f)).
 
     Features present in every mention get idf 0 and lose all edges;
-    nodes left with degree 0 are excluded entirely.
+    nodes left with degree 0 are excluded entirely. The adjacency is
+    built in CSR directly: the mention rows are the count matrix's rows
+    without the idf-0 entries, and the feature rows are the same weights
+    taken column by column.
     """
     by_id = {m.mention_id: m for m in mentions}
     mention_ids = sorted(by_id)
@@ -110,18 +125,38 @@ def build_graph_from_mentions(mentions: list[Mention]) -> BipartiteGraph:
 
     vocab, x = feature_matrix([by_id[mid] for mid in mention_ids])
     df = np.bincount(x.indices, minlength=len(vocab))
-    kept = np.flatnonzero(df < total)
+    keep = df < total
+    kept = np.flatnonzero(keep)
+    idf = np.zeros(len(vocab))
     # math.log, not np.log: a vectorized log may differ in the last bit
-    idf = np.array([math.log(total / d) for d in df[kept].tolist()])
-    w = x[:, kept].multiply(idf).tocsr()
+    idf[kept] = [math.log(total / d) for d in df[kept].tolist()]
+    on = keep[x.indices]  # the entries of kept features
+    # row i of the count matrix keeps row_end[i + 1] - row_end[i] entries;
     # every kept feature occurs in some mention, so only mentions can be
     # left without an edge
-    live_m = np.flatnonzero(w.getnnz(axis=1))
-    w = w[live_m]
+    row_end = np.concatenate(([0], np.cumsum(on)))[x.indptr]
+    live_m = np.flatnonzero(row_end[1:] != row_end[:-1])
+    n_m, nnz = len(live_m), int(row_end[-1])
+    n = n_m + len(kept)
+    index_dtype = np.int32 if max(n, 2 * nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.empty(n + 1, dtype=index_dtype)
+    indices = np.empty(2 * nnz, dtype=index_dtype)
+    data = np.empty(2 * nnz)
+
+    indptr[0] = 0
+    indptr[1 : n_m + 1] = row_end[live_m + 1]
+    columns = x.indices[on]
+    np.multiply(x.data[on], idf[columns], out=data[:nnz])
+    np.add((np.cumsum(keep) - 1)[columns], n_m, out=indices[:nnz])
+    # column-wise, each feature's mentions come in ascending order
+    w = sp.csr_matrix((data[:nnz], indices[:nnz], indptr[: n_m + 1]), shape=(n_m, n)).tocsc()
+    indptr[n_m + 1 :] = w.indptr[n_m + 1 :] + nnz
+    indices[nnz:] = w.indices
+    data[nnz:] = w.data
     return BipartiteGraph(
         mention_nodes=[mention_ids[i] for i in live_m.tolist()],
         feature_nodes=[vocab[j] for j in kept.tolist()],
-        adjacency=sp.bmat([[None, w], [w.T, None]], format="csr"),
+        adjacency=sp.csr_matrix((data, indices, indptr), shape=(n, n)),
     )
 
 
@@ -133,6 +168,19 @@ def build_graph(sets: MentionSets, variant: VariantSpec) -> BipartiteGraph:
     return build_graph_from_mentions(list(pool.values()))
 
 
+def _walk_matrix(a: sp.csr_matrix, degrees: np.ndarray) -> sp.csr_matrix:
+    """T', the transpose of the row-normalized adjacency `a` whose row sums
+    are `degrees`. T'[i, j] = a[j, i] * inv_deg[j] = a[i, j] * inv_deg[j],
+    as `a` is symmetric, so T' shares the indices and indptr of `a` and
+    no transposed copy is made."""
+    # a graph built from mentions has no degree-0 node, but one built by
+    # hand may; such a node gets no walk weight
+    inv_deg = np.divide(1.0, degrees, out=np.zeros_like(degrees), where=degrees > 0)
+    scaled = inv_deg[a.indices]
+    np.multiply(a.data, scaled, out=scaled)
+    return sp.csr_matrix((scaled, a.indices, a.indptr), shape=a.shape)
+
+
 def _ppr_columns(
     graph: BipartiteGraph, seed_sets: list[set[str]], config: PropagationConfig
 ) -> list[np.ndarray]:
@@ -141,9 +189,8 @@ def _ppr_columns(
     is built once and each class then iterates with its own matvec and
     stopping rule. A class that has not met the tolerance after
     `max_iters` steps raises ValueError."""
-    nodes = graph.mention_nodes + graph.feature_nodes
-    # graph construction drops degree-0 nodes, but guard imported graphs
-    degrees = np.asarray(graph.adjacency.sum(axis=1)).ravel()
+    a = graph.adjacency
+    degrees = np.asarray(a.sum(axis=1)).ravel()
     restarts = []
     for seeds in seed_sets:
         if not seeds:
@@ -153,14 +200,12 @@ def _ppr_columns(
             i = graph.node_index.get(seed)
             if i is None:
                 raise ValueError(f"seed {seed!r} is not a node in the graph")
-            idx.append(i)
-        for i in idx:
             if degrees[i] == 0:
-                raise ValueError(f"seed {nodes[i]!r} is isolated")
+                raise ValueError(f"seed {seed!r} is isolated")
+            idx.append(i)
         restarts.append(idx)
 
-    inv_deg = np.divide(1.0, degrees, out=np.zeros_like(degrees), where=degrees > 0)
-    t_transpose = (graph.adjacency.multiply(inv_deg[:, None])).T.tocsr()
+    t_transpose = _walk_matrix(a, degrees)
     walk = 1.0 - config.alpha
 
     columns = []
@@ -194,10 +239,9 @@ def personalized_pagerank(
 def relation_seeds(graph: BipartiteGraph, rs: list[LabeledMention]) -> dict[str, set[str]]:
     """The Rs mentions that are nodes of `graph`, grouped by relation: the
     restart sets of relation propagation."""
-    node_set = set(graph.mention_nodes)
     seeds: dict[str, set[str]] = {}
     for lm in rs:
-        if lm.mention.mention_id in node_set:
+        if lm.mention.mention_id in graph.node_index:
             seeds.setdefault(lm.label, set()).add(lm.mention.mention_id)
     if not seeds:
         raise ValueError("no Rs seed mentions survive in the propagation graph")

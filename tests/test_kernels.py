@@ -1,10 +1,12 @@
 """The array kernels of `training`, `propagation` and `evaluation`, the
-per-mention feature and scoring kernels of the read path, and the mention
-list whose feature pairs are shared, against the per-element loops and
+per-mention feature and scoring kernels of the read path, the mention
+list whose feature pairs are shared, and the block-wise file hash,
+against the per-element loops, block matrices, whole copies and
 unshared lists they replaced, kept here as oracles.
 Every artifact depends on these kernels, so each must agree with its
 oracle bit for bit, not just to a tolerance."""
 
+import hashlib
 import json
 import math
 from collections import Counter
@@ -14,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings, strategies as st
 
-from reldistill import training
+from reldistill import pipeline, propagation, training
 from reldistill.corpus import CoordinateList, Document, Section, Sentence, Token
 from reldistill.evaluation import GoldAnnotation, Prediction, pr_curve
 from reldistill.features import (
@@ -42,6 +44,7 @@ from reldistill.propagation import (
     BipartiteGraph,
     PropagationConfig,
     RankedLabeling,
+    _walk_matrix,
     build_graph_from_mentions,
     multirankwalk,
     personalized_pagerank,
@@ -133,6 +136,45 @@ def build_graph_loop_oracle(mentions):
         feature_nodes=[kept_features[i] for i in live_f],
         adjacency=adjacency,
     )
+
+
+def build_graph_bmat_oracle(mentions):
+    """The count matrix's kept columns scaled by idf, its live rows, and
+    the symmetric block matrix of those weights and their transpose."""
+    by_id = {m.mention_id: m for m in mentions}
+    mention_ids = sorted(by_id)
+    total = len(mention_ids)
+    vocab, x = feature_matrix([by_id[mid] for mid in mention_ids])
+    df = np.bincount(x.indices, minlength=len(vocab))
+    kept = np.flatnonzero(df < total)
+    idf = np.array([math.log(total / d) for d in df[kept].tolist()])
+    w = x[:, kept].multiply(idf).tocsr()
+    live_m = np.flatnonzero(w.getnnz(axis=1))
+    w = w[live_m]
+    return BipartiteGraph(
+        mention_nodes=[mention_ids[i] for i in live_m.tolist()],
+        feature_nodes=[vocab[j] for j in kept.tolist()],
+        adjacency=sp.bmat([[None, w], [w.T, None]], format="csr"),
+    )
+
+
+def walk_matrix_transpose_oracle(adjacency):
+    """T', the transposed copy of the row-normalized adjacency."""
+    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    inv_deg = np.divide(1.0, degrees, out=np.zeros_like(degrees), where=degrees > 0)
+    return adjacency.multiply(inv_deg[:, None]).T.tocsr()
+
+
+def edges_whole_lists_oracle(graph):
+    """The mention rows' edges from lists of the whole upper triangle."""
+    m = len(graph.mention_nodes)
+    indptr = graph.adjacency.indptr[: m + 1].tolist()
+    stop = indptr[-1]
+    columns = (graph.adjacency.indices[:stop] - m).tolist()
+    weights = graph.adjacency.data[:stop].tolist()
+    for i, mid in enumerate(graph.mention_nodes):
+        for k in range(indptr[i], indptr[i + 1]):
+            yield mid, graph.feature_nodes[columns[k]], weights[k]
 
 
 def vectorize_loop_oracle(mentions, feature_filter, feat_index):
@@ -525,11 +567,7 @@ def test_row_dot_is_scipys_row_product_not_blas_dot():
 def assert_same_graph(got: BipartiteGraph, want: BipartiteGraph) -> None:
     assert got.mention_nodes == want.mention_nodes
     assert got.feature_nodes == want.feature_nodes
-    assert got.adjacency.shape == want.adjacency.shape
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got.adjacency, name), getattr(want.adjacency, name)
-        assert a.dtype == b.dtype, name
-        assert np.array_equal(a, b), name
+    assert_same_csr(got.adjacency, want.adjacency)
 
 
 @given(mention_lists())
@@ -555,6 +593,66 @@ def test_graph_build_with_no_edges_matches_loop():
     graph = build_graph_from_mentions(mentions)
     assert graph.n_nodes == 0
     assert_same_graph(graph, build_graph_loop_oracle(mentions))
+
+
+# an idf-0 feature `u`, and `zz`, sorted last, left with no edge: the last
+# row of the count matrix keeps none of its entries
+IDF0_AND_EDGELESS_LAST = [
+    make_mention("m0", {"u": 1, "a": 2, "b": 1}),
+    make_mention("m1", {"u": 2, "a": 1}),
+    make_mention("m2", {"u": 1, "c": 3}),
+    make_mention("zz", {"u": 4}),
+]
+
+
+@given(mention_lists())
+@example(IDF0_AND_EDGELESS_LAST)
+@example([make_mention("m0", {"a": 1}), make_mention("m1", {}), make_mention("m2", {"b": 2})])
+@example([make_mention(f"m{i}", {"u": 1}) for i in range(3)])  # no edge at all
+@settings(max_examples=200, deadline=None)
+def test_graph_build_matches_bmat(mentions):
+    graph = build_graph_from_mentions(mentions)
+    assert_same_graph(graph, build_graph_bmat_oracle(mentions))
+    # what `BipartiteGraph` promises: symmetric, each row's indices ascending
+    a = graph.adjacency
+    assert (a != a.T).nnz == 0
+    for i in range(graph.n_nodes):
+        assert np.all(np.diff(a.indices[a.indptr[i] : a.indptr[i + 1]]) > 0)
+
+
+@given(mention_lists())
+@example(IDF0_AND_EDGELESS_LAST)
+@settings(max_examples=150, deadline=None)
+def test_walk_matrix_matches_transposed_copy(mentions):
+    a = build_graph_from_mentions(mentions).adjacency
+    degrees = np.asarray(a.sum(axis=1)).ravel()
+    assert_same_csr(_walk_matrix(a, degrees), walk_matrix_transpose_oracle(a))
+
+
+@given(mention_lists().map(build_graph_from_mentions), st.integers(1, 4))
+@example(build_graph_from_mentions(IDF0_AND_EDGELESS_LAST), 2)
+@example(  # a mention row with no edge, as only a graph built by hand has
+    BipartiteGraph(["m0", "m1", "m2"], ["f0"], sp.bmat(
+        [[None, sp.csr_matrix([[1.5], [0.0], [2.0]])],
+         [sp.csr_matrix([[1.5, 0.0, 2.0]]), None]], format="csr")),
+    1,
+)
+@settings(max_examples=150, deadline=None)
+def test_edges_in_row_blocks_match_whole_lists(graph, block_rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagation, "_EDGE_BLOCK_ROWS", block_rows)
+        assert list(graph.edges()) == list(edges_whole_lists_oracle(graph))
+
+
+@pytest.mark.parametrize(
+    "size",
+    [0, 1, pipeline._HASH_BLOCK - 1, pipeline._HASH_BLOCK, pipeline._HASH_BLOCK + 1,
+     3 * pipeline._HASH_BLOCK],
+)
+def test_block_hash_is_the_whole_file_hash(tmp_path, size):
+    path = tmp_path / "artifact"
+    path.write_bytes(np.random.default_rng(size).integers(0, 256, size, np.uint8).tobytes())
+    assert pipeline._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @given(seeded_graphs())
@@ -630,11 +728,15 @@ def design_matrices(training_set, monkeypatch):
 
 
 def assert_same_csr(got, want):
+    """Equal shape and index arrays with their dtypes, and float64 data
+    equal bit for bit."""
     assert got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
+    for name in ("indptr", "indices"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
+    assert got.data.dtype == want.data.dtype == np.float64
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
 
 
 @given(filtered_training_sets())
