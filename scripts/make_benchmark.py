@@ -7,9 +7,13 @@ Usage: python3 scripts/make_benchmark.py OUT_DIR [--seed N] [--n-target N] ...
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
-from reldistill.synthetic import generate_benchmark
+# the checkout's package, first, so the bare script runs without an install
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from reldistill.synthetic import generate_benchmark  # noqa: E402
 
 
 def main() -> None:

@@ -9,14 +9,18 @@ Usage: python3 scripts/run_sweep.py [--seed N] [--n-values 5 10 20 30]
 
 import argparse
 import dataclasses
+import sys
 import tempfile
 from pathlib import Path
 
-from reldistill import benchmark
-from reldistill.evaluation import BASELINES
-from reldistill.propagation import LEGAL_VARIANTS, VariantSpec
-from reldistill.synthetic import generate_benchmark
-from reldistill.training import TrainConfig
+# the checkout's package, first, so the bare script runs without an install
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from reldistill import benchmark  # noqa: E402
+from reldistill.evaluation import BASELINES  # noqa: E402
+from reldistill.propagation import LEGAL_VARIANTS, VariantSpec  # noqa: E402
+from reldistill.synthetic import generate_benchmark  # noqa: E402
+from reldistill.training import TrainConfig  # noqa: E402
 
 
 def main() -> None:

@@ -10,11 +10,12 @@ from dataclasses import asdict, dataclass
 
 from .corpus import Document
 from .decode import tsv_rows
-from .features import FeatureConfig, Mention
+from .features import FeatureConfig, Mention, extract_features
 from .kb import RelationSchema
-from .mentions import MentionSets, enumerate_mentions
+from .mentions import MentionSets, _surface
 from .norm import normalize
-from .training import LinearModel, TrainConfig, build_training_set, classify_scored, train
+from .training import LinearModel, TrainConfig, build_training_set, classify_counts, train
+from .training import classify_scored  # noqa: F401  (the tracer tests check it is rebound here)
 
 
 @dataclass(frozen=True)
@@ -77,22 +78,27 @@ def extract_document(
     model: LinearModel,
     feature_config: FeatureConfig,
 ) -> list[Prediction]:
-    """Classify every mention; list predictions fan out to one pair per
-    item; duplicates by (relation, normalized surface) keep the max score."""
+    """Classify every mention target of `doc` from its feature dict, as
+    `enumerate_mentions` would see it, without building the `Mention`;
+    list predictions fan out to one pair per item; duplicates by
+    (relation, normalized surface) keep the max score."""
     if feature_config != model.feature_config:
         raise ValueError(
             "feature config mismatch: model was trained with "
             f"{asdict(model.feature_config)}, got {asdict(feature_config)}"
         )
     best: dict[tuple[str, str], float] = {}
-    for mention in enumerate_mentions(doc, feature_config):
-        label, score = classify_scored(model, mention)
-        if label == "other":
-            continue
-        for surface in mention.item_surfaces:
-            key = (label, normalize(surface))
-            if score > best.get(key, float("-inf")):
-                best[key] = score
+    for sec in doc.sections:
+        for sent in sec.sentences:
+            for target, _, _, item_spans in sent.mention_targets():
+                counts = extract_features(sent, target, feature_config)
+                label, score = classify_counts(model, counts)
+                if label == "other":
+                    continue
+                for span in item_spans:
+                    key = (label, normalize(_surface(sent.tokens, span)))
+                    if score > best.get(key, float("-inf")):
+                        best[key] = score
     return [
         Prediction(doc.doc_id, rel, value, score)
         for (rel, value), score in sorted(best.items())

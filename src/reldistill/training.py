@@ -90,7 +90,7 @@ class LinearModel:
     feature_config: FeatureConfig
     train_config: TrainConfig
     # feature -> [(index in sorted(relations), weight)] for every relation
-    # that weighs it, so `classify_scored` walks a mention's features once
+    # that weighs it, so `classify_counts` walks a feature dict once
     weight_table: dict[str, list[tuple[int, float]]] = field(
         init=False, repr=False, compare=False
     )
@@ -324,16 +324,21 @@ def classify(model: LinearModel, mention: Mention) -> str:
 
 
 def classify_scored(model: LinearModel, mention: Mention) -> tuple[str, float]:
-    """`classify` and the winning score, every relation's `score` taken in
-    one pass over the mention's features. Each total adds `w * c` in the
-    mention's feature order as `RelationModel.margin` does; a feature a
+    """`classify` and the winning score."""
+    return classify_counts(model, mention.feature_counts())
+
+
+def classify_counts(model: LinearModel, counts: dict[str, int]) -> tuple[str, float]:
+    """The label and winning score of a feature dict, every relation's
+    `score` taken in one pass over the weighed names. Each total adds
+    `w * c` in name order, the order of `Mention.features`, as
+    `RelationModel.margin` does over `feature_counts()`; a feature a
     relation does not weigh would add 0.0 times a finite count to a total
     that is never -0.0, so skipping it changes no bit."""
     relations = sorted(model.relations.items())
     totals = [0.0] * len(relations)
     table = model.weight_table
-    counts = mention.feature_counts()
-    for f in filter(table.__contains__, counts):
+    for f in sorted(filter(table.__contains__, counts)):
         c = counts[f]
         for i, w in table[f]:
             totals[i] += w * c

@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from reldistill import pipeline, propagation, training
 from reldistill.corpus import CoordinateList, Document, Section, Sentence, Token
-from reldistill.evaluation import GoldAnnotation, Prediction, pr_curve
+from reldistill.evaluation import GoldAnnotation, Prediction, extract_document, pr_curve
 from reldistill.features import (
     FeatureConfig,
     FeatureFilter,
@@ -57,6 +57,7 @@ from reldistill.training import (
     TrainingSet,
     _row_dot,
     _sgd_hinge,
+    classify_counts,
     classify_scored,
 )
 
@@ -332,6 +333,24 @@ def classify_scored_loop_oracle(model, mention):
     return best_label, best_score
 
 
+def extract_document_mention_oracle(doc, model, feature_config):
+    """Build every `Mention` of the document, then score it by the
+    per-relation loop."""
+    best = {}
+    for mention in enumerate_mentions(doc, feature_config):
+        label, score = classify_scored_loop_oracle(model, mention)
+        if label == "other":
+            continue
+        for surface in mention.item_surfaces:
+            key = (label, normalize(surface))
+            if score > best.get(key, float("-inf")):
+                best[key] = score
+    return [
+        Prediction(doc.doc_id, rel, value, score)
+        for (rel, value), score in sorted(best.items())
+    ]
+
+
 # --- generators --------------------------------------------------------------
 
 
@@ -504,12 +523,11 @@ def feature_corpora(draw):
 
 
 @st.composite
-def scored_models(draw):
-    """A model of 0-4 relations over a small vocabulary and a mention that
-    also has features no relation weighs. Weights of either sign and a
-    few repeated values make totals cancel and scores tie; Platt (A, B)
-    past about 709/|margin| overflows `exp`."""
-    vocab = ["a", "b", "c", "d", "e"]
+def classify_models(draw, vocab, feature_config=FeatureConfig(), max_weights=5):
+    """A model of 0-4 relations, each weighing up to `max_weights` names of
+    `vocab`. Weights of either sign and a few repeated values make totals
+    cancel and scores tie; Platt (A, B) past about 709/|margin| overflows
+    `exp`."""
     values = st.one_of(
         st.sampled_from([0.5, -0.5, 1.0, 300.0, -300.0, 1e16, -1e16]),
         st.floats(-50.0, 50.0, allow_nan=False),
@@ -519,16 +537,34 @@ def scored_models(draw):
     platt = draw(st.booleans())
     relations = {}
     for name in names:
-        weights = draw(st.dictionaries(st.sampled_from(vocab), values, max_size=5))
+        weights = draw(st.dictionaries(st.sampled_from(vocab), values, max_size=max_weights))
         ab = (draw(st.floats(-10.0, 10.0)), draw(st.floats(-5.0, 5.0))) if platt else None
         relations[name] = RelationModel(weights, draw(values), ab)
     if len(names) >= 2 and draw(st.booleans()):  # a tie between two relations
         relations[names[1]] = relations[names[0]]
+    calibration = "platt" if platt else "raw_margin"
+    return LinearModel(relations, feature_config, TrainConfig(calibration=calibration))
+
+
+@st.composite
+def scored_models(draw):
+    """A model over a small vocabulary and a mention that also has
+    features no relation weighs."""
+    vocab = ["a", "b", "c", "d", "e"]
+    model = draw(classify_models(vocab))
     counts = draw(st.dictionaries(st.sampled_from(vocab + ["unweighed", "z"]),
                                   st.integers(1, 3)))
-    calibration = "platt" if platt else "raw_margin"
-    model = LinearModel(relations, FeatureConfig(), TrainConfig(calibration=calibration))
     return model, make_mention("m", counts)
+
+
+@st.composite
+def extraction_cases(draw):
+    """Documents drawn by `feature_corpora` and a model over their feature
+    names, which leaves most of each mention's features unweighed."""
+    docs, config = draw(feature_corpora())
+    vocab = sorted({f for doc in docs for m in enumerate_mentions(doc, config)
+                    for f, _ in m.features})
+    return docs, draw(classify_models(vocab, config, max_weights=20)), config
 
 
 # --- equivalence -------------------------------------------------------------
@@ -894,6 +930,34 @@ def test_classify_scored_sums_in_the_mention_feature_order():
     assert rm.score(mention.feature_counts()) == 0.5
     assert math.fsum([1.0, 1e16, -1e16]) == 1.0
     assert classify_scored(raw({"r": rm}), mention) == ("r", 0.5)
+
+
+def test_classify_counts_sums_in_name_order_not_insertion_order():
+    # inserted c, b, a, the sum -1e16 + 1e16 + 1 would be 1.0; in the
+    # names' order a, b, c, (1 + 1e16) rounds to 1e16 and the total is 0.0
+    rm = RelationModel({"c": -1e16, "b": 1e16, "a": 1.0}, 0.5, None)
+    assert classify_counts(raw({"r": rm}), {"c": 1, "b": 1, "a": 1}) == ("r", 0.5)
+
+
+@given(scored_models(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_classify_counts_of_any_insertion_order_matches_the_mention(case, rnd):
+    model, mention = case
+    shuffled = list(mention.features)
+    rnd.shuffle(shuffled)
+    assert classify_counts(model, dict(shuffled)) == classify_scored_loop_oracle(model, mention)
+
+
+@given(extraction_cases())
+@settings(max_examples=200, deadline=None)
+def test_extract_document_matches_the_mention_path(case):
+    docs, model, config = case
+    for doc in docs:
+        got = extract_document(doc, model, config)
+        want = extract_document_mention_oracle(doc, model, config)
+        assert [(p.doc_id, p.relation, p.value, p.score.hex()) for p in got] == [
+            (p.doc_id, p.relation, p.value, p.score.hex()) for p in want
+        ]
 
 
 def test_classify_scored_is_a_sequential_sum_not_a_blas_dot():
