@@ -56,20 +56,16 @@ def _surface(doc_tokens, span) -> str:
     return " ".join(t.surface for t in doc_tokens[span[0] : span[1]])
 
 
-def enumerate_mentions(
-    doc: Document, config: FeatureConfig, pairs: dict | None = None
-) -> list[Mention]:
-    """All coordinate lists plus NP chunks not inside any list. With a
-    `pairs` table, each (name, count) pair of `Mention.features` is the
-    table's tuple for that pair; pairs the table lacks are added."""
+def enumerate_mentions(doc: Document, config: FeatureConfig, pairs: dict) -> list[Mention]:
+    """All coordinate lists plus NP chunks not inside any list. Each
+    (name, count) pair of `Mention.features` is the `pairs` table's tuple
+    for that pair; pairs the table lacks are added."""
     out = []
     for sec_i, sec in enumerate(doc.sections):
         section_title = normalize(sec.title)
         for sent_i, sent in enumerate(sec.sentences):
             for target, kind, span, item_spans in sent.mention_targets():
                 items = sorted(extract_features(sent, target, config).items())
-                if pairs is not None:
-                    items = map(pairs.setdefault, items, items)
                 out.append(
                     Mention(
                         mention_id=f"{doc.doc_id}|s{sec_i}|t{sent_i}|{span[0]}-{span[1]}",
@@ -78,7 +74,7 @@ def enumerate_mentions(
                         section_title=section_title,
                         kind=kind,
                         item_surfaces=tuple(_surface(sent.tokens, s) for s in item_spans),
-                        features=tuple(items),
+                        features=tuple(map(pairs.setdefault, items, items)),
                         corpus_tag=doc.corpus_tag,
                     )
                 )

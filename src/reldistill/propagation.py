@@ -65,8 +65,9 @@ class PropagationConfig:
             raise ValueError(f"concept_top_k must be >= 0, got {self.concept_top_k}")
 
 
-# mention rows per block that `BipartiteGraph.edges` turns into lists
-_EDGE_BLOCK_ROWS = 1024
+# mention rows per string that `write_graph_dump` joins: a larger block
+# is no faster and raises the writer's peak memory
+_DUMP_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -89,23 +90,6 @@ class BipartiteGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.mention_nodes) + len(self.feature_nodes)
-
-    def edges(self):
-        """Iterate (mention_id, feature_id, weight) over the mention rows of
-        the adjacency in storage order: the edges of its upper triangle.
-        The rows are turned into Python lists a block at a time."""
-        m = len(self.mention_nodes)
-        a = self.adjacency
-        for lo in range(0, m, _EDGE_BLOCK_ROWS):
-            hi = min(lo + _EDGE_BLOCK_ROWS, m)
-            indptr = a.indptr[lo : hi + 1]
-            start, stop = int(indptr[0]), int(indptr[-1])
-            degrees = np.diff(indptr).tolist()
-            yield from zip(
-                chain.from_iterable(map(repeat, self.mention_nodes[lo:hi], degrees)),
-                map(self.feature_nodes.__getitem__, (a.indices[start:stop] - m).tolist()),
-                a.data[start:stop].tolist(),
-            )
 
 
 def build_graph_from_mentions(mentions: list[Mention]) -> BipartiteGraph:
@@ -296,19 +280,37 @@ def read_ranking(path: str) -> RankedLabeling:
     return RankedLabeling(per_class=per_class)
 
 
+class _WeightText(dict):
+    """weight -> its `graph.tsv` text, made on first lookup. A weight is
+    tf * ln(M / df) and the df values of the kept features sum to nnz, so
+    at most sqrt(2 * nnz) distinct df values times the distinct tf counts
+    are kept, whatever the vocabulary."""
+
+    def __missing__(self, w: float) -> str:
+        text = f"{w:.12g}\n"
+        if w:  # 0.0 == -0.0 but the two print apart, so a zero is never kept
+            self[w] = text
+        return text
+
+
 def write_graph_dump(graph: BipartiteGraph, path: str) -> None:
-    # a weight is tf * ln(M / df) and the df values of the kept features sum
-    # to nnz, so at most sqrt(2 * nnz) distinct df values times the distinct
-    # tf counts reach this cache, whatever the vocabulary
-    text: dict[float, str] = {}
-
-    def fmt(w: float) -> str:
-        s = text.get(w)
-        if s is None:
-            s = f"{w:.12g}"
-            if w:  # 0.0 == -0.0 but the two print apart, so zeros are never cached
-                text[w] = s
-        return s
-
+    """One `mention<TAB>feature<TAB>weight` line per edge of the upper
+    triangle: the mention rows in storage order, each row's features in
+    ascending column order, weights printed `.12g`. Each node's text and
+    each distinct weight's text is made once, and a block of mention rows
+    is joined into one string and written at once."""
+    m = len(graph.mention_nodes)
+    a = graph.adjacency
+    feature_text = [f"{fid}\t" for fid in graph.feature_nodes]
+    weight_text = _WeightText()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{mid}\t{fid}\t{fmt(w)}\n" for mid, fid, w in graph.edges())
+        for lo in range(0, m, _DUMP_BLOCK_ROWS):
+            hi = min(lo + _DUMP_BLOCK_ROWS, m)
+            indptr = a.indptr[lo : hi + 1]
+            start, stop = int(indptr[0]), int(indptr[-1])
+            heads = [f"{mid}\t" for mid in graph.mention_nodes[lo:hi]]
+            fh.write("".join(chain.from_iterable(zip(
+                chain.from_iterable(map(repeat, heads, np.diff(indptr).tolist())),
+                map(feature_text.__getitem__, (a.indices[start:stop] - m).tolist()),
+                map(weight_text.__getitem__, a.data[start:stop].tolist()),
+            ))))

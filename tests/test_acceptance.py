@@ -51,7 +51,7 @@ from reldistill.training import (
     train,
 )
 
-from test_propagation import dense_ppr_solve, make_mention
+from test_propagation import dense_ppr_solve, edge_weights, make_mention
 from test_training import batch_subgradient_oracle
 
 
@@ -157,7 +157,7 @@ def test_tfidf_weights_exact_on_five_mention_fixture():
         ("m5", "c"): 1 * math.log(5 / 4), ("m5", "d"): 1 * math.log(5 / 2),
         ("m5", "e"): 2 * math.log(5 / 1),
     }
-    got = {(m, f): w for m, f, w in graph.edges()}
+    got = edge_weights(graph)
     assert set(got) == set(expected)
     for key, w in expected.items():
         assert got[key] == pytest.approx(w, abs=1e-12)

@@ -166,18 +166,6 @@ def walk_matrix_transpose_oracle(adjacency):
     return adjacency.multiply(inv_deg[:, None]).T.tocsr()
 
 
-def edges_whole_lists_oracle(graph):
-    """The mention rows' edges from lists of the whole upper triangle."""
-    m = len(graph.mention_nodes)
-    indptr = graph.adjacency.indptr[: m + 1].tolist()
-    stop = indptr[-1]
-    columns = (graph.adjacency.indices[:stop] - m).tolist()
-    weights = graph.adjacency.data[:stop].tolist()
-    for i, mid in enumerate(graph.mention_nodes):
-        for k in range(indptr[i], indptr[i + 1]):
-            yield mid, graph.feature_nodes[columns[k]], weights[k]
-
-
 def vectorize_loop_oracle(mentions, feature_filter, feat_index):
     rows, cols, data = [], [], []
     for i, m in enumerate(mentions):
@@ -337,7 +325,7 @@ def extract_document_mention_oracle(doc, model, feature_config):
     """Build every `Mention` of the document, then score it by the
     per-relation loop."""
     best = {}
-    for mention in enumerate_mentions(doc, feature_config):
+    for mention in enumerate_mentions(doc, feature_config, {}):
         label, score = classify_scored_loop_oracle(model, mention)
         if label == "other":
             continue
@@ -562,7 +550,7 @@ def extraction_cases(draw):
     """Documents drawn by `feature_corpora` and a model over their feature
     names, which leaves most of each mention's features unweighed."""
     docs, config = draw(feature_corpora())
-    vocab = sorted({f for doc in docs for m in enumerate_mentions(doc, config)
+    vocab = sorted({f for doc in docs for m in enumerate_mentions(doc, config, {})
                     for f, _ in m.features})
     return docs, draw(classify_models(vocab, config, max_weights=20)), config
 
@@ -665,21 +653,6 @@ def test_walk_matrix_matches_transposed_copy(mentions):
     assert_same_csr(_walk_matrix(a, degrees), walk_matrix_transpose_oracle(a))
 
 
-@given(mention_lists().map(build_graph_from_mentions), st.integers(1, 4))
-@example(build_graph_from_mentions(IDF0_AND_EDGELESS_LAST), 2)
-@example(  # a mention row with no edge, as only a graph built by hand has
-    BipartiteGraph(["m0", "m1", "m2"], ["f0"], sp.bmat(
-        [[None, sp.csr_matrix([[1.5], [0.0], [2.0]])],
-         [sp.csr_matrix([[1.5, 0.0, 2.0]]), None]], format="csr")),
-    1,
-)
-@settings(max_examples=150, deadline=None)
-def test_edges_in_row_blocks_match_whole_lists(graph, block_rows):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propagation, "_EDGE_BLOCK_ROWS", block_rows)
-        assert list(graph.edges()) == list(edges_whole_lists_oracle(graph))
-
-
 @pytest.mark.parametrize(
     "size",
     [0, 1, pipeline._HASH_BLOCK - 1, pipeline._HASH_BLOCK, pipeline._HASH_BLOCK + 1,
@@ -742,12 +715,23 @@ def hand_built_graph(mention_nodes, feature_nodes, weights):
     ["m0", "m1", "m2"], ["f0", "f1"],
     (np.array([1e-07, 1.5e12, 0.0, -0.0, 1e-07]), [0, 1, 0, 1, 1], [0, 2, 4, 5]),
 ))
+@example(build_graph_from_mentions(IDF0_AND_EDGELESS_LAST))
+@example(hand_built_graph(  # mention rows with no edge, in the middle and last
+    ["m0", "m1", "m2", "m3"], ["f0", "f1"],
+    (np.array([1.5, 2.0, 0.25]), [0, 1, 1], [0, 2, 2, 3, 3]),
+))
 @settings(max_examples=60, deadline=None)
 def test_graph_dump_matches_edges_writer(tmp_path_factory, graph):
+    """Byte equality at blocks of 1 to 4 mention rows, which split the rows
+    at every place, and in one block of all the rows."""
     out = tmp_path_factory.mktemp("dump")
-    write_graph_dump(graph, str(out / "new.tsv"))
     graph_dump_edges_oracle(graph, str(out / "old.tsv"))
-    assert (out / "new.tsv").read_bytes() == (out / "old.tsv").read_bytes()
+    want = (out / "old.tsv").read_bytes()
+    for block_rows in (1, 2, 3, 4, len(graph.mention_nodes) + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagation, "_DUMP_BLOCK_ROWS", block_rows)
+            write_graph_dump(graph, str(out / "new.tsv"))
+        assert (out / "new.tsv").read_bytes() == want, block_rows
 
 
 def design_matrices(training_set, monkeypatch):
@@ -858,8 +842,9 @@ def test_extract_features_matches_counter_loop(case):
 def test_shared_pairs_give_the_unshared_mentions_and_lines(tmp_path_factory, corpus):
     docs, config = corpus
     want = [m for doc in docs for m in enumerate_mentions_unshared_oracle(doc, config)]
-    for doc in docs:  # the read path's call, without a table
-        assert enumerate_mentions(doc, config) == enumerate_mentions_unshared_oracle(doc, config)
+    for doc in docs:  # a table of its own per document
+        mentions = enumerate_mentions(doc, config, {})
+        assert mentions == enumerate_mentions_unshared_oracle(doc, config)
     want.sort(key=lambda m: m.mention_id)
     got = corpus_mentions(docs, config)
     assert got == want

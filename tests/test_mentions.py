@@ -54,7 +54,7 @@ def make_mention(mid, surfaces, features, tag="target", section="overview", titl
 class TestEnumeration:
     def test_lists_absorb_their_items(self, structured_docs):
         doc = structured_docs[0]
-        mentions = enumerate_mentions(doc, FeatureConfig())
+        mentions = enumerate_mentions(doc, FeatureConfig(), {})
         first_sentence = [m for m in mentions if m.mention_id.startswith("s1|s0|t0")]
         kinds = {m.kind for m in first_sentence}
         assert kinds == {"list", "singleton"}
@@ -71,7 +71,7 @@ class TestEnumeration:
     def test_shared_mention_id_is_refused(self, structured_docs):
         # ingest refuses a repeated doc_id; a document list built by hand does not
         doc = structured_docs[0]
-        first = min(m.mention_id for m in enumerate_mentions(doc, FeatureConfig()))
+        first = min(m.mention_id for m in enumerate_mentions(doc, FeatureConfig(), {}))
         with pytest.raises(ValueError, match=f"^two mentions share mention_id '{re.escape(first)}'$"):
             corpus_mentions([doc, doc], FeatureConfig())
 

@@ -18,8 +18,23 @@ from reldistill.propagation import (
     build_graph_from_mentions,
     multirankwalk,
     personalized_pagerank,
+    write_graph_dump,
 )
 from reldistill.training import TrainConfig, distill
+
+
+def edge_weights(graph):
+    """(mention_id, feature_id) -> weight over the mention rows' edges, the
+    upper triangle, read from lists of the whole of it."""
+    m = len(graph.mention_nodes)
+    indptr = graph.adjacency.indptr[: m + 1].tolist()
+    columns = (graph.adjacency.indices[: indptr[-1]] - m).tolist()
+    weights = graph.adjacency.data[: indptr[-1]].tolist()
+    return {
+        (mid, graph.feature_nodes[columns[k]]): weights[k]
+        for i, mid in enumerate(graph.mention_nodes)
+        for k in range(indptr[i], indptr[i + 1])
+    }
 
 
 def assigned(ranking):
@@ -95,7 +110,7 @@ class TestBuildGraph:
             make_mention("m2", {"g": 1, "h": 1}),
         ]
         graph = build_graph_from_mentions(mentions)
-        weights = {(m, f): w for m, f, w in graph.edges()}
+        weights = edge_weights(graph)
         assert weights[("m1", "f")] == pytest.approx(2 * math.log(2))
         # g occurs in every mention: idf 0, no edge, feature node dropped
         assert "g" not in graph.feature_nodes
@@ -125,7 +140,7 @@ class TestBuildGraph:
             ("m5", "d"): 1 * math.log(5 / 2),
             ("m5", "e"): 2 * math.log(5 / 1),
         }
-        got = {(m, f): w for m, f, w in graph.edges()}
+        got = edge_weights(graph)
         assert set(got) == set(expected)
         for key, w in expected.items():
             assert got[key] == pytest.approx(w, abs=1e-12)
@@ -364,3 +379,29 @@ def test_graph_build_and_walk_set_up_stay_within_memory_bounds():
     size = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
     assert build <= 3.2 * size, build / size
     assert walk <= 1.4 * size, walk / size
+
+
+def test_graph_dump_stays_within_memory_bound(tmp_path):
+    """The tracemalloc peak of writing a graph of about the benchmark's
+    relation graph (4,000 mentions, 2.9 MB of lines), as a share of the
+    bytes written. Lists of 1,024 rows of edges measured 0.38 here and one
+    joined string per 1,024 rows 0.57; per 256 rows it measures 0.16. The
+    bound sits midway between 0.16 and 0.38."""
+    rng = random.Random(3)
+    graph = build_graph_from_mentions([
+        make_mention(f"doc{i // 4:05d}|s0|t{i % 4}|3-5", {
+            **{f"f{rng.randrange(400)}": rng.randint(1, 3) for _ in range(20)}, "u": 1,
+        })
+        for i in range(4000)
+    ])
+    path = tmp_path / "graph.tsv"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_graph_dump(graph, str(path))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak <= 0.27 * size, peak / size
