@@ -15,7 +15,9 @@ ids are namespaced so no two rules can emit the same id:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -154,17 +156,18 @@ class FeatureFilter:
         return {f: c for f, c in vec.items() if f in self.allowed}
 
 
-def build_feature_filter(training_vectors: list[FeatureVector]) -> FeatureFilter:
+def build_feature_filter(training_names: Iterable[Iterable[str]]) -> FeatureFilter:
     """Drop document-frequency-1 features and the most frequent 5%.
 
-    Frequency is document frequency over mentions. The top cut removes
-    ceil(0.05 * V) features by df, ties broken by feature id.
+    Each item is one mention's distinct feature names (a feature dict
+    serves: iterating it gives its names), so frequency is document
+    frequency over mentions. The top cut removes ceil(0.05 * V) features
+    by df, ties broken by feature id.
     """
-    if not training_vectors:
-        raise ValueError("cannot build a feature filter from zero vectors")
-    df: Counter[str] = Counter()
-    for vec in training_vectors:
-        df.update(vec.keys())
+    training_names = list(training_names)
+    if not training_names:
+        raise ValueError("cannot build a feature filter from zero mentions")
+    df = Counter(chain.from_iterable(training_names))
     vocab_size = len(df)
     n_top = -(-vocab_size * 5 // 100)  # ceil(0.05 * V)
     by_freq = sorted(df.items(), key=lambda kv: (-kv[1], kv[0]))

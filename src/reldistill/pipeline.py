@@ -133,7 +133,11 @@ class RunConfig:
 
 
 def load_run_config(path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except IsADirectoryError:
+        raise StageError(f"run config {path!r} is a directory, not a JSON file") from None
+    with fh:
         return RunConfig.from_dict(json.load(fh))
 
 
@@ -171,7 +175,12 @@ class Workspace:
 
     def __init__(self, out_dir: str, config: RunConfig):
         self.out = Path(out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:  # a file in the way
+            raise StageError(
+                f"output directory {out_dir!r} cannot be made: {exc.strerror}"
+            ) from None
         self.config = config
         self.manifest_path = self.out / "manifest.json"
         self._held: dict[str, tuple[str, list]] = {}

@@ -155,9 +155,8 @@ def build_training_set(
     shortfalls: dict[str, int] | None = None,
 ) -> TrainingSet:
     negatives = sample_negatives(pool, labeled_ids, config.n_negatives, config.rng_seed)
-    vectors = [m.feature_counts() for ms in positives.values() for m in ms]
-    vectors += [m.feature_counts() for m in negatives]
-    feature_filter = build_feature_filter(vectors)
+    mentions = [m for ms in positives.values() for m in ms] + negatives
+    feature_filter = build_feature_filter([f for f, _ in m.features] for m in mentions)
     return TrainingSet(
         positives=positives,
         negatives=negatives,
@@ -175,61 +174,86 @@ def hinge_objective(
     return 0.5 * reg_lambda * float(w @ w) + float(hinge.mean())
 
 
-def _row_dot(idx: np.ndarray, val: np.ndarray, w: np.ndarray) -> float:
-    """One CSR row times `w`, summed left to right from 0.0 as scipy's
-    row product sums it. A BLAS dot (`val @ w[idx]`) reassociates and can
-    differ in the last bit, which would move SGD off its trajectory."""
-    return (val * w[idx]).cumsum()[-1] if len(idx) else 0.0
+def _padded_rows(x: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Each CSR row of `x` as (columns, values), in the row's own order,
+    padded on the right to the widest row and to at least one entry. A
+    pad is column `x.shape[1]`, a spare sink column, with value 0.0."""
+    n, dim = x.shape
+    nnz = np.diff(x.indptr)
+    row = np.repeat(np.arange(n), nnz)
+    at = np.arange(x.nnz) - np.repeat(x.indptr[:-1], nnz)
+    width = max(1, int(nnz.max(initial=0)))
+    columns = np.full((n, width), dim, dtype=np.intp)
+    values = np.zeros((n, width))
+    columns[row, at] = x.indices
+    values[row, at] = x.data
+    return columns, values
 
 
-def _sgd_hinge(
+def _row_dots(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each row of `values * weights` summed left to right, as scipy's row
+    product sums it. A row sum by `sum`, `einsum` or BLAS reassociates and
+    can differ in the last bit, which would move SGD off its trajectory;
+    the trailing pads add +0.0, which only turns a zero's sign."""
+    return (values * weights).cumsum(axis=1)[:, -1]
+
+
+def _sgd_hinge_batched(
     x: sp.csr_matrix,
+    rows: np.ndarray,
     y: np.ndarray,
     reg_lambda: float,
     epochs: int,
     rng_seed: int,
-    history: list[float] | None = None,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Pegasos-style SGD with a decreasing step and iterate averaging over
-    the second half of training; bias is unregularized. When `history` is
-    given, the objective of the averaged iterate is appended per epoch of
-    the averaging window."""
-    n, dim = x.shape
-    bounds = x.indptr.tolist()
-    rows = [
-        (x.indices[lo:hi], x.data[lo:hi], yi)
-        for lo, hi, yi in zip(bounds, bounds[1:], y.tolist())
-    ]
-    w = np.zeros(dim)
-    bias = 0.0
+    the second half of training, for R problems over the rows of `x` at
+    once; bias is unregularized. Problem r's k-th example is row
+    `rows[r, k]` with label `y[r, k]`. The problems share their size and
+    seed, so one permutation per epoch orders all of them, and the step
+    size depends only on the step count: each step is, problem by problem,
+    the same IEEE operations as fitting that problem alone. Returns the
+    (R, dim) weights and the R biases."""
+    n_rel, n = rows.shape
+    dim = x.shape[1]
+    stride = dim + 1  # problem r's weights are w[r*stride:][:dim], then its sink
+    columns, values = _padded_rows(x)
+    offsets = stride * np.arange(n_rel)
+    # step-major, so one example of every problem is one (R, width) block
+    step_columns = (columns[rows] + offsets[:, None, None]).transpose(1, 0, 2)
+    step_values = values[rows].transpose(1, 0, 2)
+    step_labels = y.T
+    sinks = (offsets + dim)[:, None]
+    w = np.zeros(n_rel * stride)
+    bias = np.zeros(n_rel)
     rng = np.random.default_rng(rng_seed)
     t = 0
-    avg_w = np.zeros(dim)
-    avg_b = 0.0
+    avg_w = np.zeros_like(w)
+    avg_b = np.zeros_like(bias)
     n_avg = 0
     avg_from = max(1, epochs // 2)
     for epoch in range(epochs):
         order = rng.permutation(n)
-        for i in order.tolist():
+        # one epoch's examples are gathered at a time, never every step's
+        for cols, vals, yk in zip(step_columns[order], step_values[order], step_labels[order]):
             t += 1
             eta = 1.0 / (reg_lambda * (t + 1.0 / reg_lambda))
-            idx, val, yi = rows[i]
-            margin = yi * (_row_dot(idx, val, w) + bias)
+            margin = yk * (_row_dots(vals, w[cols]) + bias)
             w *= 1.0 - eta * reg_lambda
-            if margin < 1.0:
-                w[idx] += eta * yi * val
-                bias += eta * yi
+            hit = margin < 1.0
+            if any(hit):  # the builtin: cheaper than `hit.any()` on R entries
+                step = eta * yk
+                np.add(bias, step, out=bias, where=hit)
+                # a problem with no hinge step adds +-0.0 to its sink alone,
+                # so the sinks stay 0.0 and no weight is touched
+                w[np.where(hit[:, None], cols, sinks)] += (step * hit)[:, None] * vals
         if epoch >= avg_from:
             avg_w += w
             avg_b += bias
             n_avg += 1
-            if history is not None:
-                history.append(
-                    hinge_objective(x, y, avg_w / n_avg, avg_b / n_avg, reg_lambda)
-                )
     if n_avg:
-        return avg_w / n_avg, avg_b / n_avg
-    return w, bias
+        w, bias = avg_w / n_avg, avg_b / n_avg
+    return w.reshape(n_rel, stride)[:, :dim], bias
 
 
 def _fit_platt(margins: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
@@ -284,32 +308,45 @@ def train(
     feature_config: FeatureConfig,
 ) -> LinearModel:
     """One binary classifier per relation: that relation's positives vs
-    the other relations' positives plus the shared general negatives."""
+    the other relations' positives plus the shared general negatives. Each
+    relation's examples are rows of one count matrix, the positives of
+    every relation in name order and then the negatives, and one batched
+    SGD pass fits every relation."""
     allowed = sorted(training_set.feature_filter.allowed)
-    positives = training_set.positives
-
-    models: dict[str, RelationModel] = {}
-    for relation in sorted(positives):
-        pos = positives[relation]
-        neg = [m for other in sorted(positives) if other != relation for m in positives[other]]
-        neg += training_set.negatives
-        if not pos or not neg:
+    relations = sorted(training_set.positives)
+    blocks = [training_set.positives[relation] for relation in relations]
+    mentions = [m for ms in blocks for m in ms] + training_set.negatives
+    n = len(mentions)
+    for relation, pos in zip(relations, blocks):
+        if not pos or len(pos) == n:
             raise ValueError(
                 f"relation {relation!r} has an empty {'negative' if pos else 'positive'} "
                 f"side: distillation found {len(pos)} of n={config.n} positives with "
-                f"strategy {config.strategy!r}; {len(neg)} negatives"
+                f"strategy {config.strategy!r}; {n - len(pos)} negatives"
             )
-        y = np.array([1.0] * len(pos) + [-1.0] * len(neg))
-        # pos + neg is every training mention, so every allowed feature is
-        # a column; a missing one is a KeyError, never a neighbouring column
-        vocab, counts = feature_matrix(pos + neg)
-        column = {f: j for j, f in enumerate(vocab)}
-        x = counts[:, np.array([column[f] for f in allowed], dtype=np.intp)]
-        w, bias = _sgd_hinge(x, y, config.reg_lambda, config.epochs, config.rng_seed)
+    # `mentions` is every training mention, so every allowed feature is a
+    # column; a missing one is a KeyError, never a neighbouring column
+    vocab, counts = feature_matrix(mentions)
+    column = {f: j for j, f in enumerate(vocab)}
+    x = counts[:, np.array([column[f] for f in allowed], dtype=np.intp)]
+    # relation r's examples: its positives, the other relations' positives
+    # in name order, then the negatives
+    bounds = np.cumsum([0] + [len(pos) for pos in blocks]).tolist()
+    rows = np.array(
+        [np.r_[lo:hi, 0:lo, hi:n] for lo, hi in zip(bounds, bounds[1:])], dtype=np.intp
+    ).reshape(len(relations), n)
+    y = np.where(np.arange(n) < np.diff(bounds)[:, None], 1.0, -1.0)
+    w_all, b_all = _sgd_hinge_batched(
+        x, rows, y, config.reg_lambda, config.epochs, config.rng_seed
+    )
+
+    models: dict[str, RelationModel] = {}
+    for r, relation in enumerate(relations):
+        w, bias = w_all[r], b_all[r]
         platt = None
         if config.calibration == "platt":
-            margins = np.asarray(x @ w) + bias
-            platt = _fit_platt(margins, y)
+            margins = np.asarray(x @ w)[rows[r]] + bias
+            platt = _fit_platt(margins, y[r])
         weights = {allowed[i]: float(w[i]) for i in np.nonzero(w)[0]}
         models[relation] = RelationModel(weights=weights, bias=float(bias), platt=platt)
     return LinearModel(relations=models, feature_config=feature_config, train_config=config)

@@ -202,6 +202,21 @@ class TestErrors:
         assert run(tmp_path / "no.json", tmp_path / "out", "run") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_config_that_is_a_directory_exits_1(self, tmp_path, capsys):
+        assert run(tmp_path, tmp_path / "out", "run") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_that_is_a_file_exits_1(self, run_config_file, tmp_path, capsys, under):
+        blocker = tmp_path / "out"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if under else blocker
+        assert run(run_config_file, out, "run") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+        assert blocker.read_text() == "kept\n"
+
     def test_bad_corpus_path(self, run_config_file, tmp_path, capsys):
         cfg = json.loads(run_config_file.read_text())
         cfg["target_corpus"] = str(tmp_path / "missing.jsonl")

@@ -55,10 +55,13 @@ from reldistill.training import (
     RelationModel,
     TrainConfig,
     TrainingSet,
-    _row_dot,
-    _sgd_hinge,
+    _fit_platt,
+    _padded_rows,
+    _row_dots,
+    _sgd_hinge_batched,
     classify_counts,
     classify_scored,
+    hinge_objective,
 )
 
 from test_propagation import assigned, make_mention
@@ -95,6 +98,93 @@ def sgd_hinge_getrow_oracle(x, y, reg_lambda, epochs, rng_seed):
     if n_avg:
         return avg_w / n_avg, avg_b / n_avg
     return w, bias
+
+
+def sgd_hinge_oracle(x, y, reg_lambda, epochs, rng_seed, history=None):
+    """One problem's SGD, each margin summed from CSR row slices. When
+    `history` is given, the objective of the averaged iterate is appended
+    per epoch of the averaging window."""
+    n, dim = x.shape
+    bounds = x.indptr.tolist()
+    rows = [
+        (x.indices[lo:hi], x.data[lo:hi], yi)
+        for lo, hi, yi in zip(bounds, bounds[1:], y.tolist())
+    ]
+    w = np.zeros(dim)
+    bias = 0.0
+    rng = np.random.default_rng(rng_seed)
+    t = 0
+    avg_w = np.zeros(dim)
+    avg_b = 0.0
+    n_avg = 0
+    avg_from = max(1, epochs // 2)
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        for i in order.tolist():
+            t += 1
+            eta = 1.0 / (reg_lambda * (t + 1.0 / reg_lambda))
+            idx, val, yi = rows[i]
+            dot = (val * w[idx]).cumsum()[-1] if len(idx) else 0.0
+            margin = yi * (dot + bias)
+            w *= 1.0 - eta * reg_lambda
+            if margin < 1.0:
+                w[idx] += eta * yi * val
+                bias += eta * yi
+        if epoch >= avg_from:
+            avg_w += w
+            avg_b += bias
+            n_avg += 1
+            if history is not None:
+                history.append(
+                    hinge_objective(x, y, avg_w / n_avg, avg_b / n_avg, reg_lambda)
+                )
+    if n_avg:
+        return avg_w / n_avg, avg_b / n_avg
+    return w, bias
+
+
+def train_per_relation_oracle(training_set, config, feature_config):
+    """One design matrix and one SGD run per relation, in name order."""
+    allowed = sorted(training_set.feature_filter.allowed)
+    positives = training_set.positives
+    models = {}
+    for relation in sorted(positives):
+        pos = positives[relation]
+        neg = [m for other in sorted(positives) if other != relation for m in positives[other]]
+        neg += training_set.negatives
+        if not pos or not neg:
+            raise ValueError(
+                f"relation {relation!r} has an empty {'negative' if pos else 'positive'} "
+                f"side: distillation found {len(pos)} of n={config.n} positives with "
+                f"strategy {config.strategy!r}; {len(neg)} negatives"
+            )
+        y = np.array([1.0] * len(pos) + [-1.0] * len(neg))
+        vocab, counts = feature_matrix(pos + neg)
+        column = {f: j for j, f in enumerate(vocab)}
+        x = counts[:, np.array([column[f] for f in allowed], dtype=np.intp)]
+        w, bias = sgd_hinge_oracle(x, y, config.reg_lambda, config.epochs, config.rng_seed)
+        platt = None
+        if config.calibration == "platt":
+            platt = _fit_platt(np.asarray(x @ w) + bias, y)
+        weights = {allowed[i]: float(w[i]) for i in np.nonzero(w)[0]}
+        models[relation] = RelationModel(weights=weights, bias=float(bias), platt=platt)
+    return LinearModel(relations=models, feature_config=feature_config, train_config=config)
+
+
+def feature_filter_dict_oracle(training_vectors):
+    """The filter from one feature dict per mention."""
+    df = Counter()
+    for vec in training_vectors:
+        df.update(vec.keys())
+    n_top = -(-len(df) * 5 // 100)
+    by_freq = sorted(df.items(), key=lambda kv: (-kv[1], kv[0]))
+    frequent = {f for f, _ in by_freq[:n_top]}
+    singletons = {f for f, c in df.items() if c == 1}
+    return FeatureFilter(
+        allowed=frozenset(df.keys() - frequent - singletons),
+        dropped_singletons=len(singletons - frequent),
+        dropped_frequent=len(frequent),
+    )
 
 
 def build_graph_loop_oracle(mentions):
@@ -381,26 +471,29 @@ def mention_lists(draw):
 
 
 @st.composite
-def filtered_training_sets(draw):
-    """Mentions split into two relations' positives and the negatives,
-    plus a feature filter that allows some of their features. Feature
-    ids such as `f10` < `f2` check that columns follow string order."""
+def relation_training_sets(draw):
+    """One to four relations over a shared pool of mentions: a mention
+    may be a positive of two relations, and one with no allowed feature
+    is a zero row. The filter allows some of their features, maybe none;
+    feature ids such as `f10` < `f2` check that columns follow string
+    order."""
     n_f = draw(st.integers(1, 12))
-    mentions = []
-    for i in range(draw(st.integers(3, 10))):
-        feats = draw(
+    pool = [
+        make_mention(f"m{i:02d}", {f"f{j}": tf for j, tf in draw(
             st.dictionaries(st.integers(0, n_f - 1), st.integers(1, 4), max_size=n_f)
-        )
-        mentions.append(make_mention(f"m{i:02d}", {f"f{j}": tf for j, tf in feats.items()}))
-    vocab = sorted({f for m in mentions for f, _ in m.features})
+        ).items()})
+        for i in range(draw(st.integers(2, 12)))
+    ]
+    names = draw(st.lists(st.sampled_from(["rel2", "rel10", "b_rel", "a_rel"]),
+                          min_size=1, max_size=4, unique=True))
+    positives = {
+        name: draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)) for name in names
+    }
+    negatives = draw(st.lists(st.sampled_from(pool), min_size=len(names) == 1, max_size=5))
+    used = [m for ms in positives.values() for m in ms] + negatives
+    vocab = sorted({f for m in used for f, _ in m.features})
     allowed = draw(st.sets(st.sampled_from(vocab))) if vocab else set()
-    cut_a = draw(st.integers(1, len(mentions) - 2))
-    cut_b = draw(st.integers(cut_a + 1, len(mentions) - 1))
-    return TrainingSet(
-        positives={"relA": mentions[:cut_a], "relB": mentions[cut_a:cut_b]},
-        negatives=mentions[cut_b:],
-        feature_filter=FeatureFilter(allowed=frozenset(allowed)),
-    )
+    return TrainingSet(positives, negatives, FeatureFilter(allowed=frozenset(allowed)))
 
 
 @st.composite
@@ -558,34 +651,63 @@ def extraction_cases(draw):
 # --- equivalence -------------------------------------------------------------
 
 
+@st.composite
+def batched_problems(draw):
+    """One to three problems over the rows of one matrix, each with its
+    own visiting order of the rows and its own labels."""
+    x, _ = draw(sparse_problems())
+    n = x.shape[0]
+    n_rel = draw(st.integers(1, 3))
+    rows = np.array([draw(st.permutations(range(n))) for _ in range(n_rel)], dtype=np.intp)
+    y = np.array([draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n))
+                  for _ in range(n_rel)])
+    return x, rows.reshape(n_rel, n), y.reshape(n_rel, n)
+
+
 @given(
-    sparse_problems(),
+    batched_problems(),
     st.sampled_from([1e-3, 1e-2, 0.5]),
     st.integers(1, 6),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=120, deadline=None)
 def test_sgd_matches_getrow_loop_bitwise(problem, reg_lambda, epochs, rng_seed):
-    x, y = problem
-    w, bias = _sgd_hinge(x, y, reg_lambda, epochs, rng_seed)
-    w_ref, bias_ref = sgd_hinge_getrow_oracle(x, y, reg_lambda, epochs, rng_seed)
-    assert np.array_equal(w, w_ref)
-    assert bias == bias_ref
+    x, rows, y = problem
+    w, bias = _sgd_hinge_batched(x, rows, y, reg_lambda, epochs, rng_seed)
+    assert w.shape == (len(rows), x.shape[1]) and bias.shape == (len(rows),)
+    for r in range(len(rows)):
+        w_ref, bias_ref = sgd_hinge_getrow_oracle(x[rows[r]], y[r], reg_lambda, epochs, rng_seed)
+        assert np.array_equal(w[r].view(np.uint64), w_ref.view(np.uint64))
+        assert bias[r].hex() == float(bias_ref).hex()
 
 
 def test_row_dot_is_scipys_row_product_not_blas_dot():
     rng = np.random.default_rng(5)
     x = sp.random(60, 200, density=0.3, random_state=6, format="csr")
     x.data = rng.uniform(-3.0, 3.0, x.nnz)
-    w = rng.uniform(-3.0, 3.0, 200)
+    x.data[x.indptr[7]:x.indptr[8]] = 0.0  # a row with no entry
+    x.eliminate_zeros()
+    w = np.append(rng.uniform(-3.0, 3.0, 200), 0.0)  # the sink column last
+    columns, values = _padded_rows(x)
+    got = _row_dots(values, w[columns])
     blas_differs = 0
     for i in range(60):
         lo, hi = x.indptr[i], x.indptr[i + 1]
         idx, val = x.indices[lo:hi], x.data[lo:hi]
-        assert _row_dot(idx, val, w) == (x.getrow(i) @ w).item()
-        blas_differs += bool(val @ w[idx] != (x.getrow(i) @ w).item())
+        assert got[i] == (x.getrow(i) @ w[:-1]).item()
+        blas_differs += bool(val @ w[idx] != (x.getrow(i) @ w[:-1]).item())
     assert blas_differs  # the rows the sequential sum exists for
-    assert _row_dot(np.array([], dtype=np.int32), np.array([]), w) == 0.0
+    assert got[7] == 0.0 and not values[7].any() and (columns[7] == 200).all()
+
+
+def test_padded_rows_keep_each_rows_order_and_pad_to_the_sink():
+    x = sp.csr_matrix((np.array([2.0, 1.0, 3.0]), np.array([4, 0, 2]), np.array([0, 0, 1, 3])),
+                      shape=(3, 5))  # the last row's columns out of order
+    columns, values = _padded_rows(x)
+    assert columns.tolist() == [[5, 5], [4, 5], [0, 2]]
+    assert values.tolist() == [[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]]
+    columns, values = _padded_rows(sp.csr_matrix((2, 0)))  # no column at all
+    assert columns.tolist() == [[0], [0]] and values.tolist() == [[0.0], [0.0]]
 
 
 def assert_same_graph(got: BipartiteGraph, want: BipartiteGraph) -> None:
@@ -743,16 +865,21 @@ def test_edges_in_row_blocks_match_whole_lists(tmp_path_factory, graph, block_ro
 
 
 def design_matrices(training_set, monkeypatch):
-    """relation -> the design matrix `train` hands to SGD."""
+    """relation -> (its design matrix, its labels), rebuilt from the one
+    matrix `train` hands to the batched SGD and that relation's rows."""
     seen = []
 
-    def capture(x, *args):
-        seen.append(x)
-        return np.zeros(x.shape[1]), 0.0
+    def capture(x, rows, y, *args):
+        seen.append((x, rows, y))
+        return np.zeros((len(rows), x.shape[1])), np.zeros(len(rows))
 
-    monkeypatch.setattr(training, "_sgd_hinge", capture)
+    monkeypatch.setattr(training, "_sgd_hinge_batched", capture)
     training.train(training_set, TrainConfig(calibration="raw_margin"), None)
-    return dict(zip(sorted(training_set.positives), seen))
+    assert len(seen) == 1  # one SGD pass fits every relation
+    x, rows, y = seen[0]
+    relations = sorted(training_set.positives)
+    assert rows.shape == y.shape == (len(relations), x.shape[0])
+    return {relation: (x[rows[r]], y[r]) for r, relation in enumerate(relations)}
 
 
 def assert_same_csr(got, want):
@@ -767,7 +894,7 @@ def assert_same_csr(got, want):
     assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
 
 
-@given(filtered_training_sets())
+@given(relation_training_sets())
 @example(  # m1 has no allowed feature
     TrainingSet(
         positives={"relA": [make_mention("m0", {"a": 1, "b": 2})]},
@@ -788,7 +915,8 @@ def test_train_design_matrix_matches_vectorize_loop(training_set):
     feat_index = {f: i for i, f in enumerate(allowed)}
     with pytest.MonkeyPatch.context() as mp:
         got = design_matrices(training_set, mp)
-    for relation, x in got.items():
+    assert sorted(got) == sorted(training_set.positives)  # one matrix per relation
+    for relation, (x, y) in got.items():
         pos = training_set.positives[relation]
         others = [
             m for other, ms in sorted(training_set.positives.items())
@@ -796,6 +924,78 @@ def test_train_design_matrix_matches_vectorize_loop(training_set):
         ]
         mentions = pos + others + training_set.negatives
         assert_same_csr(x, vectorize_loop_oracle(mentions, training_set.feature_filter, feat_index))
+        assert y.tolist() == [1.0] * len(pos) + [-1.0] * (len(mentions) - len(pos))
+
+
+def model_bits(model):
+    return {
+        relation: (
+            [(f, w.hex()) for f, w in sorted(rm.weights.items())],
+            rm.bias.hex(),
+            rm.platt and tuple(v.hex() for v in rm.platt),
+        )
+        for relation, rm in model.relations.items()
+    }
+
+
+_M0, _M1, _M2 = (make_mention(f"m{i}", feats) for i, feats in
+                 enumerate(({"a": 1, "b": 2}, {"b": 3}, {"a": 2, "c": 1})))
+
+
+@given(
+    relation_training_sets(),
+    st.sampled_from(["platt", "raw_margin"]),
+    st.integers(1, 6),
+    st.sampled_from([1e-3, 0.1, 2.0]),
+    st.integers(0, 2**32 - 1),
+)
+@example(  # m1 is a zero row: it has no allowed feature
+    TrainingSet({"relA": [_M0], "relB": [_M2]}, [_M1], FeatureFilter(frozenset({"a", "c"}))),
+    "platt", 3, 1e-3, 13,
+)
+@example(  # the filter allows nothing
+    TrainingSet({"relA": [_M0]}, [_M1, _M2], FeatureFilter(frozenset())), "platt", 2, 1e-3, 13,
+)
+@example(  # m0 is a positive of both relations, as shared value pools make it
+    TrainingSet({"relB": [_M0, _M1], "relA": [_M0]}, [_M2], FeatureFilter(frozenset({"a", "b"}))),
+    "platt", 6, 1e-3, 13,
+)
+@settings(max_examples=150, deadline=None)
+def test_train_matches_per_relation_oracle_bitwise(
+    training_set, calibration, epochs, reg_lambda, rng_seed
+):
+    config = TrainConfig(calibration=calibration, epochs=epochs, reg_lambda=reg_lambda,
+                         rng_seed=rng_seed)
+    got = training.train(training_set, config, FeatureConfig())
+    want = train_per_relation_oracle(training_set, config, FeatureConfig())
+    assert list(got.relations) == sorted(training_set.positives)
+    assert model_bits(got) == model_bits(want)
+
+
+@pytest.mark.parametrize("positives, negatives", [
+    ({"relB": [], "relA": []}, [_M1]),  # relA, first in name order, is named
+    ({"relA": [_M0, _M1]}, []),  # nothing is negative
+])
+def test_train_names_an_empty_side_as_the_per_relation_loop(positives, negatives):
+    training_set = TrainingSet(positives, negatives, FeatureFilter(frozenset({"a", "b"})))
+    with pytest.raises(ValueError) as want:
+        train_per_relation_oracle(training_set, TrainConfig(), FeatureConfig())
+    with pytest.raises(ValueError) as got:
+        training.train(training_set, TrainConfig(), FeatureConfig())
+    assert str(got.value) == str(want.value)
+
+
+@given(relation_training_sets())
+@settings(max_examples=60, deadline=None)
+def test_training_set_filter_counts_names_as_the_dict_loop(training_set):
+    config = TrainConfig(n=1, negatives=len(training_set.negatives))
+    built = training.build_training_set(
+        training_set.positives, training_set.negatives, set(), config
+    )
+    mentions = [m for ms in training_set.positives.values() for m in ms] + built.negatives
+    assert built.feature_filter == feature_filter_dict_oracle(
+        [m.feature_counts() for m in mentions]
+    )
 
 
 def test_train_refuses_an_allowed_feature_no_mention_has(monkeypatch):
