@@ -5,14 +5,20 @@ named sections. Input files may ship precomputed NP chunks, coordinate
 lists, and dependency annotations; when chunks are missing and POS tags
 are available, a POS-pattern chunker and a conjunction-run list detector
 fill them in.
+
+A token is the exact tuple (surface, pos, dep_head, dep_label), the order
+of `TOKEN_FIELDS`; the last three may be None. A sentence's tokens, NP
+chunks and coordinate lists are exact tuples too. The cyclic garbage
+collector stops tracking an exact tuple whose items are all untracked
+(strings, ints, None, such tuples), but not a named tuple or a list, so a
+corpus held in memory costs the collector nothing on each later pass.
 """
 
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _str
-from typing import NamedTuple
 
 from .decode import jsonl_lines
 from .norm import normalize
@@ -20,6 +26,8 @@ from .norm import normalize
 POS_TAGS = {"NOUN", "PROPN", "ADJ", "VERB", "DET", "CONJ", "PUNCT", "OTHER"}
 
 NOUN_LIKE = {"NOUN", "PROPN"}
+
+TOKEN_FIELDS = ("surface", "pos", "dep_head", "dep_label")
 
 # coarse mapping for common Penn-style tags; unknown tags fall through to OTHER
 _DEFAULT_POS_PREFIXES = [
@@ -50,13 +58,6 @@ def map_pos(tag: str) -> str:
     return "OTHER"
 
 
-class Token(NamedTuple):
-    surface: str
-    pos: str | None = None
-    dep_head: int | None = None
-    dep_label: str | None = None
-
-
 @dataclass(frozen=True)
 class CoordinateList:
     item_spans: tuple[tuple[int, int], ...]
@@ -70,9 +71,9 @@ class CoordinateList:
 
 @dataclass
 class Sentence:
-    tokens: list[Token]
-    np_chunks: list[tuple[int, int]] = field(default_factory=list)
-    coordinate_lists: list[CoordinateList] = field(default_factory=list)
+    tokens: tuple[tuple, ...]  # each in TOKEN_FIELDS order
+    np_chunks: tuple[tuple[int, int], ...] = ()
+    coordinate_lists: tuple[CoordinateList, ...] = ()
 
     def mention_targets(self) -> list[tuple]:
         """(feature target, kind, span, item spans) of each list, then each chunk in no list."""
@@ -95,27 +96,28 @@ class Document:
     corpus_tag: str  # "structured" or "target"
 
 
-def chunk_sentence(tokens: list[Token]) -> list[tuple[int, int]]:
+def chunk_sentence(tokens) -> list[tuple[int, int]]:
     """Greedy left-to-right maximal (ADJ|NOUN)* NOUN spans.
 
     Fallback for corpora without precomputed chunks; requires POS on
     every token.
     """
-    for i, tok in enumerate(tokens):
-        if tok.pos is None:
+    tags = [pos for _, pos, _, _ in tokens]
+    for i, (surface, pos, _, _) in enumerate(tokens):
+        if pos is None:
             raise CorpusFormatError(
-                f"token {i} ({tok.surface!r}) has no POS tag; "
+                f"token {i} ({surface!r}) has no POS tag; "
                 "supply precomputed np_chunks instead"
             )
     spans = []
     i = 0
     n = len(tokens)
     while i < n:
-        if tokens[i].pos in NOUN_LIKE or tokens[i].pos == "ADJ":
+        if tags[i] in NOUN_LIKE or tags[i] == "ADJ":
             j = i
             last_noun = -1
-            while j < n and (tokens[j].pos in NOUN_LIKE or tokens[j].pos == "ADJ"):
-                if tokens[j].pos in NOUN_LIKE:
+            while j < n and (tags[j] in NOUN_LIKE or tags[j] == "ADJ"):
+                if tags[j] in NOUN_LIKE:
                     last_noun = j
                 j += 1
             if last_noun >= 0:
@@ -124,10 +126,6 @@ def chunk_sentence(tokens: list[Token]) -> list[tuple[int, int]]:
         else:
             i += 1
     return spans
-
-
-def _is_separator(tok: Token) -> bool:
-    return tok.pos == "CONJ" or tok.surface == ","
 
 
 def detect_coordinate_lists(sentence: Sentence) -> list[CoordinateList]:
@@ -141,7 +139,7 @@ def detect_coordinate_lists(sentence: Sentence) -> list[CoordinateList]:
     for chunk in chunks:
         if run:
             gap = sentence.tokens[run[-1][1] : chunk[0]]
-            if gap and all(_is_separator(t) for t in gap):
+            if gap and all(pos == "CONJ" or surface == "," for surface, pos, _, _ in gap):
                 run.append(chunk)
                 continue
             if len(run) >= 2:
@@ -199,7 +197,7 @@ def _parse_sentence(obj: dict, line_no: int) -> Sentence:
         dep_label = t.get("dep_label")
         if dep_label is not None and not isinstance(dep_label, str):
             raise _shape_error(line_no, f"token {ti} field 'dep_label'", "a string", dep_label)
-        tokens.append(Token(surface, pos, dep_head, dep_label))
+        tokens.append((surface, pos, dep_head, dep_label))
 
     if "np_chunks" in obj:
         raw_chunks = obj["np_chunks"]
@@ -217,18 +215,19 @@ def _parse_sentence(obj: dict, line_no: int) -> Sentence:
                 raise CorpusFormatError(f"line {line_no}: duplicate np_chunk ({s},{e})")
             seen.add(span)
             chunks.append(span)
-    elif all(t.pos is not None for t in tokens):
+    elif all(pos is not None for _, pos, _, _ in tokens):
         chunks = chunk_sentence(tokens)
     else:
         chunks = []
 
-    sent = Sentence(tokens=tokens, np_chunks=chunks)
+    sent = Sentence(tuple(tokens), tuple(chunks))
 
     if "coordinate_lists" in obj:
         raw_lists = obj["coordinate_lists"]
         if not isinstance(raw_lists, list):
             raise _shape_error(line_no, "sentence field 'coordinate_lists'", "a list", raw_lists)
         chunk_set = set(chunks)
+        lists = []
         for li, cl in enumerate(raw_lists):
             where = f"coordinate list {li}"
             if not isinstance(cl, dict):
@@ -254,7 +253,15 @@ def _parse_sentence(obj: dict, line_no: int) -> Sentence:
                     )
             else:
                 head = items[-1]
-            sent.coordinate_lists.append(CoordinateList(items, head))
+            # as detect_coordinate_lists builds them: each item starts
+            # at or after the end of the one before
+            if any(b[0] < a[1] for a, b in zip(items, items[1:])):
+                raise _shape_error(
+                    line_no, f"{where} field 'items'",
+                    "ascending np_chunks that do not overlap", raw_items,
+                )
+            lists.append(CoordinateList(items, head))
+        sent.coordinate_lists = tuple(lists)
         # a mention's id ends in its span, so no two mentions may share one
         spans = set()
         for _, _, (s, e), _ in sent.mention_targets():
@@ -262,7 +269,7 @@ def _parse_sentence(obj: dict, line_no: int) -> Sentence:
                 raise CorpusFormatError(f"line {line_no}: duplicate mention span ({s},{e})")
             spans.add((s, e))
     else:
-        sent.coordinate_lists = detect_coordinate_lists(sent)
+        sent.coordinate_lists = tuple(detect_coordinate_lists(sent))
     return sent
 
 
@@ -330,16 +337,7 @@ def document_to_dict(doc: Document) -> dict:
                 "sentences": [
                     {
                         "tokens": [
-                            {
-                                k: v
-                                for k, v in (
-                                    ("surface", t.surface),
-                                    ("pos", t.pos),
-                                    ("dep_head", t.dep_head),
-                                    ("dep_label", t.dep_label),
-                                )
-                                if v is not None
-                            }
+                            {k: v for k, v in zip(TOKEN_FIELDS, t) if v is not None}
                             for t in sent.tokens
                         ],
                         "np_chunks": [list(span) for span in sent.np_chunks],
@@ -363,7 +361,7 @@ def _span_json(span: tuple[int, int]) -> str:
     return f"[{span[0]}, {span[1]}]"
 
 
-def _token_json(t: Token) -> str:
+def _token_json(t: tuple) -> str:
     surface, pos, dep_head, dep_label = t
     head = "" if dep_head is None else f'"dep_head": {dep_head}, '
     label = "" if dep_label is None else f'"dep_label": {_str(dep_label)}, '

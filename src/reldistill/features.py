@@ -78,13 +78,15 @@ def feature_matrix(mentions: list[Mention]) -> tuple[list[str], sp.csr_matrix]:
 
 
 def _closest_ancestor_verb(sentence: Sentence, head_idx: int) -> int | None:
+    tokens = sentence.tokens
     seen = {head_idx}
-    idx = sentence.tokens[head_idx].dep_head
+    idx = tokens[head_idx][2]  # dep_head
     while idx is not None and idx not in seen:
-        if sentence.tokens[idx].pos == "VERB":
+        _, pos, dep_head, _ = tokens[idx]
+        if pos == "VERB":
             return idx
         seen.add(idx)
-        idx = sentence.tokens[idx].dep_head
+        idx = dep_head
     return None
 
 
@@ -105,7 +107,7 @@ def extract_features(
     span_start = min(s for s, _ in item_spans)
     span_end = max(e for _, e in item_spans)
 
-    lower = [t.surface.lower() for t in tokens]  # each token lowered once
+    lower = [surface.lower() for surface, _, _, _ in tokens]  # each token lowered once
     names = []
     for i in sorted({i for s, e in item_spans for i in range(s, e)}):
         tok = lower[i]
@@ -124,20 +126,21 @@ def extract_features(
 
     if config.dependency_features:
         head_idx = head_span[1] - 1
-        if tokens[head_idx].dep_head is not None:
+        if tokens[head_idx][2] is not None:  # dep_head
             verb_idx = _closest_ancestor_verb(sentence, head_idx)
             if verb_idx is not None:
                 names.append(f"vrb={lower[verb_idx]}")
                 names += [
                     f"mod={lower[i]}"
-                    for i, t in enumerate(tokens)
-                    if t.dep_head == verb_idx and i != verb_idx
+                    for i, (_, _, dep_head, _) in enumerate(tokens)
+                    if dep_head == verb_idx and i != verb_idx
                 ]
                 labels = []
                 idx = head_idx
                 while idx != verb_idx:
-                    labels.append(tokens[idx].dep_label or "_")
-                    idx = tokens[idx].dep_head
+                    _, _, dep_head, dep_label = tokens[idx]
+                    labels.append(dep_label or "_")
+                    idx = dep_head
                 names.append(f"path={'/'.join(labels)}")
 
     feats: FeatureVector = {}
@@ -151,9 +154,6 @@ class FeatureFilter:
     allowed: frozenset[str]
     dropped_singletons: int = 0
     dropped_frequent: int = 0
-
-    def apply(self, vec: FeatureVector) -> FeatureVector:
-        return {f: c for f, c in vec.items() if f in self.allowed}
 
 
 def build_feature_filter(training_names: Iterable[Iterable[str]]) -> FeatureFilter:

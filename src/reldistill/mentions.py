@@ -53,7 +53,7 @@ class MentionSets:
 
 
 def _surface(doc_tokens, span) -> str:
-    return " ".join(t.surface for t in doc_tokens[span[0] : span[1]])
+    return " ".join([surface for surface, _, _, _ in doc_tokens[span[0] : span[1]]])
 
 
 def enumerate_mentions(doc: Document, config: FeatureConfig, pairs: dict) -> list[Mention]:

@@ -51,6 +51,7 @@ from reldistill.training import (
     train,
 )
 
+from test_kernels import filter_counts
 from test_propagation import dense_ppr_solve, edge_weights, make_mention
 from test_training import batch_subgradient_oracle
 
@@ -506,7 +507,7 @@ def test_learner_separable_accuracy_and_objective():
     rows = []
     for m in pos + neg:
         v = np.zeros(len(feats))
-        for f, c in filt.apply(m.feature_counts()).items():
+        for f, c in filter_counts(filt, m.feature_counts()).items():
             v[fi[f]] = c
         rows.append(v)
     x = sp.csr_matrix(np.array(rows))

@@ -412,6 +412,10 @@ class TestErrors:
                                                        "head": [5, 9]}]),
                          "line 2: coordinate list 0 field 'head' must be a span inside the "
                          "5-token sentence, got [5, 9]", id="list-head"),
+            pytest.param(lambda doc: doc["sections"][0]["sentences"][0].update(
+                np_chunks=[[0, 1], [3, 4]], coordinate_lists=[{"items": [[3, 4], [0, 1]]}]),
+                         "line 2: coordinate list 0 field 'items' must be ascending np_chunks "
+                         "that do not overlap, got [[3, 4], [0, 1]]", id="list-items-descending"),
         ],
     )
     def test_ill_shaped_corpus_exits_1(self, run_config_file, data_dir, tmp_path, capsys,

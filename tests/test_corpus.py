@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from reldistill.corpus import (
     Document,
     Section,
     Sentence,
-    Token,
+    TOKEN_FIELDS,
     chunk_sentence,
     detect_coordinate_lists,
     document_to_dict,
@@ -21,31 +22,81 @@ from reldistill.corpus import (
 from reldistill.norm import normalize
 
 
+def token(surface, pos=None, dep_head=None, dep_label=None):
+    """A token as ingest builds it, for tests that build sentences by hand."""
+    return (surface, pos, dep_head, dep_label)
+
+
 def toks(*pairs):
-    return [Token(surface, pos) for surface, pos in pairs]
+    return tuple(token(surface, pos) for surface, pos in pairs)
+
+
+def parsed_tokens(tmp_path, *raw_tokens):
+    """The tokens ingest makes of one sentence of `raw_tokens`."""
+    doc = {"doc_id": "d1", "title_entity": "x", "sections": [
+        {"title": "Uses", "sentences": [{"tokens": list(raw_tokens), "np_chunks": []}]}]}
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(doc) + "\n")
+    (sent,) = ingest_corpus(str(path), "target")[0].sections[0].sentences
+    return sent.tokens
 
 
 class TestToken:
-    def test_fields_and_defaults(self):
-        tok = Token("nausea")
-        assert Token._fields == ("surface", "pos", "dep_head", "dep_label")
-        assert (tok.surface, tok.pos, tok.dep_head, tok.dep_label) == ("nausea", None, None, None)
+    def test_fields_and_defaults(self, tmp_path):
+        assert TOKEN_FIELDS == ("surface", "pos", "dep_head", "dep_label")
+        bare, full = parsed_tokens(
+            tmp_path,
+            {"surface": "nausea"},
+            {"surface": "pain", "pos": "NN", "dep_head": 0, "dep_label": "conj"},
+        )
+        assert bare == ("nausea", None, None, None)
+        assert full == ("pain", "NOUN", 0, "conj")
 
-    def test_keyword_construction(self):
-        tok = Token(surface="pain", dep_label="dobj", pos="NOUN", dep_head=2)
-        assert tok == Token("pain", "NOUN", 2, "dobj")
+    def test_keyword_construction(self, tmp_path):
+        # the object's keys may come in any order; the tuple has TOKEN_FIELDS order
+        (tok,) = parsed_tokens(
+            tmp_path, {"dep_label": "dobj", "pos": "NOUN", "surface": "pain"}
+        )
+        assert tok == token(surface="pain", dep_label="dobj", pos="NOUN")
+        assert dict(zip(TOKEN_FIELDS, tok)) == {
+            "surface": "pain", "pos": "NOUN", "dep_head": None, "dep_label": "dobj"
+        }
 
-    def test_equality_and_hash(self):
-        assert Token("pain", "NOUN") == Token("pain", "NOUN")
-        assert hash(Token("pain", "NOUN", 1)) == hash(Token("pain", "NOUN", 1))
-        assert Token("pain", "NOUN") != Token("pain", "VERB")
-        assert len({Token("a"), Token("a"), Token("b")}) == 2
+    def test_equality_and_hash(self, tmp_path):
+        a, b, c = parsed_tokens(
+            tmp_path, {"surface": "pain", "pos": "NOUN"}, {"surface": "pain", "pos": "NN"},
+            {"surface": "pain", "pos": "VERB"},
+        )
+        assert a == b == token("pain", "NOUN")
+        assert hash(a) == hash(b)
+        assert a != c
+        assert len({a, b, c}) == 2
 
-    def test_attributes_cannot_be_assigned(self):
-        tok = Token("pain", "NOUN")
-        with pytest.raises(AttributeError):
-            tok.pos = "VERB"
-        assert tok.pos == "NOUN"
+    def test_attributes_cannot_be_assigned(self, tmp_path):
+        (tok,) = parsed_tokens(tmp_path, {"surface": "pain", "pos": "NOUN"})
+        assert type(tok) is tuple  # exact, so the collector can untrack it
+        with pytest.raises(TypeError):
+            tok[1] = "VERB"
+        assert tok[1] == "NOUN"
+
+
+def test_parsed_corpus_is_untracked_by_the_collector(data_dir):
+    """Tokens, `Sentence.tokens` and `Sentence.np_chunks` are exact tuples
+    of atoms, which the cyclic collector untracks, so a corpus held in
+    memory adds nothing to each later collection."""
+    docs = ingest_corpus(str(data_dir / "structured.jsonl"), "structured")
+    docs += ingest_corpus(str(data_dir / "target.jsonl"), "target")
+    gc.collect()
+    gc.collect()
+    sentences = [sent for doc in docs for sec in doc.sections for sent in sec.sentences]
+    assert sentences and any(sent.np_chunks for sent in sentences)
+    tracked = [
+        obj
+        for sent in sentences
+        for obj in (sent.tokens, sent.np_chunks, *sent.tokens)
+        if gc.is_tracked(obj)
+    ]
+    assert tracked == []
 
 
 # Penn and coarse tags with case and whitespace variants, punctuation-only
@@ -84,7 +135,7 @@ class TestChunker:
 
     def test_missing_pos_raises(self):
         with pytest.raises(CorpusFormatError, match="precomputed"):
-            chunk_sentence([Token("drug")])
+            chunk_sentence([token("drug")])
 
     @given(
         st.lists(
@@ -93,14 +144,14 @@ class TestChunker:
         )
     )
     def test_spans_disjoint_and_sorted(self, tags):
-        tokens = [Token(f"w{i}", pos) for i, pos in enumerate(tags)]
+        tokens = [token(f"w{i}", pos) for i, pos in enumerate(tags)]
         spans = chunk_sentence(tokens)
         assert spans == sorted(spans)
         for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
             assert e1 <= s2
         for s, e in spans:
             assert 0 <= s < e <= len(tokens)
-            assert tokens[e - 1].pos in ("NOUN", "PROPN")
+            assert tokens[e - 1][1] in ("NOUN", "PROPN")
 
 
 class TestCoordinateLists:
@@ -118,7 +169,7 @@ class TestCoordinateLists:
 
     def test_single_chunk_no_list(self):
         tokens = toks(("nausea", "NOUN"))
-        sent = Sentence(tokens, np_chunks=[(0, 1)])
+        sent = Sentence(tokens, np_chunks=((0, 1),))
         assert detect_coordinate_lists(sent) == []
 
     def test_run_stops_at_non_separator(self):
@@ -298,6 +349,19 @@ class TestIngest:
                          "duplicate mention span (0,3)", id="chunk-is-list-span"),
             pytest.param(("coordinate_lists",), [{"items": [[0, 2], [2, 3]]}] * 2,
                          "duplicate mention span (0,3)", id="list-twice"),
+            # the list mention d1|s0|t0|2-2 would have an inverted span
+            pytest.param(("coordinate_lists", 0, "items"), [[2, 3], [0, 2]],
+                         "coordinate list 0 field 'items' must be ascending np_chunks that "
+                         "do not overlap, got [[2, 3], [0, 2]]", id="items-descending"),
+            # the list mention would have the surfaces ('severe pain', 'severe pain')
+            pytest.param(("coordinate_lists", 0, "items"), [[0, 2], [0, 2]],
+                         "coordinate list 0 field 'items' must be ascending np_chunks that "
+                         "do not overlap, got [[0, 2], [0, 2]]", id="item-twice"),
+            # two list mentions over the same tokens
+            pytest.param(("coordinate_lists",),
+                         [{"items": [[0, 2], [2, 3]]}, {"items": [[2, 3], [0, 2]]}],
+                         "coordinate list 1 field 'items' must be ascending np_chunks that "
+                         "do not overlap, got [[2, 3], [0, 2]]", id="list-reversed"),
         ],
     )
     def test_ill_shaped_chunk_or_list_named(self, tmp_path, where, value, message):
@@ -317,10 +381,24 @@ class TestIngest:
             ingest_corpus(str(path), "target")
         assert str(err.value) == "line 2: duplicate np_chunk (1,3)"
 
+    def test_overlapping_list_items_refused(self, tmp_path):
+        sentence = {
+            "tokens": [{"surface": "severe"}, {"surface": "joint"}, {"surface": "pain"}],
+            "np_chunks": [[0, 2], [1, 3]],
+            "coordinate_lists": [{"items": [[0, 2], [1, 3]], "head": [1, 3]}],
+        }
+        path = second_line_corpus(tmp_path, ("sections", 0, "sentences", 0), sentence)
+        with pytest.raises(CorpusFormatError) as err:
+            ingest_corpus(str(path), "target")
+        assert str(err.value) == (
+            "line 2: coordinate list 0 field 'items' must be ascending np_chunks that "
+            "do not overlap, got [[0, 2], [1, 3]]"
+        )
+
     def test_well_shaped_lists_accepted(self, tmp_path):
         docs = ingest_corpus(str(second_line_corpus(tmp_path, ("doc_id",), "d1")), "target")
         (sent,) = docs[1].sections[0].sentences
-        assert sent.np_chunks == [(0, 2), (2, 3)]
+        assert sent.np_chunks == ((0, 2), (2, 3))
         assert [(cl.item_spans, cl.head_span) for cl in sent.coordinate_lists] == [
             (((0, 2), (2, 3)), (2, 3))
         ]
@@ -353,20 +431,20 @@ def documents(draw):
 
     def sentence():
         n = draw(st.integers(0, 4))
-        tokens = [
-            Token(
+        tokens = tuple(
+            token(
                 draw(_awkward_text),
                 draw(optional_text),
                 draw(st.one_of(st.none(), st.integers(0, n))),
                 draw(optional_text),
             )
             for _ in range(n)
-        ]
-        lists = [
+        )
+        lists = tuple(
             CoordinateList(tuple(draw(st.lists(_spans, min_size=2, max_size=3))), draw(_spans))
             for _ in range(draw(st.integers(0, 2)))
-        ]
-        return Sentence(tokens, draw(st.lists(_spans, max_size=3)), lists)
+        )
+        return Sentence(tokens, tuple(draw(st.lists(_spans, max_size=3))), lists)
 
     sections = [
         Section(draw(_awkward_text), [sentence() for _ in range(draw(st.integers(0, 3)))])
@@ -380,11 +458,11 @@ def documents(draw):
     Document("d\ud83d", "t\\\"", [], "target"),  # no sections
     Document("d1", "x", [Section("Uses", [])], "structured"),  # a section without sentences
     Document("d2", "y", [Section("\U0001f48a", [
-        Sentence([]),
+        Sentence(()),
         Sentence(
-            [Token("a", None, 0, None), Token("b\x00", "NOUN", None, "amod"), Token("c")],
-            [(0, 1), (2, 3)],
-            [CoordinateList(((0, 1), (2, 3)), (0, 1))],  # the head is the first item
+            (token("a", None, 0, None), token("b\x00", "NOUN", None, "amod"), token("c")),
+            ((0, 1), (2, 3)),
+            (CoordinateList(((0, 1), (2, 3)), (0, 1)),),  # the head is the first item
         ),
     ])], "target"),
 ])

@@ -1,12 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from reldistill.corpus import CoordinateList, Sentence, Token
+from reldistill.corpus import CoordinateList, Sentence
 from reldistill.features import (
     FeatureConfig,
     build_feature_filter,
     extract_features,
 )
+
+from test_corpus import token
+from test_kernels import filter_counts
 
 NAMESPACES = ("tok=", "pre=", "suf=", "bow=", "win-L", "win-R", "wbg-L", "wbg-R",
               "vrb=", "mod=", "path=")
@@ -16,8 +19,8 @@ def sent(*pairs, deps=None):
     tokens = []
     for i, (surface, pos) in enumerate(pairs):
         head, label = (deps or {}).get(i, (None, None))
-        tokens.append(Token(surface, pos, head, label))
-    return Sentence(tokens)
+        tokens.append(token(surface, pos, head, label))
+    return Sentence(tuple(tokens))
 
 
 class TestExtractFeatures:
@@ -105,7 +108,7 @@ class TestFeatureFilter:
         vectors = [{"a": 1, "b": 1}, {"a": 1, "c": 1}, {"a": 2, "c": 1}]
         filt = build_feature_filter(vectors)
         assert filt.allowed == frozenset({"c"})
-        assert filt.apply({"a": 1, "b": 2, "c": 3}) == {"c": 3}
+        assert filter_counts(filt, {"a": 1, "b": 2, "c": 3}) == {"c": 3}
 
     def test_no_singletons(self):
         vectors = [{"a": 1, "b": 1}, {"a": 1, "b": 1}]

@@ -14,10 +14,10 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, find, given, settings, strategies as st
 
 from reldistill import pipeline, propagation, training
-from reldistill.corpus import CoordinateList, Document, Section, Sentence, Token
+from reldistill.corpus import TOKEN_FIELDS, CoordinateList, Document, Section, Sentence
 from reldistill.evaluation import GoldAnnotation, Prediction, extract_document, pr_curve
 from reldistill.features import (
     FeatureConfig,
@@ -64,6 +64,7 @@ from reldistill.training import (
     hinge_objective,
 )
 
+from test_corpus import token
 from test_propagation import assigned, make_mention
 
 
@@ -256,10 +257,15 @@ def walk_matrix_transpose_oracle(adjacency):
     return adjacency.multiply(inv_deg[:, None]).T.tocsr()
 
 
+def filter_counts(feature_filter, counts):
+    """The entries of a feature dict that the filter keeps."""
+    return {f: c for f, c in counts.items() if f in feature_filter.allowed}
+
+
 def vectorize_loop_oracle(mentions, feature_filter, feat_index):
     rows, cols, data = [], [], []
     for i, m in enumerate(mentions):
-        for f, c in feature_filter.apply(m.feature_counts()).items():
+        for f, c in filter_counts(feature_filter, m.feature_counts()).items():
             rows.append(i)
             cols.append(feat_index[f])
             data.append(float(c))
@@ -311,6 +317,10 @@ def _affixes(token, lo, hi):
             yield f"pre={token[:n]}", f"suf={token[-n:]}"
 
 
+# a token's fields by position, as the oracles below read them
+SURFACE, DEP_HEAD, DEP_LABEL = map(TOKEN_FIELDS.index, ("surface", "dep_head", "dep_label"))
+
+
 def extract_features_loop_oracle(sentence, target, config):
     tokens = sentence.tokens
     n = len(tokens)
@@ -332,7 +342,7 @@ def extract_features_loop_oracle(sentence, target, config):
 
     feats = Counter()
     for i in sorted(inside):
-        tok = tokens[i].surface.lower()
+        tok = tokens[i][SURFACE].lower()
         feats[f"tok={tok}"] += 1
         for pre, suf in _affixes(tok, config.affix_min, config.affix_max):
             feats[pre] += 1
@@ -340,10 +350,10 @@ def extract_features_loop_oracle(sentence, target, config):
     for i in range(n):
         if span_start <= i < span_end:
             continue
-        feats[f"bow={tokens[i].surface.lower()}"] += 1
+        feats[f"bow={tokens[i][SURFACE].lower()}"] += 1
 
-    left = [tokens[i].surface.lower() for i in range(max(0, span_start - config.window), span_start)]
-    right = [tokens[i].surface.lower() for i in range(span_end, min(n, span_end + config.window))]
+    left = [tokens[i][SURFACE].lower() for i in range(max(0, span_start - config.window), span_start)]
+    right = [tokens[i][SURFACE].lower() for i in range(span_end, min(n, span_end + config.window))]
     for d, tok in enumerate(reversed(left), start=1):
         feats[f"win-L{d}={tok}"] += 1
     for d, tok in enumerate(right, start=1):
@@ -355,18 +365,18 @@ def extract_features_loop_oracle(sentence, target, config):
 
     if config.dependency_features:
         head_idx = head_span[1] - 1
-        if tokens[head_idx].dep_head is not None:
+        if tokens[head_idx][DEP_HEAD] is not None:
             verb_idx = _closest_ancestor_verb(sentence, head_idx)
             if verb_idx is not None:
-                feats[f"vrb={tokens[verb_idx].surface.lower()}"] += 1
+                feats[f"vrb={tokens[verb_idx][SURFACE].lower()}"] += 1
                 for i, t in enumerate(tokens):
-                    if t.dep_head == verb_idx and i != verb_idx:
-                        feats[f"mod={t.surface.lower()}"] += 1
+                    if t[DEP_HEAD] == verb_idx and i != verb_idx:
+                        feats[f"mod={t[SURFACE].lower()}"] += 1
                 labels = []
                 idx = head_idx
                 while idx != verb_idx:
-                    labels.append(tokens[idx].dep_label or "_")
-                    idx = tokens[idx].dep_head
+                    labels.append(tokens[idx][DEP_LABEL] or "_")
+                    idx = tokens[idx][DEP_HEAD]
                 feats[f"path={'/'.join(labels)}"] += 1
 
     return dict(feats)
@@ -391,7 +401,7 @@ def enumerate_mentions_unshared_oracle(doc, config):
                     section_title=section_title,
                     kind=kind,
                     item_surfaces=tuple(
-                        " ".join(t.surface for t in sent.tokens[s:e]) for s, e in item_spans
+                        " ".join(t[SURFACE] for t in sent.tokens[s:e]) for s, e in item_spans
                     ),
                     features=tuple(sorted(extract_features(sent, target, config).items())),
                     corpus_tag=doc.corpus_tag,
@@ -546,15 +556,15 @@ def feature_targets(draw):
     a feature config whose affix range may exceed every token."""
     n = draw(st.integers(1, 9))
     words = st.sampled_from(["Nausea", "nausea", "NAUSEA", "a", "of", "Pain", "İ", "x-ray", ""])
-    tokens = [
-        Token(
+    tokens = tuple(
+        token(
             draw(words),
             draw(st.sampled_from(["NOUN", "VERB", "ADJ", None])),
             draw(st.one_of(st.none(), st.integers(0, n - 1))),
             draw(st.sampled_from(["nsubj", "dobj", None])),
         )
         for _ in range(n)
-    ]
+    )
     bounds = sorted(draw(st.sets(st.integers(0, n), min_size=2, max_size=n + 1)))
     if draw(st.booleans()):  # a singleton anywhere, edges included
         target = (bounds[0], bounds[-1])
@@ -582,12 +592,12 @@ def feature_corpora(draw):
         n = len(sentence.tokens)
         spans = st.tuples(st.integers(0, n - 1), st.integers(1, n)).filter(lambda se: se[0] < se[1])
         if isinstance(target, CoordinateList):
-            lists, chunks = [target], list(target.item_spans)
+            lists, chunks = (target,), list(target.item_spans)
             taken = {target.span, *target.item_spans}
         else:
-            lists, chunks, taken = [], [target], {target}
+            lists, chunks, taken = (), [target], {target}
         chunks += [s for s in dict.fromkeys(draw(st.lists(spans, max_size=3))) if s not in taken]
-        sentences.append(Sentence(sentence.tokens, chunks, lists))
+        sentences.append(Sentence(sentence.tokens, tuple(chunks), lists))
     sections, start = [], 0
     while start < len(sentences):
         k = draw(st.integers(1, 3))
@@ -1027,15 +1037,20 @@ def test_pr_curve_matches_rebuild_per_threshold(case):
 
 @given(feature_targets())
 @example((  # a list at both sentence edges, "x" and "y" in the gap
-    Sentence([Token("A", "NOUN", 2, "nsubj"), Token("x"), Token("y", "VERB"),
-              Token("B", "NOUN", 2, "dobj")]),
+    Sentence((token("A", "NOUN", 2, "nsubj"), token("x"), token("y", "VERB"),
+              token("B", "NOUN", 2, "dobj"))),
     CoordinateList(((0, 1), (3, 4)), (3, 4)),
     FeatureConfig(window=1, affix_min=1, affix_max=9),
 ))
 @example((  # window 0, the head's chain ends without a verb
-    Sentence([Token("Ab", "NOUN", 1), Token("ab", "ADJ", None)]),
+    Sentence((token("Ab", "NOUN", 1), token("ab", "ADJ", None))),
     (0, 2),
     FeatureConfig(window=0),
+))
+@example((  # the head's chain runs into the cycle 0 -> 1 -> 0, off the verb
+    Sentence((token("a", "NOUN", 1, "nsubj"), token("b", "ADJ", 0), token("c", "VERB", 1))),
+    (0, 1),
+    FeatureConfig(),
 ))
 @settings(max_examples=300, deadline=None)
 def test_extract_features_matches_counter_loop(case):
@@ -1043,6 +1058,33 @@ def test_extract_features_matches_counter_loop(case):
     assert extract_features(sentence, target, config) == extract_features_loop_oracle(
         sentence, target, config
     )
+
+
+def _emits(prefix):
+    return lambda case: any(f.startswith(prefix) for f in extract_features(*case))
+
+
+def _has_head_cycle(case):
+    tokens = case[0].tokens
+    for start in range(len(tokens)):
+        seen, idx = set(), start
+        while idx is not None and idx not in seen:
+            seen.add(idx)
+            idx = tokens[idx][DEP_HEAD]
+        if idx is not None:
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "condition",
+    [_emits("vrb="), _emits("mod="), _emits("path="), _has_head_cycle],
+    ids=["vrb", "mod", "path", "head-cycle"],
+)
+def test_feature_targets_reach_the_dependency_features(condition):
+    """No fixture corpus has a dep_head, so `feature_targets` alone covers
+    the dependency features: it must draw heads, labels and head cycles."""
+    find(feature_targets(), condition, settings=settings(max_examples=2000, database=None))
 
 
 @given(feature_corpora())

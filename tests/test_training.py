@@ -21,7 +21,7 @@ from reldistill.training import (
     train,
 )
 
-from test_kernels import sgd_hinge_oracle
+from test_kernels import filter_counts, sgd_hinge_oracle
 
 
 def make_mention(mid, features, tag="target"):
@@ -174,7 +174,7 @@ class TestTrain:
         rows = []
         for m in pos + neg:
             v = np.zeros(len(feats))
-            for f, c in ts.feature_filter.apply(m.feature_counts()).items():
+            for f, c in filter_counts(ts.feature_filter, m.feature_counts()).items():
                 v[fi[f]] = c
             rows.append(v)
         x = sp.csr_matrix(np.array(rows))
@@ -194,7 +194,7 @@ class TestTrain:
         rows = []
         for m in pos + neg:
             v = np.zeros(len(feats))
-            for f, c in ts.feature_filter.apply(m.feature_counts()).items():
+            for f, c in filter_counts(ts.feature_filter, m.feature_counts()).items():
                 v[fi[f]] = c
             rows.append(v)
         x = sp.csr_matrix(np.array(rows))
