@@ -78,20 +78,24 @@ def extract_document(
     model: LinearModel,
     feature_config: FeatureConfig,
 ) -> list[Prediction]:
-    """Classify every mention target of `doc` from its feature dict, as
-    `enumerate_mentions` would see it, without building the `Mention`;
-    list predictions fan out to one pair per item; duplicates by
-    (relation, normalized surface) keep the max score."""
+    """Classify every mention target of `doc` as `enumerate_mentions` sees
+    it, without building the `Mention`. Only the names the model weighs are
+    counted: `classify_counts` skips the rest, so the score keeps every bit.
+    List predictions fan out per item; each (relation, value) keeps its max."""
     if feature_config != model.feature_config:
         raise ValueError(
             "feature config mismatch: model was trained with "
             f"{asdict(model.feature_config)}, got {asdict(feature_config)}"
         )
+    table = model.weight_table
     best: dict[tuple[str, str], float] = {}
     for sec in doc.sections:
         for sent in sec.sentences:
             for target, _, _, item_spans in sent.mention_targets():
-                counts = extract_features(sent, target, feature_config)
+                counts: dict[str, int] = {}
+                for name in extract_features(sent, target, feature_config):
+                    if name in table:
+                        counts[name] = counts.get(name, 0) + 1
                 label, score = classify_counts(model, counts)
                 if label == "other":
                     continue
@@ -159,13 +163,13 @@ def pr_curve(
 def ranking_metrics(
     queries: list[tuple[list[str], set[str]]],
 ) -> tuple[float, float, float]:
-    """(MRR, MAP, mean recall) over (ranked answers, gold set) queries."""
+    """(MRR, MAP, mean recall) over (ranked answers, nonempty gold set) queries."""
     if not queries:
         return 0.0, 0.0, 0.0
     rr_sum = ap_sum = rec_sum = 0.0
-    for ranked, gold in queries:
+    for q, (ranked, gold) in enumerate(queries):
         if not gold:
-            continue
+            raise ValueError(f"query {q} has an empty gold set")
         hits = 0
         precision_sum = 0.0
         first_rank = None

@@ -94,31 +94,39 @@ def extract_features(
     sentence: Sentence,
     target: tuple[int, int] | CoordinateList,
     config: FeatureConfig,
-) -> FeatureVector:
+) -> list[str]:
+    """The feature names of `target`, one entry per occurrence, in rule order.
+    A list's items must ascend without overlap, as `CoordinateList.span` assumes."""
     tokens = sentence.tokens
     n = len(tokens)
     if isinstance(target, CoordinateList):
         item_spans, head_span = target.item_spans, target.head_span
     else:
         item_spans, head_span = (target,), target
-    for s, e in (*item_spans, head_span):
+    end = 0  # the previous item's end
+    for s, e in item_spans:
         if not (0 <= s < e <= n):
             raise ValueError(f"span ({s},{e}) out of range for {n}-token sentence")
-    span_start = min(s for s, _ in item_spans)
-    span_end = max(e for _, e in item_spans)
+        if s < end:
+            raise ValueError(f"item ({s},{e}) starts before the previous item ends at {end}")
+        end = e
+    s, e = head_span
+    if not (0 <= s < e <= n):
+        raise ValueError(f"span ({s},{e}) out of range for {n}-token sentence")
+    span_start, span_end = item_spans[0][0], end
 
     lower = [surface.lower() for surface, _, _, _ in tokens]  # each token lowered once
     names = []
-    for i in sorted({i for s, e in item_spans for i in range(s, e)}):
-        tok = lower[i]
-        names.append(f"tok={tok}")
-        # the affix lengths k in [affix_min, affix_max] with k <= len(tok)
-        for k in range(config.affix_min, min(config.affix_max, len(tok)) + 1):
-            names += (f"pre={tok[:k]}", f"suf={tok[-k:]}")
+    for s, e in item_spans:
+        for tok in lower[s:e]:
+            names.append(f"tok={tok}")
+            # the affix lengths k in [affix_min, affix_max] with k <= len(tok)
+            for k in range(config.affix_min, min(config.affix_max, len(tok)) + 1):
+                names += (f"pre={tok[:k]}", f"suf={tok[-k:]}")
     names += [f"bow={tok}" for tok in lower[:span_start] + lower[span_end:]]
 
-    left = [lower[i] for i in range(max(0, span_start - config.window), span_start)]
-    right = [lower[i] for i in range(span_end, min(n, span_end + config.window))]
+    left = lower[max(0, span_start - config.window) : span_start]
+    right = lower[span_end : span_end + config.window]
     names += [f"win-L{d}={tok}" for d, tok in enumerate(reversed(left), start=1)]
     names += [f"win-R{d}={tok}" for d, tok in enumerate(right, start=1)]
     names += [f"wbg-L={a}_{b}" for a, b in zip(left, left[1:])]
@@ -142,11 +150,7 @@ def extract_features(
                     labels.append(dep_label or "_")
                     idx = dep_head
                 names.append(f"path={'/'.join(labels)}")
-
-    feats: FeatureVector = {}
-    for name in names:
-        feats[name] = feats.get(name, 0) + 1
-    return feats
+    return names
 
 
 @dataclass(frozen=True)

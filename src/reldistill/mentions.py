@@ -65,7 +65,10 @@ def enumerate_mentions(doc: Document, config: FeatureConfig, pairs: dict) -> lis
         section_title = normalize(sec.title)
         for sent_i, sent in enumerate(sec.sentences):
             for target, kind, span, item_spans in sent.mention_targets():
-                items = sorted(extract_features(sent, target, config).items())
+                counts: dict[str, int] = {}
+                for name in extract_features(sent, target, config):
+                    counts[name] = counts.get(name, 0) + 1
+                items = sorted(counts.items())
                 out.append(
                     Mention(
                         mention_id=f"{doc.doc_id}|s{sec_i}|t{sent_i}|{span[0]}-{span[1]}",

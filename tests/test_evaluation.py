@@ -142,6 +142,12 @@ class TestRankingMetrics:
         assert ap == pytest.approx(0.5)
         assert rec == pytest.approx(0.5)
 
+    def test_query_with_empty_gold_refused_by_index(self):
+        # it has no reciprocal rank or average precision: counting it in
+        # the mean while skipping it in the sums read (0.5, 0.5, 0.5)
+        with pytest.raises(ValueError, match=r"^query 1 has an empty gold set$"):
+            ranking_metrics([(["a"], {"a"}), (["b"], set())])
+
     def test_three_query_hand_fixture(self):
         queries = [
             (["a", "b"], {"a"}),          # rr=1, ap=1, rec=1

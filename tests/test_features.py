@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,7 +31,7 @@ class TestExtractFeatures:
         # enumerated by hand from the generator rules
         s = sent(("Symptoms", "NOUN"), ("include", "VERB"), ("nausea", "NOUN"),
                  (".", "PUNCT"))
-        feats = extract_features(s, (2, 3), FeatureConfig())
+        feats = Counter(extract_features(s, (2, 3), FeatureConfig()))
         for expected in ("tok=nausea", "pre=na", "suf=ea", "bow=symptoms",
                          "bow=include", "win-L1=include"):
             assert feats[expected] == 1
@@ -49,7 +51,7 @@ class TestExtractFeatures:
         # nausea -> include (dobj); symptoms -> include (nsubj)
         s = sent(("Symptoms", "NOUN"), ("include", "VERB"), ("nausea", "NOUN"),
                  deps={0: (1, "nsubj"), 2: (1, "dobj")})
-        feats = extract_features(s, (2, 3), FeatureConfig())
+        feats = Counter(extract_features(s, (2, 3), FeatureConfig()))
         assert feats["vrb=include"] == 1
         assert feats["mod=symptoms"] == 1
         assert feats["mod=nausea"] == 1
@@ -63,7 +65,7 @@ class TestExtractFeatures:
     def test_list_target_covers_all_items(self):
         s = sent(("pain", "NOUN"), ("and", "CONJ"), ("fever", "NOUN"))
         cl = CoordinateList(((0, 1), (2, 3)), (2, 3))
-        feats = extract_features(s, cl, FeatureConfig())
+        feats = Counter(extract_features(s, cl, FeatureConfig()))
         assert feats["tok=pain"] == 1 and feats["tok=fever"] == 1
         # the separator is inside the overall span: bow excludes it
         assert "bow=and" not in feats
@@ -79,6 +81,22 @@ class TestExtractFeatures:
         cl = CoordinateList(((0, 1), (2, 3)), head)
         with pytest.raises(ValueError, match=rf"span \({head[0]},{head[1]}\) out of range"):
             extract_features(s, cl, FeatureConfig())
+
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            (((3, 4), (0, 1)), r"item \(0,1\) starts before the previous item ends at 4"),
+            (((0, 2), (1, 3)), r"item \(1,3\) starts before the previous item ends at 2"),
+            (((0, 1), (0, 1)), r"item \(0,1\) starts before the previous item ends at 1"),
+        ],
+        ids=["descending", "overlapping", "repeated"],
+    )
+    def test_list_items_out_of_order_refused(self, items, message):
+        # CoordinateList.span takes the first item's start and the last
+        # item's end: descending items would give the span (3, 1)
+        s = sent(("pain", "NOUN"), ("and", "CONJ"), ("fever", "NOUN"), ("cough", "NOUN"))
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            extract_features(s, CoordinateList(items, items[0]), FeatureConfig())
 
     def test_affix_max_below_affix_min_emits_no_affixes(self):
         s = sent(("include", "VERB"), ("nausea", "NOUN"))

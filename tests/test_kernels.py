@@ -403,7 +403,7 @@ def enumerate_mentions_unshared_oracle(doc, config):
                     item_surfaces=tuple(
                         " ".join(t[SURFACE] for t in sent.tokens[s:e]) for s, e in item_spans
                     ),
-                    features=tuple(sorted(extract_features(sent, target, config).items())),
+                    features=tuple(sorted(Counter(extract_features(sent, target, config)).items())),
                     corpus_tag=doc.corpus_tag,
                 )
                 for target, kind, span, item_spans in targets
@@ -1055,7 +1055,7 @@ def test_pr_curve_matches_rebuild_per_threshold(case):
 @settings(max_examples=300, deadline=None)
 def test_extract_features_matches_counter_loop(case):
     sentence, target, config = case
-    assert extract_features(sentence, target, config) == extract_features_loop_oracle(
+    assert Counter(extract_features(sentence, target, config)) == extract_features_loop_oracle(
         sentence, target, config
     )
 
@@ -1183,7 +1183,26 @@ def test_classify_counts_of_any_insertion_order_matches_the_mention(case, rnd):
     assert classify_counts(model, dict(shuffled)) == classify_scored_loop_oracle(model, mention)
 
 
+# "n" is the only chunk: its names are bow=a once, bow=b twice, then
+# tok=n and the window names; under raw_margin the margin is the score
+_BOW_DOC = Document("d0", "drugx", [Section("Uses", [Sentence(
+    (token("a"), token("b"), token("b"), token("n")), ((3, 4),)
+)])], "target")
+
+
 @given(extraction_cases())
+@example((  # bow=b weighs 2**-53 and occurs twice: 1.0 + 2 * 2**-53 is
+    # 1 + 2**-52, while adding it once per occurrence rounds back to 1.0
+    [_BOW_DOC],
+    raw({"r": RelationModel({"bow=a": 1.0, "bow=b": 2.0**-53}, 0.0, None)}),
+    FeatureConfig(),
+))
+@example((  # the target hits no weighed name: its score is the bias alone
+    [_BOW_DOC],
+    raw({"r": RelationModel({"bow=z": 1.0}, 0.75, None),
+         "s": RelationModel({"tok=z": 2.0}, 0.5, None)}),
+    FeatureConfig(),
+))
 @settings(max_examples=200, deadline=None)
 def test_extract_document_matches_the_mention_path(case):
     docs, model, config = case
