@@ -11,16 +11,10 @@ from .corpus import Document
 from .evaluation import EvalReport, GoldAnnotation, evaluate, load_gold, run_baseline
 from .features import FeatureConfig, Mention
 from .kb import RelationSchema, load_concept_seeds, load_schema, load_triples
-from .mentions import MentionSets, build_mention_sets, corpus_mentions
-from .pipeline import extract_all, fit_model, ingest_corpora
-from .propagation import (
-    PropagationConfig,
-    RankedLabeling,
-    VariantSpec,
-    build_graph,
-    multirankwalk,
-    relation_seeds,
-)
+from .mentions import MentionSets
+from .pipeline import extract_all, fit_model, ingest_corpora, label_mentions, propagate
+from .propagation import PropagationConfig, RankedLabeling, VariantSpec
+from .propagation import multirankwalk  # noqa: F401  (the tracer tests check it is rebound here)
 from .synthetic import BenchmarkPaths
 from .training import TrainConfig
 
@@ -48,9 +42,9 @@ def prepare(paths: BenchmarkPaths) -> BenchmarkArtifacts:
     triples = load_triples(paths.triples, schema)
     seeds = load_concept_seeds(paths.concept_seeds, schema)
     docs = ingest_corpora(paths)
-    structured = corpus_mentions(docs.pop("structured"), feature_config)
-    target = corpus_mentions(docs.pop("target"), feature_config)
-    sets = build_mention_sets(structured, target, triples, seeds, schema, prop_config)
+    sets, (structured, target) = label_mentions(
+        docs["structured"], docs["target"], schema, triples, seeds, feature_config, prop_config
+    )
     return BenchmarkArtifacts(
         schema=schema,
         sets=sets,
@@ -67,10 +61,7 @@ def ranking_for(art: BenchmarkArtifacts, variant: list[str]) -> RankedLabeling:
     """Propagation ranking for a graph variant, memoized per artifact set."""
     spec = VariantSpec.parse(variant)
     if spec.name not in art.rankings:
-        graph = build_graph(art.sets, spec)
-        art.rankings[spec.name] = multirankwalk(
-            graph, relation_seeds(graph, art.sets.Rs), art.prop_config
-        )
+        _, art.rankings[spec.name] = propagate(art.sets, spec, art.prop_config)
     return art.rankings[spec.name]
 
 
@@ -89,7 +80,5 @@ def distilled_report(
 
 def baseline_report(art: BenchmarkArtifacts, kind: str, config: TrainConfig) -> EvalReport:
     """DS_Struct / DS_Target / DS_Both scored on the same evaluation set."""
-    model = run_baseline(
-        kind, art.sets, art.pool, art.labeled_ids, config, art.feature_config, art.schema
-    )
+    model = run_baseline(kind, art.sets, art.pool, config, art.feature_config, art.schema)
     return _score(art, model)

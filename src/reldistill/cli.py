@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", required=True, help="output directory for artifacts")
     parser.add_argument("--seed", type=int, default=None, help="override training rng seed")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("ingest", "mentions", "propagate", "train", "extract", "eval", "sweep"):
+    for name in STAGES:
         sub.add_parser(name, help=f"run the {name} stage")
     sub.add_parser("run", help="run the full pipeline (ingest through eval)")
     return parser

@@ -165,7 +165,7 @@ def ranking_metrics(
 ) -> tuple[float, float, float]:
     """(MRR, MAP, mean recall) over (ranked answers, nonempty gold set) queries."""
     if not queries:
-        return 0.0, 0.0, 0.0
+        raise ValueError("no queries: MRR, MAP and mean recall have no mean")
     rr_sum = ap_sum = rec_sum = 0.0
     for q, (ranked, gold) in enumerate(queries):
         if not gold:
@@ -194,7 +194,6 @@ def run_baseline(
     kind: str,
     sets: MentionSets,
     pool: list[Mention],
-    labeled_ids: set[str],
     config: TrainConfig,
     feature_config: FeatureConfig,
     schema: RelationSchema,
@@ -216,7 +215,7 @@ def run_baseline(
     pos_lists = {
         r: [ms[k] for k in sorted(ms)] for r, ms in sorted(positives.items())
     }
-    training_set = build_training_set(pos_lists, pool, labeled_ids, config)
+    training_set = build_training_set(pos_lists, pool, sets.labeled_ids(), config)
     return train(training_set, config, feature_config)
 
 

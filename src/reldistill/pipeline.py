@@ -13,10 +13,11 @@ sets and pools; a later stage on the same workspace whose verified file
 hash equals the held one takes those records instead of decoding the
 file.
 
-`ingest_corpora`, `fit_model` and `extract_all` are the in-process core
-of the method (ingest, distill, train, extract). They write nothing; the
-stages wrap them with artifact reads and writes, and `benchmark` calls
-them directly.
+`ingest_corpora`, `label_mentions`, `propagate`, `fit_model` and
+`extract_all` are the in-process core of the method (ingest, distant
+labeling, propagation, distill and train, extract). They write nothing;
+the stages wrap them with artifact reads and writes, and `benchmark`
+runs the method through them alone.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .evaluation import (
     write_report,
 )
 from .features import FeatureConfig, Mention
-from .kb import load_concept_seeds, load_schema, load_triples
+from .kb import ConceptSeed, RelationSchema, Triple, load_concept_seeds, load_schema, load_triples
 from .mentions import (
     SET_NAMES,
     MentionEncoder,
@@ -58,13 +59,13 @@ from .mentions import (
 )
 from .propagation import (
     LEGAL_VARIANTS,
+    BipartiteGraph,
     PropagationConfig,
     RankedLabeling,
     VariantSpec,
     build_graph,
     multirankwalk,
     read_ranking,
-    relation_seeds,
     write_graph_dump,
     write_ranking,
 )
@@ -264,6 +265,34 @@ class Workspace:
         return reader(str(path))
 
 
+def label_mentions(
+    structured_docs: list[Document],
+    target_docs: list[Document],
+    schema: RelationSchema,
+    triples: list[Triple],
+    seeds: list[ConceptSeed],
+    features: FeatureConfig,
+    propagation: PropagationConfig,
+) -> tuple[MentionSets, tuple[list[Mention], list[Mention]]]:
+    """Distant labeling: the Rs/Rt/Cs/Ct sets and each graph corpus's mentions (its pool)."""
+    pools = (corpus_mentions(structured_docs, features), corpus_mentions(target_docs, features))
+    return build_mention_sets(*pools, triples, seeds, schema, propagation), pools
+
+
+def propagate(
+    sets: MentionSets, variant: VariantSpec, propagation: PropagationConfig
+) -> tuple[BipartiteGraph, RankedLabeling]:
+    """The variant's graph and its walk, one class per relation from its Rs mentions in it."""
+    graph = build_graph(sets, variant)
+    seeds: dict[str, set[str]] = {}
+    for lm in sets.Rs:
+        if lm.mention.mention_id in graph.node_index:
+            seeds.setdefault(lm.label, set()).add(lm.mention.mention_id)
+    if not seeds:
+        raise ValueError("no Rs seed mentions survive in the propagation graph")
+    return graph, multirankwalk(graph, seeds, propagation)
+
+
 def fit_model(
     ranking: RankedLabeling,
     sets: MentionSets,
@@ -325,19 +354,16 @@ def _load_documents(ws: Workspace, name: str) -> list[Document]:
 def stage_mentions(ws: Workspace) -> None:
     cfg = ws.config
     with ws.stage("mentions"):
-        structured_docs, target_docs = (_load_documents(ws, name) for name in _GRAPH_CORPORA)
+        docs = [_load_documents(ws, name) for name in _GRAPH_CORPORA]
         schema = load_schema(ws.input(cfg.schema))
         triples = load_triples(ws.input(cfg.triples), schema)
         seeds = load_concept_seeds(ws.input(cfg.concept_seeds), schema)
-
-        structured = corpus_mentions(structured_docs, cfg.features)
-        target = corpus_mentions(target_docs, cfg.features)
-        sets = build_mention_sets(structured, target, triples, seeds, schema, cfg.propagation)
+        sets, pools = label_mentions(*docs, schema, triples, seeds, cfg.features, cfg.propagation)
 
         encoder = MentionEncoder()  # encodes each mention once for the six files
         for name, filename in Workspace.MENTION_SET_FILES.items():
             ws.write(filename, sets.get(name), partial(write_labeled_mentions, encoder=encoder))
-        for pool, filename in zip((structured, target), Workspace.POOL_FILES):
+        for pool, filename in zip(pools, Workspace.POOL_FILES):
             ws.write(filename, pool, partial(write_mentions, encoder=encoder))
 
 
@@ -364,8 +390,7 @@ def stage_propagate(ws: Workspace) -> None:
     cfg = ws.config
     with ws.stage("propagate"):
         sets = _load_sets(ws)
-        graph = build_graph(sets, VariantSpec.parse(cfg.variant))
-        ranking = multirankwalk(graph, relation_seeds(graph, sets.Rs), cfg.propagation)
+        graph, ranking = propagate(sets, VariantSpec.parse(cfg.variant), cfg.propagation)
         ws.emit("ranking.tsv", lambda path: write_ranking(ranking, path))
         ws.emit("graph.tsv", lambda path: write_graph_dump(graph, path))
 

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .decode import tsv_rows
 from .features import Mention, feature_matrix
-from .mentions import SET_NAMES, LabeledMention, MentionSets
+from .mentions import SET_NAMES, MentionSets
 
 # a graph holds Rs, the seeds of relation propagation, and at least one other set
 LEGAL_VARIANTS = [
@@ -218,18 +218,6 @@ def personalized_pagerank(
     """Scores of every node (summing to 1) for one restart set."""
     (p,) = _ppr_columns(graph, [seeds], config)
     return dict(zip(graph.mention_nodes + graph.feature_nodes, p.tolist()))
-
-
-def relation_seeds(graph: BipartiteGraph, rs: list[LabeledMention]) -> dict[str, set[str]]:
-    """The Rs mentions that are nodes of `graph`, grouped by relation: the
-    restart sets of relation propagation."""
-    seeds: dict[str, set[str]] = {}
-    for lm in rs:
-        if lm.mention.mention_id in graph.node_index:
-            seeds.setdefault(lm.label, set()).add(lm.mention.mention_id)
-    if not seeds:
-        raise ValueError("no Rs seed mentions survive in the propagation graph")
-    return seeds
 
 
 @dataclass

@@ -148,6 +148,12 @@ class TestRankingMetrics:
         with pytest.raises(ValueError, match=r"^query 1 has an empty gold set$"):
             ranking_metrics([(["a"], {"a"}), (["b"], set())])
 
+    def test_no_queries_refused(self):
+        # with no query there is nothing to average: (0.0, 0.0, 0.0) would
+        # read as a ranking that missed every answer
+        with pytest.raises(ValueError, match=r"^no queries"):
+            ranking_metrics([])
+
     def test_three_query_hand_fixture(self):
         queries = [
             (["a", "b"], {"a"}),          # rr=1, ap=1, rec=1
@@ -210,7 +216,7 @@ class TestBaselines:
         sets, pool, labeled, fc = setup
         config = TrainConfig(n=2, epochs=20, rng_seed=1)
         rs_schema = covering(schema, sets.Rs)
-        model = run_baseline("DS_Struct", sets, pool, labeled, config, fc, rs_schema)
+        model = run_baseline("DS_Struct", sets, pool, config, fc, rs_schema)
         assert set(model.relations) == {lm.label for lm in sets.Rs}
 
     def test_ds_both_is_union(self, setup):
@@ -226,8 +232,8 @@ class TestBaselines:
         config = TrainConfig(n=2, epochs=20, rng_seed=1)
         no_struct = MentionSets(Rs=[], Rt=sets.Rt)
         rt_schema = covering(schema, sets.Rt)
-        m_both = run_baseline("DS_Both", no_struct, pool, labeled, config, fc, rt_schema)
-        m_target = run_baseline("DS_Target", no_struct, pool, labeled, config, fc, rt_schema)
+        m_both = run_baseline("DS_Both", no_struct, pool, config, fc, rt_schema)
+        m_target = run_baseline("DS_Target", no_struct, pool, config, fc, rt_schema)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_model(m_both, str(p1))
         save_model(m_target, str(p2))
@@ -237,7 +243,7 @@ class TestBaselines:
         sets, pool, labeled, fc = setup
         config = TrainConfig(n=2, epochs=20, rng_seed=1)
         with pytest.raises(ValueError, match="conditionsThisMayPrevent"):
-            run_baseline("DS_Struct", sets, pool, labeled, config, fc, schema)
+            run_baseline("DS_Struct", sets, pool, config, fc, schema)
 
     def test_baseline_report_checks_every_schema_relation(
         self, setup, schema, target_docs, data_dir

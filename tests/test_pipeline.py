@@ -1,6 +1,6 @@
 """The run-config codec against the README, the hashing done by
-`Workspace` in an in-process run, and the corpus check that the stages
-and the benchmark harness share."""
+`Workspace` in an in-process run, and the corpus check and Rs seed rule
+that the stages and the benchmark harness share."""
 
 import json
 from collections import Counter
@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 from reldistill import benchmark, pipeline
+from reldistill.features import FeatureConfig, Mention
+from reldistill.mentions import LabeledMention, MentionSets
 from reldistill.pipeline import RunConfig, StageError
+from reldistill.propagation import PropagationConfig, VariantSpec, build_graph
 from reldistill.synthetic import generate_benchmark
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -98,3 +101,46 @@ def test_a_failed_stage_leaks_no_file_into_the_next_record(
     assert "mentions" not in json.loads(ws.manifest_path.read_text())["stages"]
     pipeline.stage_ingest(ws)
     assert json.loads(ws.manifest_path.read_text())["stages"]["ingest"] == first
+
+
+def _labeled(mention_id: str, features: dict, source_set: str) -> LabeledMention:
+    mention = Mention(
+        mention_id=mention_id,
+        doc_id=mention_id.split("|")[0],
+        title_entity="x",
+        section_title="overview",
+        kind="singleton",
+        item_surfaces=("x",),
+        features=tuple(sorted(features.items())),
+        corpus_tag="structured" if source_set == "Rs" else "target",
+    )
+    return LabeledMention(mention, "sideEffect", source_set)
+
+
+def test_propagation_refuses_a_graph_without_an_rs_seed():
+    """The only Rs mention has one feature, which every mention has: its
+    idf is 0, so the mention has no edge and is not a node of the graph.
+    The `propagate` stage and the harness refuse it by the same rule."""
+    sets = MentionSets(
+        Rs=[_labeled("s1|s0|t0|0-1", {"f": 1}, "Rs")],
+        Rt=[_labeled("t1|s0|t0|0-1", {"f": 1, "g": 1}, "Rt")],
+    )
+    variant = ["Rs", "Rt"]
+    graph = build_graph(sets, VariantSpec.parse(variant))
+    assert graph.mention_nodes == ["t1|s0|t0|0-1"]  # the walk has a graph, but no seed in it
+    message = r"^no Rs seed mentions survive in the propagation graph$"
+    with pytest.raises(ValueError, match=message):
+        pipeline.propagate(sets, VariantSpec.parse(variant), PropagationConfig())
+    art = benchmark.BenchmarkArtifacts(
+        schema=None,
+        sets=sets,
+        pool=[],
+        labeled_ids=sets.labeled_ids(),
+        eval_docs=[],
+        gold=[],
+        feature_config=FeatureConfig(),
+        prop_config=PropagationConfig(),
+    )
+    with pytest.raises(ValueError, match=message):
+        benchmark.ranking_for(art, variant)
+    assert art.rankings == {}
