@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .pipeline import STAGES, Workspace, load_run_config, run_all
@@ -22,7 +21,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", required=True, help="output directory for artifacts")
-    parser.add_argument("--seed", type=int, default=None, help="override training rng seed")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in STAGES:
         sub.add_parser(name, help=f"run the {name} stage")
@@ -33,10 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_run_config(args.config)
-        if args.seed is not None:
-            config.training = dataclasses.replace(config.training, rng_seed=args.seed)
-        ws = Workspace(args.out, config)
+        ws = Workspace(args.out, load_run_config(args.config))
         if args.command == "run":
             run_all(ws)
         else:

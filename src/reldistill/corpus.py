@@ -43,7 +43,7 @@ _DEFAULT_POS_PREFIXES = [
 
 
 class CorpusFormatError(ValueError):
-    """Raised for malformed corpus files; message names line and field."""
+    """Raised for malformed corpus files; message names file, line and field."""
 
 
 def map_pos(tag: str) -> str:
@@ -284,6 +284,13 @@ def ingest_corpus(path: str, corpus_tag: str) -> list[Document]:
     """Load one Document per JSONL line, preserving order."""
     if corpus_tag not in ("structured", "target"):
         raise ValueError(f"corpus_tag must be 'structured' or 'target', got {corpus_tag!r}")
+    try:
+        return _documents(path, corpus_tag)
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from None
+
+
+def _documents(path: str, corpus_tag: str) -> list[Document]:
     docs = []
     seen_ids = set()
     for line_no, obj in jsonl_lines(path, CorpusFormatError):

@@ -1,6 +1,7 @@
-"""The one reader of each input format: JSON objects decoded into typed
-dataclasses, JSONL lines and TSV rows. Each raises its caller's error
-class naming the key path or the line, so a malformed input exits 1."""
+"""The one reader of each input format: whole-file JSON, JSON objects
+decoded into typed dataclasses, JSONL lines and TSV rows. Each raises its
+caller's error class naming the file, the key path or the line, so a
+malformed input exits 1."""
 
 from __future__ import annotations
 
@@ -81,6 +82,18 @@ def decode(cls, obj, error, label: str, key: str = ""):
         elif required(f):
             raise error(f"{label}: missing required key {prefix + f.name!r}")
     return cls(**values)
+
+
+def json_file(path: str, error, label: str):
+    """The JSON value of the whole file at `path`; a directory, text that
+    is not UTF-8 or is not JSON raises `error` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except IsADirectoryError:
+        raise error(f"{label} {path!r} is a directory, not a JSON file") from None
+    except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
+        raise error(f"{label} {path!r}: invalid JSON ({exc})") from exc
 
 
 def jsonl_lines(path: str, error):

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from .decode import decode, tsv_rows
+from .decode import decode, json_file, tsv_rows
 from .norm import normalize
 
 MAX_SURFACE_LEN = 60  # longer KB objects and seed instances are dropped as noise
@@ -57,22 +56,22 @@ class RelationSchema:
         return out
 
 
-@dataclass(frozen=True)
+# ordered by field, so a loaded list sorts by (relation, subject, object)
+@dataclass(frozen=True, order=True)
 class Triple:
     relation: str
     subject: str
     object: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ConceptSeed:
     concept: str
     instance: str
 
 
 def load_schema(path: str) -> RelationSchema:
-    with open(path, encoding="utf-8") as fh:
-        schema = decode(RelationSchema, json.load(fh), SchemaError, "schema")
+    schema = decode(RelationSchema, json_file(path, SchemaError, "schema"), SchemaError, "schema")
     claimed_sections: dict[str, str] = {}
     for rel in schema.relations:
         if schema.relation(rel.name) is not rel:  # the name map keeps the last of a name
@@ -94,8 +93,7 @@ def load_schema(path: str) -> RelationSchema:
 def load_triples(path: str, schema: RelationSchema) -> list[Triple]:
     """Load TSV triples; normalized, deduplicated, and without the
     triples whose object `_is_noise`."""
-    out: list[Triple] = []
-    seen = set()
+    out: set[Triple] = set()
     for line_no, (rel, subj, obj) in tsv_rows(path, 3, SchemaError):
         if not schema.has_relation(rel):
             raise SchemaError(f"line {line_no}: unknown relation {rel!r}")
@@ -104,18 +102,14 @@ def load_triples(path: str, schema: RelationSchema) -> list[Triple]:
             raise SchemaError(f"line {line_no}: empty subject or object")
         if _is_noise(obj):
             continue
-        t = Triple(rel, subj, obj)
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return sorted(out, key=lambda t: (t.relation, t.subject, t.object))
+        out.add(Triple(rel, subj, obj))
+    return sorted(out)
 
 
 def load_concept_seeds(path: str, schema: RelationSchema) -> list[ConceptSeed]:
     """Load TSV concept seeds; normalized, deduplicated, and without the
     seeds whose instance `_is_noise`."""
-    out: list[ConceptSeed] = []
-    seen = set()
+    out: set[ConceptSeed] = set()
     known = set(schema.concepts)
     for line_no, (concept, instance) in tsv_rows(path, 2, SchemaError):
         if concept not in known:
@@ -125,9 +119,6 @@ def load_concept_seeds(path: str, schema: RelationSchema) -> list[ConceptSeed]:
             raise SchemaError(f"line {line_no}: empty instance")
         if _is_noise(instance):
             continue
-        s = ConceptSeed(concept, instance)
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
-    return sorted(out, key=lambda s: (s.concept, s.instance))
+        out.add(ConceptSeed(concept, instance))
+    return sorted(out)
 

@@ -222,12 +222,10 @@ def mention_to_dict(m: Mention) -> dict:
     }
 
 
-def mention_from_dict(obj: dict, pairs: dict | None = None) -> Mention:
-    """The mention of `obj`; with a `pairs` table its feature pairs are
-    shared as in `enumerate_mentions`."""
+def mention_from_dict(obj: dict, pairs: dict) -> Mention:
+    """The mention of `obj`, its feature pairs shared through the `pairs`
+    table as in `enumerate_mentions`."""
     items = sorted(obj["features"].items())
-    if pairs is not None:
-        items = map(pairs.setdefault, items, items)
     return Mention(
         mention_id=obj["mention_id"],
         doc_id=obj["doc_id"],
@@ -235,7 +233,7 @@ def mention_from_dict(obj: dict, pairs: dict | None = None) -> Mention:
         section_title=obj["section"],
         kind=obj["kind"],
         item_surfaces=tuple(obj["surfaces"]),
-        features=tuple(items),
+        features=tuple(map(pairs.setdefault, items, items)),
         corpus_tag=obj["corpus_tag"],
     )
 
@@ -244,7 +242,7 @@ def labeled_mention_to_dict(lm: LabeledMention) -> dict:
     return {**mention_to_dict(lm.mention), "label": lm.label, "source_set": lm.source_set}
 
 
-def labeled_mention_from_dict(obj: dict, pairs: dict | None = None) -> LabeledMention:
+def labeled_mention_from_dict(obj: dict, pairs: dict) -> LabeledMention:
     return LabeledMention(mention_from_dict(obj, pairs), obj["label"], obj["source_set"])
 
 

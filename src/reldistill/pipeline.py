@@ -31,7 +31,7 @@ from functools import partial
 from pathlib import Path
 
 from .corpus import Document, ingest_corpus, write_corpus
-from .decode import decode, required
+from .decode import decode, json_file, required
 from .evaluation import (
     GoldAnnotation,
     Prediction,
@@ -134,12 +134,7 @@ class RunConfig:
 
 
 def load_run_config(path: str) -> RunConfig:
-    try:
-        fh = open(path, encoding="utf-8")
-    except IsADirectoryError:
-        raise StageError(f"run config {path!r} is a directory, not a JSON file") from None
-    with fh:
-        return RunConfig.from_dict(json.load(fh))
+    return RunConfig.from_dict(json_file(path, StageError, "run config"))
 
 
 _HASH_BLOCK = 1 << 20  # bytes read at a time to hash a file
@@ -191,7 +186,7 @@ class Workspace:
 
     def _load_manifest(self) -> dict:
         if self.manifest_path.is_file():
-            return json.loads(self.manifest_path.read_text())
+            return json_file(str(self.manifest_path), StageError, "manifest")
         return {"config_hash": self.config.config_hash(), "stages": {}}
 
     @contextmanager

@@ -215,7 +215,12 @@ def _ppr_columns(
 def personalized_pagerank(
     graph: BipartiteGraph, seeds: set[str], config: PropagationConfig
 ) -> dict[str, float]:
-    """Scores of every node (summing to 1) for one restart set."""
+    """Scores of every node (summing to 1) for one restart set, keyed on
+    name; a feature that has a mention's name is refused, as the two
+    scores would share one key."""
+    shared = set(graph.mention_nodes).intersection(graph.feature_nodes)
+    if shared:
+        raise ValueError(f"node name {min(shared)!r} is both a mention and a feature")
     (p,) = _ppr_columns(graph, [seeds], config)
     return dict(zip(graph.mention_nodes + graph.feature_nodes, p.tolist()))
 

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .decode import decode
+from .decode import decode, json_file
 from .features import FeatureConfig, FeatureFilter, Mention, build_feature_filter, feature_matrix
 from .mentions import SET_NAMES, MentionSets
 from .propagation import RankedLabeling
@@ -406,8 +406,7 @@ def save_model(model: LinearModel, path: str) -> None:
 
 
 def load_model(path: str) -> LinearModel:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = json_file(path, ValueError, "model")
     relations = {}
     for rel, rm in obj["relations"].items():
         platt = None

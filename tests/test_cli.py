@@ -207,6 +207,43 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(tmp_path) in err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            pytest.param(b"{not json}\n", "invalid JSON (Expecting property name", id="syntax"),
+            pytest.param(b'{"variant": "\xff"}\n', "invalid JSON ('utf-8' codec",
+                         id="not-utf8"),
+        ],
+    )
+    def test_config_that_is_not_json_exits_1(self, tmp_path, capsys, content, message):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        assert run(config, tmp_path / "out", "run") == 1
+        assert capsys.readouterr().err.startswith(f"error: run config {str(config)!r}: {message}")
+
+    def test_corrupt_manifest_exits_1(self, run_config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(run_config_file, out, "ingest") == 0
+        manifest = out / "manifest.json"
+        manifest.write_text(manifest.read_text()[:-10])
+        assert run(run_config_file, out, "mentions") == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: manifest {str(manifest)!r}: invalid JSON ("
+        )
+
+    def test_bad_structured_line_names_its_file(self, run_config_file, data_dir, tmp_path, capsys):
+        # the target and eval corpora are well formed: only the path tells which is bad
+        first, second = (data_dir / "structured.jsonl").read_text().splitlines()
+        corpus = tmp_path / "structured.jsonl"
+        bad = {**json.loads(second), "sections": "Overview"}
+        corpus.write_text(first + "\n" + json.dumps(bad) + "\n")
+        cfg = json.loads(run_config_file.read_text())
+        run_config_file.write_text(json.dumps({**cfg, "structured_corpus": str(corpus)}))
+        assert run(run_config_file, tmp_path / "out", "run") == 1
+        assert capsys.readouterr().err == (
+            f"error: {corpus}: line 2: field 'sections' must be a list, got 'Overview'\n"
+        )
+
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
     def test_out_that_is_a_file_exits_1(self, run_config_file, tmp_path, capsys, under):
         blocker = tmp_path / "out"
@@ -312,10 +349,6 @@ class TestErrors:
         run_config_file.write_text(json.dumps(cfg))
         assert run(run_config_file, tmp_path / "out", "run") == 1
         assert message in capsys.readouterr().err
-
-    def test_negative_seed_flag_exits_1(self, run_config_file, tmp_path, capsys):
-        assert run(run_config_file, tmp_path / "out", "--seed", "-1", "run") == 1
-        assert "rng_seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_json_number_kinds_accepted(self, run_config_file):
         cfg = json.loads(run_config_file.read_text())
@@ -435,9 +468,3 @@ class TestErrors:
         with pytest.raises(SystemExit):
             run(run_config_file, tmp_path / "out", "bogus")
 
-
-def test_seed_override_recorded_in_model(run_config_file, tmp_path):
-    out = tmp_path / "out"
-    assert run(run_config_file, out, "--seed", "99", "run") == 0
-    model = json.loads((out / "model.json").read_text())
-    assert model["train_config"]["rng_seed"] == 99

@@ -246,6 +246,13 @@ class TestIngest:
         with pytest.raises(CorpusFormatError, match="line 1"):
             ingest_corpus(str(path), "target")
 
+    def test_invalid_json_line_named_with_its_file(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"doc_id": "d1", "title_entity": "x", "sections": []}\n{"doc_id": \n')
+        with pytest.raises(CorpusFormatError) as err:
+            ingest_corpus(str(path), "target")
+        assert str(err.value).startswith(f"{path}: line 2: invalid JSON (")
+
     def test_duplicate_doc_id(self, tmp_path):
         row = json.dumps({"doc_id": "d1", "title_entity": "x", "sections": []})
         path = tmp_path / "c.jsonl"
@@ -277,7 +284,7 @@ class TestIngest:
                         + "\n" + json.dumps(doc) + "\n")
         with pytest.raises(CorpusFormatError) as err:
             ingest_corpus(str(path), "target")
-        assert str(err.value) == f"line 2: {message}"
+        assert str(err.value) == f"{path}: line 2: {message}"
 
     @pytest.mark.parametrize(
         "where, value, message",
@@ -307,9 +314,10 @@ class TestIngest:
         ],
     )
     def test_ill_shaped_document_named(self, tmp_path, where, value, message):
+        path = second_line_corpus(tmp_path, where, value)
         with pytest.raises(CorpusFormatError) as err:
-            ingest_corpus(str(second_line_corpus(tmp_path, where, value)), "target")
-        assert str(err.value) == f"line 2: {message}"
+            ingest_corpus(str(path), "target")
+        assert str(err.value) == f"{path}: line 2: {message}"
 
     @pytest.mark.parametrize(
         "where, value, message",
@@ -365,10 +373,10 @@ class TestIngest:
         ],
     )
     def test_ill_shaped_chunk_or_list_named(self, tmp_path, where, value, message):
-        where = ("sections", 0, "sentences", 0, *where)
+        path = second_line_corpus(tmp_path, ("sections", 0, "sentences", 0, *where), value)
         with pytest.raises(CorpusFormatError) as err:
-            ingest_corpus(str(second_line_corpus(tmp_path, where, value)), "target")
-        assert str(err.value) == f"line 2: {message}"
+            ingest_corpus(str(path), "target")
+        assert str(err.value) == f"{path}: line 2: {message}"
 
     def test_duplicate_np_chunk_refused(self, tmp_path):
         # both would become singleton mentions with the one mention_id d1|s0|t0|1-3
@@ -379,7 +387,7 @@ class TestIngest:
         path = second_line_corpus(tmp_path, ("sections", 0, "sentences", 0), sentence)
         with pytest.raises(CorpusFormatError) as err:
             ingest_corpus(str(path), "target")
-        assert str(err.value) == "line 2: duplicate np_chunk (1,3)"
+        assert str(err.value) == f"{path}: line 2: duplicate np_chunk (1,3)"
 
     def test_overlapping_list_items_refused(self, tmp_path):
         sentence = {
@@ -391,8 +399,8 @@ class TestIngest:
         with pytest.raises(CorpusFormatError) as err:
             ingest_corpus(str(path), "target")
         assert str(err.value) == (
-            "line 2: coordinate list 0 field 'items' must be ascending np_chunks that "
-            "do not overlap, got [[0, 2], [1, 3]]"
+            f"{path}: line 2: coordinate list 0 field 'items' must be ascending np_chunks "
+            "that do not overlap, got [[0, 2], [1, 3]]"
         )
 
     def test_well_shaped_lists_accepted(self, tmp_path):

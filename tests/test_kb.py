@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
 from reldistill.features import Mention
 from reldistill.kb import (
+    ConceptSeed,
     SchemaError,
     Triple,
     load_concept_seeds,
@@ -99,6 +101,43 @@ def test_malformed_schema_names_relation_and_key(tmp_path, obj, message):
     with pytest.raises(SchemaError) as err:
         load_schema(str(path))
     assert str(err.value).startswith(message)
+
+
+def test_schema_that_is_a_directory_refused(tmp_path):
+    with pytest.raises(SchemaError) as err:
+        load_schema(str(tmp_path))
+    assert str(err.value) == f"schema {str(tmp_path)!r} is a directory, not a JSON file"
+
+
+@pytest.mark.parametrize(
+    "load, rows, want",
+    [
+        pytest.param(
+            load_triples,
+            ["sideEffect\tmeloxicam\tNausea", "usedToTreat\tmeloxicam\tarthritis",
+             "sideEffect\tibuprofen\theadache", "sideEffect\t Meloxicam\t nausea",
+             "usedToTreat\tmeloxicam\tArthritis  ", "sideEffect\tmeloxicam\tnausea"],
+            [Triple("sideEffect", "ibuprofen", "headache"),
+             Triple("sideEffect", "meloxicam", "nausea"),
+             Triple("usedToTreat", "meloxicam", "arthritis")],
+            id="triples",
+        ),
+        pytest.param(
+            load_concept_seeds,
+            ["Symptom\tNausea", "DiseaseOrMedicalCondition\tarthritis", "Symptom\t nausea",
+             "Symptom\theadache", "DiseaseOrMedicalCondition\tArthritis ", "Symptom\tnausea"],
+            [ConceptSeed("DiseaseOrMedicalCondition", "arthritis"),
+             ConceptSeed("Symptom", "headache"), ConceptSeed("Symptom", "nausea")],
+            id="concept_seeds",
+        ),
+    ],
+)
+def test_kb_rows_sorted_and_unique_after_normalization(tmp_path, schema, load, rows, want):
+    # rows that only normalization makes equal load as one, in any row order
+    path = tmp_path / "kb.tsv"
+    for seed in range(4):
+        path.write_text("\n".join(random.Random(seed).sample(rows, len(rows))) + "\n")
+        assert load(str(path), schema) == want
 
 
 class TestTriples:

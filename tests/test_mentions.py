@@ -232,8 +232,9 @@ class TestSectionFilter:
 
 def test_labeled_mention_roundtrip(structured_mentions, triples, schema):
     rs = build_relation_mentions(structured_mentions, triples, schema, True)
+    pairs: dict = {}  # one table across the mentions, as the readers share it
     for lm in rs:
-        assert labeled_mention_from_dict(labeled_mention_to_dict(lm)) == lm
+        assert labeled_mention_from_dict(labeled_mention_to_dict(lm), pairs) == lm
 
 
 # Any code point, lone surrogates included, with the characters JSON escapes

@@ -221,6 +221,18 @@ class TestPersonalizedPagerank:
         assert got == {c: [(rename.get(mid, mid), p) for mid, p in ranked]
                        for c, ranked in want.items()}
 
+    def test_feature_with_a_mention_name_refused(self):
+        # the graph of test_seed_is_the_mention_when_a_feature_has_its_name:
+        # scores keyed on name would let the feature's replace the mention's
+        name = "bow=a|s0|t0|0-1"
+        graph = build_graph_from_mentions([
+            make_mention(name, {"f": 1, "g": 1}), make_mention("m2", {"g": 1, name: 2}),
+            make_mention("m3", {"f": 1, "h": 1}),
+        ])
+        with pytest.raises(ValueError) as err:
+            personalized_pagerank(graph, {name}, PropagationConfig())
+        assert str(err.value) == f"node name {name!r} is both a mention and a feature"
+
     def test_four_node_fixture_matches_solve(self):
         mentions = [
             make_mention("m1", {"a": 2, "b": 1}),
