@@ -96,6 +96,14 @@ def json_file(path: str, error, label: str):
         raise error(f"{label} {path!r}: invalid JSON ({exc})") from exc
 
 
+def json_object(path: str, error, label: str) -> dict:
+    """`json_file` for a file that must hold a JSON object."""
+    obj = json_file(path, error, label)
+    if not isinstance(obj, dict):
+        raise error(f"{label} {path!r} must be a JSON object, got a {type(obj).__name__}")
+    return obj
+
+
 def jsonl_lines(path: str, error):
     """Yield (line number, decoded value) for each non-blank line of a
     JSONL file; a line that is not JSON raises `error` naming it."""
@@ -117,5 +125,5 @@ def tsv_rows(path: str, n_fields: int, error):
             if line.strip():
                 row = line.rstrip("\n").split("\t")
                 if len(row) != n_fields:
-                    raise error(f"line {line_no}: expected {n_fields} tab-separated fields")
+                    raise error(f"{path}: line {line_no}: expected {n_fields} tab-separated fields")
                 yield line_no, row

@@ -68,7 +68,7 @@ def load_gold(path: str, schema: RelationSchema | None = None) -> list[GoldAnnot
     out = []
     for line_no, (doc_id, relation, value) in tsv_rows(path, 3, ValueError):
         if schema is not None and not schema.has_relation(relation):
-            raise ValueError(f"line {line_no}: unknown relation {relation!r}")
+            raise ValueError(f"{path}: line {line_no}: unknown relation {relation!r}")
         out.append(GoldAnnotation(doc_id, relation, normalize(value)))
     return out
 

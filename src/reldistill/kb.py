@@ -96,10 +96,10 @@ def load_triples(path: str, schema: RelationSchema) -> list[Triple]:
     out: set[Triple] = set()
     for line_no, (rel, subj, obj) in tsv_rows(path, 3, SchemaError):
         if not schema.has_relation(rel):
-            raise SchemaError(f"line {line_no}: unknown relation {rel!r}")
+            raise SchemaError(f"{path}: line {line_no}: unknown relation {rel!r}")
         subj, obj = normalize(subj), normalize(obj)
         if not subj or not obj:
-            raise SchemaError(f"line {line_no}: empty subject or object")
+            raise SchemaError(f"{path}: line {line_no}: empty subject or object")
         if _is_noise(obj):
             continue
         out.add(Triple(rel, subj, obj))
@@ -113,10 +113,10 @@ def load_concept_seeds(path: str, schema: RelationSchema) -> list[ConceptSeed]:
     known = set(schema.concepts)
     for line_no, (concept, instance) in tsv_rows(path, 2, SchemaError):
         if concept not in known:
-            raise SchemaError(f"line {line_no}: unknown concept {concept!r}")
+            raise SchemaError(f"{path}: line {line_no}: unknown concept {concept!r}")
         instance = normalize(instance)
         if not instance:
-            raise SchemaError(f"line {line_no}: empty instance")
+            raise SchemaError(f"{path}: line {line_no}: empty instance")
         if _is_noise(instance):
             continue
         out.add(ConceptSeed(concept, instance))

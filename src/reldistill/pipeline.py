@@ -31,7 +31,7 @@ from functools import partial
 from pathlib import Path
 
 from .corpus import Document, ingest_corpus, write_corpus
-from .decode import decode, json_file, required
+from .decode import decode, json_file, json_object, required
 from .evaluation import (
     GoldAnnotation,
     Prediction,
@@ -186,7 +186,7 @@ class Workspace:
 
     def _load_manifest(self) -> dict:
         if self.manifest_path.is_file():
-            return json_file(str(self.manifest_path), StageError, "manifest")
+            return json_object(str(self.manifest_path), StageError, "manifest")
         return {"config_hash": self.config.config_hash(), "stages": {}}
 
     @contextmanager

@@ -13,13 +13,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .decode import decode, json_file
+from .decode import decode, json_object
 from .features import FeatureConfig, FeatureFilter, Mention, build_feature_filter, feature_matrix
 from .mentions import SET_NAMES, MentionSets
 from .propagation import RankedLabeling
 
 SCORE_THRESHOLD = 0.5  # a relation's score must reach it to beat "other"
 _PLATT_MAX_ITERS = 100
+_BLOCK_ROWS = 64  # the most SGD steps one speculative block decays ahead
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def _row_dots(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     product sums it. A row sum by `sum`, `einsum` or BLAS reassociates and
     can differ in the last bit, which would move SGD off its trajectory;
     the trailing pads add +0.0, which only turns a zero's sign."""
-    return (values * weights).cumsum(axis=1)[:, -1]
+    return (values * weights).cumsum(axis=-1)[..., -1]
 
 
 def _sgd_hinge_batched(
@@ -224,29 +225,54 @@ def _sgd_hinge_batched(
     step_values = values[rows].transpose(1, 0, 2)
     step_labels = y.T
     sinks = (offsets + dim)[:, None]
-    w = np.zeros(n_rel * stride)
+    # buffer row i is the weights after i decays of the running block,
+    # row 0 is w; `decayed` holds the rows as views, made once
+    buffer = np.zeros((_BLOCK_ROWS + 1, n_rel * stride))
+    decayed = list(buffer)
+    w = decayed[0]
     bias = np.zeros(n_rel)
     rng = np.random.default_rng(rng_seed)
-    t = 0
     avg_w = np.zeros_like(w)
     avg_b = np.zeros_like(bias)
     n_avg = 0
     avg_from = max(1, epochs // 2)
+    block = 1
     for epoch in range(epochs):
         order = rng.permutation(n)
         # one epoch's examples are gathered at a time, never every step's
-        for cols, vals, yk in zip(step_columns[order], step_values[order], step_labels[order]):
-            t += 1
-            eta = 1.0 / (reg_lambda * (t + 1.0 / reg_lambda))
-            margin = yk * (_row_dots(vals, w[cols]) + bias)
-            w *= 1.0 - eta * reg_lambda
-            hit = margin < 1.0
-            if any(hit):  # the builtin: cheaper than `hit.any()` on R entries
-                step = eta * yk
-                np.add(bias, step, out=bias, where=hit)
+        e_cols, e_vals, e_labels = step_columns[order], step_values[order], step_labels[order]
+        # the epoch's step sizes: the scalar formula's IEEE operations on
+        # the exact float64 step counts
+        eta = 1.0 / (reg_lambda * (np.arange(epoch * n + 1, epoch * n + n + 1.0) + 1.0 / reg_lambda))
+        decay = (1.0 - eta * reg_lambda).tolist()
+        k = 0
+        while k < n:
+            # speculate that the next b steps of the epoch make no hinge
+            # step: decay the weights ahead one row at a time, as `w *= d`
+            # would (a product of decays would reassociate), take all b
+            # margins at once and keep the steps up to the first hit. A
+            # clean block doubles the next one, a hinge step halves it
+            b = min(block, n - k)
+            for src, dst, d in zip(decayed, decayed[1:b + 1], decay[k:k + b]):
+                np.multiply(src, d, out=dst)
+            cols, vals, yk = e_cols[k:k + b], e_vals[k:k + b], e_labels[k:k + b]
+            dots = _row_dots(vals, buffer[np.arange(b)[:, None, None], cols])
+            hit = yk * (dots + bias) < 1.0
+            hits = hit.any(axis=1)
+            j = int(hits.argmax())  # the first step with a hit, if any
+            if not hits[j]:
+                j = b - 1
+            w[:] = decayed[j + 1]
+            k += j + 1
+            if hits[j]:
+                block = max(1, block // 2)
+                step = eta[k - 1] * yk[j]
+                np.add(bias, step, out=bias, where=hit[j])
                 # a problem with no hinge step adds +-0.0 to its sink alone,
                 # so the sinks stay 0.0 and no weight is touched
-                w[np.where(hit[:, None], cols, sinks)] += (step * hit)[:, None] * vals
+                w[np.where(hit[j][:, None], cols[j], sinks)] += (step * hit[j])[:, None] * vals[j]
+            else:
+                block = min(2 * block, _BLOCK_ROWS)
         if epoch >= avg_from:
             avg_w += w
             avg_b += bias
@@ -406,7 +432,7 @@ def save_model(model: LinearModel, path: str) -> None:
 
 
 def load_model(path: str) -> LinearModel:
-    obj = json_file(path, ValueError, "model")
+    obj = json_object(path, ValueError, "model")
     relations = {}
     for rel, rm in obj["relations"].items():
         platt = None

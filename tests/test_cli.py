@@ -231,6 +231,27 @@ class TestErrors:
             f"error: manifest {str(manifest)!r}: invalid JSON ("
         )
 
+    def test_manifest_that_is_not_an_object_exits_1(self, run_config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(run_config_file, out, "ingest") == 0
+        manifest = out / "manifest.json"
+        manifest.write_text("[]\n")
+        assert run(run_config_file, out, "mentions") == 1
+        assert capsys.readouterr().err == (
+            f"error: manifest {str(manifest)!r} must be a JSON object, got a list\n"
+        )
+
+    def test_bad_triples_row_names_its_file(self, run_config_file, tmp_path, capsys):
+        # the concept seeds and gold are TSV too: only the path tells which is bad
+        triples = tmp_path / "triples.tsv"
+        triples.write_text("treats\taspirin\n")
+        cfg = json.loads(run_config_file.read_text())
+        run_config_file.write_text(json.dumps({**cfg, "triples": str(triples)}))
+        assert run(run_config_file, tmp_path / "out", "run") == 1
+        assert capsys.readouterr().err == (
+            f"error: {triples}: line 1: expected 3 tab-separated fields\n"
+        )
+
     def test_bad_structured_line_names_its_file(self, run_config_file, data_dir, tmp_path, capsys):
         # the target and eval corpora are well formed: only the path tells which is bad
         first, second = (data_dir / "structured.jsonl").read_text().splitlines()

@@ -134,6 +134,14 @@ def _saved_model(tmp_path, **configs):
     return str(path)
 
 
+def test_load_model_refuses_json_that_is_not_an_object(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[]")
+    with pytest.raises(ValueError) as err:
+        load_model(str(path))
+    assert str(err.value) == f"model {str(path)!r} must be a JSON object, got a list"
+
+
 def test_load_model_decodes_its_configs(tmp_path):
     model = load_model(_saved_model(tmp_path, train_config={"negatives": 4}))
     assert model.feature_config == FeatureConfig()
@@ -172,7 +180,7 @@ def test_tsv_artifact_line_with_wrong_field_count_is_named(tmp_path, reader, goo
     path.write_text(good + "\n" + bad)
     with pytest.raises(ValueError) as err:
         reader(str(path))
-    assert str(err.value) == "line 3: expected 4 tab-separated fields"
+    assert str(err.value) == f"{path}: line 3: expected 4 tab-separated fields"
 
 
 def test_tsv_rows_skips_blank_lines_and_numbers_the_rest(tmp_path):

@@ -691,6 +691,79 @@ def test_sgd_matches_getrow_loop_bitwise(problem, reg_lambda, epochs, rng_seed):
         assert bias[r].hex() == float(bias_ref).hex()
 
 
+def separable_problem(n, n_rel, seed):
+    """`n` rows, each with a private column of weight 3 to 9 and a few
+    shared noise columns, so any labels are separable: at a small lambda
+    a row's margin mostly stays above 1 after its first hinge step, and
+    the speculative blocks run long. `n_rel` problems, each with its own
+    order of the rows and its own labels."""
+    rng = np.random.default_rng(seed)
+    shared = sp.random(n, 3, density=0.3, random_state=seed, format="csr")
+    shared.data = rng.uniform(-2.0, 2.0, shared.nnz)
+    x = sp.hstack([sp.diags(rng.integers(3, 10, n).astype(float)), shared], format="csr")
+    rows = np.array([rng.permutation(n) for _ in range(n_rel)], dtype=np.intp)
+    return x, rows, rng.choice([1.0, -1.0], size=(n_rel, n))
+
+
+def assert_sgd_matches_getrow_loop(x, rows, y, reg_lambda, epochs, rng_seed):
+    w, bias = _sgd_hinge_batched(x, rows, y, reg_lambda, epochs, rng_seed)
+    for r in range(len(rows)):
+        w_ref, bias_ref = sgd_hinge_getrow_oracle(x[rows[r]], y[r], reg_lambda, epochs, rng_seed)
+        assert np.array_equal(w[r].view(np.uint64), w_ref.view(np.uint64))
+        assert bias[r].hex() == float(bias_ref).hex()
+
+
+def record_block_lengths(monkeypatch) -> list[int]:
+    """The step count of each speculative block `_sgd_hinge_batched`
+    takes from here on: one `_row_dots` call over (steps, R, width)."""
+    lengths = []
+
+    def recording(values, weights):
+        lengths.append(len(values))
+        return _row_dots(values, weights)
+
+    monkeypatch.setattr(training, "_row_dots", recording)
+    return lengths
+
+
+@given(
+    st.integers(1, 100), st.integers(1, 3), st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-3, 1e-2, 0.1]),
+)
+# a hinge step on an epoch's last step, at the end of a block that began
+# mid-epoch (steps 9-12), and of one that is the whole epoch (steps 1-12)
+@example(12, 3, 0, 0.1)
+@example(12, 3, 2, 0.1)
+@settings(max_examples=15, deadline=None)
+def test_sgd_long_blocks_match_getrow_loop_bitwise(n, n_rel, seed, reg_lambda):
+    assert_sgd_matches_getrow_loop(*separable_problem(n, n_rel, seed), reg_lambda, 50, seed)
+
+
+def test_sgd_blocks_reach_the_row_cap_and_the_epochs_end(monkeypatch):
+    x, rows, y = separable_problem(100, 3, 1)
+    lengths = record_block_lengths(monkeypatch)
+    assert_sgd_matches_getrow_loop(x, rows, y, 1e-3, 50, 1)
+    assert max(lengths) == training._BLOCK_ROWS < 100
+    # a block length only doubles or halves: any other was cut at an epoch's end
+    assert any(b & (b - 1) for b in lengths)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_sgd_where_every_step_hits_matches_getrow_loop_bitwise(monkeypatch, n):
+    # so strong a regularizer keeps every margin near 0, below 1
+    x, rows, y = separable_problem(n, 2, n)
+    lengths = record_block_lengths(monkeypatch)
+    assert_sgd_matches_getrow_loop(x, rows, y, 100.0, 50, n)
+    # a clean step would double the next block past 1 step, if one follows
+    assert lengths[:-1] == [1] * (50 * n - 1)
+
+
+@pytest.mark.parametrize("reg_lambda", [1e-3, 0.5])
+@pytest.mark.parametrize("n_rel", [1, 3])
+def test_sgd_on_one_row_matches_getrow_loop_bitwise(n_rel, reg_lambda):
+    assert_sgd_matches_getrow_loop(*separable_problem(1, n_rel, 3), reg_lambda, 50, 3)
+
+
 def test_row_dot_is_scipys_row_product_not_blas_dot():
     rng = np.random.default_rng(5)
     x = sp.random(60, 200, density=0.3, random_state=6, format="csr")
