@@ -8,7 +8,9 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+import sys
 from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
 _KINDS = {  # (one, a list of them)
@@ -18,6 +20,10 @@ _KINDS = {  # (one, a list of them)
     str: ("a string", "strings"),
     type(None): ("null", "nulls"),
 }
+_OBJECT = ("an object", "objects")  # a dataclass or a dict
+
+# a dataclass's field hints, resolved once: `Workspace` decodes the manifest per artifact read
+_hints = cache(get_type_hints)
 
 
 def required(f) -> bool:
@@ -27,44 +33,53 @@ def required(f) -> bool:
 def _describe(hint, plural: bool = False) -> str:
     if get_origin(hint) in (list, frozenset):
         return f"a list of {_describe(get_args(hint)[0], plural=True)}"
-    if is_dataclass(hint):
-        return ("an object", "objects")[plural]
-    return " or ".join(_KINDS[k][plural] for k in get_args(hint) or (hint,))
+    if get_origin(hint) is dict:
+        return _OBJECT[plural]
+    return " or ".join(_KINDS.get(k, _OBJECT)[plural] for k in get_args(hint) or (hint,))
 
 
 def _fits(value, hint) -> bool:
     """Whether the JSON scalar or object `value` can be decoded as `hint`."""
-    if is_dataclass(hint):
-        return isinstance(value, dict)
     kinds = get_args(hint) or (hint,)
+    if isinstance(value, dict):
+        return any(map(is_dataclass, kinds))
     if isinstance(value, bool):
         return bool in kinds  # JSON true/false are not numbers
     if isinstance(value, float):
         # json reads NaN and Infinity, which no field accepts
         return float in kinds and math.isfinite(value)
-    return isinstance(value, kinds + ((int,) if float in kinds else ()))
+    if isinstance(value, int) and float in kinds:  # an integer no float can hold is refused
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, kinds)
 
 
 def _value(hint, value, key: str, error, label: str):
     if is_dataclass(hint):
         return decode(hint, value, error, label, key)
     origin = get_origin(hint)
-    if origin in (list, frozenset):
+    if origin is dict:
+        if isinstance(value, dict):
+            item = get_args(hint)[1]
+            return {k: _value(item, v, f"{key}.{k}", error, label) for k, v in value.items()}
+    elif origin in (list, frozenset):
         item = get_args(hint)[0]
         if isinstance(value, list) and all(_fits(v, item) for v in value):
             return origin(
                 _value(item, v, f"{key}[{i}]", error, label) for i, v in enumerate(value)
             )
     elif _fits(value, hint):
+        if isinstance(value, dict):  # the object of an optional dataclass
+            return decode(next(filter(is_dataclass, get_args(hint))), value, error, label, key)
         return value
     raise error(f"{label}: {key!r} must be {_describe(hint)}, got {reprlib.repr(value)}")
 
 
 def decode(cls, obj, error, label: str, key: str = ""):
     """The dataclass `cls` built from the JSON value `obj` at path `key`:
-    each value must fit its field's type hint (a dataclass or a list of
-    them is decoded in turn), fields without a default are required,
-    `init=False` fields are not read and unknown keys are refused."""
+    each value must fit its field's type hint (a dataclass, or a list, a
+    dict or an optional of them, is decoded in turn), fields without a
+    default are required, `init=False` fields are not read and unknown
+    keys are refused; a section's own range check raises `error`."""
     if not isinstance(obj, dict):
         if not key:
             raise error(f"{label} must be a JSON object, got a {type(obj).__name__}")
@@ -74,14 +89,19 @@ def decode(cls, obj, error, label: str, key: str = ""):
     unknown = sorted(set(obj) - {f.name for f in init})
     if unknown:
         raise error(f"{label}: unknown key {prefix + unknown[0]!r}")
-    hints = get_type_hints(cls)
+    hints = _hints(cls)
     values = {}
     for f in init:
         if f.name in obj:
             values[f.name] = _value(hints[f.name], obj[f.name], prefix + f.name, error, label)
         elif required(f):
             raise error(f"{label}: missing required key {prefix + f.name!r}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:  # a section's range check
+        if not key:  # the top-level class names its input itself
+            raise
+        raise error(f"{label}: {key!r}: {exc}") from None
 
 
 def json_file(path: str, error, label: str):
@@ -94,14 +114,6 @@ def json_file(path: str, error, label: str):
         raise error(f"{label} {path!r} is a directory, not a JSON file") from None
     except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
         raise error(f"{label} {path!r}: invalid JSON ({exc})") from exc
-
-
-def json_object(path: str, error, label: str) -> dict:
-    """`json_file` for a file that must hold a JSON object."""
-    obj = json_file(path, error, label)
-    if not isinstance(obj, dict):
-        raise error(f"{label} {path!r} must be a JSON object, got a {type(obj).__name__}")
-    return obj
 
 
 def jsonl_lines(path: str, error):

@@ -82,11 +82,6 @@ def extract_document(
     it, without building the `Mention`. Only the names the model weighs are
     counted: `classify_counts` skips the rest, so the score keeps every bit.
     List predictions fan out per item; each (relation, value) keeps its max."""
-    if feature_config != model.feature_config:
-        raise ValueError(
-            "feature config mismatch: model was trained with "
-            f"{asdict(model.feature_config)}, got {asdict(feature_config)}"
-        )
     table = model.weight_table
     best: dict[tuple[str, str], float] = {}
     for sec in doc.sections:

@@ -31,7 +31,7 @@ from functools import partial
 from pathlib import Path
 
 from .corpus import Document, ingest_corpus, write_corpus
-from .decode import decode, json_file, json_object, required
+from .decode import decode, json_file, required
 from .evaluation import (
     GoldAnnotation,
     Prediction,
@@ -161,6 +161,21 @@ def _write_atomic(path: Path, write) -> None:
         raise
 
 
+@dataclass
+class StageRecord:
+    config_hash: str
+    inputs: dict[str, str]  # filename -> sha256
+    outputs: dict[str, str]
+
+
+# the shape of manifest.json: the run-config hash of the last stage run
+# and each stage's record
+@dataclass
+class Manifest:
+    config_hash: str
+    stages: dict[str, StageRecord]
+
+
 class Workspace:
     """Output directory plus the provenance manifest, the files the
     running stage read and wrote with their sha256, and the records
@@ -184,10 +199,12 @@ class Workspace:
         self._inputs: dict[Path, str] = {}
         self._outputs: dict[Path, str] = {}
 
-    def _load_manifest(self) -> dict:
+    def _load_manifest(self) -> Manifest:
         if self.manifest_path.is_file():
-            return json_object(str(self.manifest_path), StageError, "manifest")
-        return {"config_hash": self.config.config_hash(), "stages": {}}
+            path = str(self.manifest_path)
+            obj = json_file(path, StageError, "manifest")
+            return decode(Manifest, obj, StageError, f"manifest {path!r}")
+        return Manifest(self.config.config_hash(), {})
 
     @contextmanager
     def stage(self, stage: str):
@@ -197,13 +214,13 @@ class Workspace:
         self._inputs, self._outputs = {}, {}
         yield
         manifest = self._load_manifest()
-        manifest["config_hash"] = self.config.config_hash()
-        manifest["stages"][stage] = {
-            "config_hash": self.config.config_hash(),
-            "inputs": {p.name: digest for p, digest in sorted(self._inputs.items())},
-            "outputs": {p.name: digest for p, digest in sorted(self._outputs.items())},
-        }
-        text = json.dumps(manifest, sort_keys=True, indent=1) + "\n"
+        manifest.config_hash = self.config.config_hash()
+        manifest.stages[stage] = StageRecord(
+            manifest.config_hash,
+            inputs={p.name: digest for p, digest in sorted(self._inputs.items())},
+            outputs={p.name: digest for p, digest in sorted(self._outputs.items())},
+        )
+        text = json.dumps(asdict(manifest), sort_keys=True, indent=1) + "\n"
         _write_atomic(self.manifest_path, lambda tmp: Path(tmp).write_text(text))
 
     def input(self, path: str) -> str:
@@ -234,14 +251,13 @@ class Workspace:
             raise StageError(
                 f"artifact {filename!r} missing; run the {produced_by!r} command first"
             )
-        manifest = self._load_manifest()
-        stage = manifest["stages"].get(produced_by)
-        if stage and stage["config_hash"] != self.config.config_hash():
+        stage = self._load_manifest().stages.get(produced_by)
+        if stage and stage.config_hash != self.config.config_hash():
             raise StageError(
-                f"artifact {filename!r} was produced with a different config; "
-                f"re-run {produced_by!r}"
+                f"artifact {filename!r} was produced with a different config "
+                f"(manifest.json records another config_hash); re-run {produced_by!r}"
             )
-        recorded = stage["outputs"].get(filename) if stage else None
+        recorded = stage.outputs.get(filename) if stage else None
         if recorded is None:
             raise StageError(
                 f"artifact {filename!r} is not recorded as an output of the "
@@ -402,6 +418,11 @@ def stage_extract(ws: Workspace) -> None:
     cfg = ws.config
     with ws.stage("extract"):
         model = ws.read("model.json", "train", load_model)
+        if model.feature_config != cfg.features:
+            raise StageError(
+                "feature config mismatch: model.json was trained with "
+                f"{asdict(model.feature_config)}, got {asdict(cfg.features)}"
+            )
         predictions = extract_all(_load_documents(ws, "eval"), model, cfg.features)
         ws.emit("predictions.tsv", lambda path: write_predictions(predictions, path))
 

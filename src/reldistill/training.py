@@ -9,11 +9,12 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .decode import decode, json_object
+from .decode import decode, json_file
 from .features import FeatureConfig, FeatureFilter, Mention, build_feature_filter, feature_matrix
 from .mentions import SET_NAMES, MentionSets
 from .propagation import RankedLabeling
@@ -58,31 +59,25 @@ class TrainingSet:
     shortfalls: dict[str, int] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class Platt:  # a margin m scores 1/(1+exp(A*m + B))
+    A: float
+    B: float
+
+
 @dataclass
 class RelationModel:
     weights: dict[str, float]
     bias: float
-    platt: tuple[float, float] | None  # (A, B) of sigma(A*margin + B)
-
-    def margin(self, counts: dict[str, int]) -> float:
-        # left to right, as `train` sums the margins Platt is fit on; the
-        # builtin sum compensates its rounding from Python 3.12 on
-        total = 0.0
-        for f, c in counts.items():
-            total += self.weights.get(f, 0.0) * c
-        return total + self.bias
+    platt: Platt | None = None  # None under raw_margin
 
     def calibrate(self, margin: float) -> float:
         if self.platt is None:
             return margin
-        a, b = self.platt
         try:
-            return 1.0 / (1.0 + math.exp(a * margin + b))
+            return 1.0 / (1.0 + math.exp(self.platt.A * margin + self.platt.B))
         except OverflowError:  # a*m + b past about 709: the score's limit is 0
             return 0.0
-
-    def score(self, counts: dict[str, int]) -> float:
-        return self.calibrate(self.margin(counts))
 
 
 @dataclass
@@ -90,17 +85,16 @@ class LinearModel:
     relations: dict[str, RelationModel]
     feature_config: FeatureConfig
     train_config: TrainConfig
+
     # feature -> [(index in sorted(relations), weight)] for every relation
     # that weighs it, so `classify_counts` walks a feature dict once
-    weight_table: dict[str, list[tuple[int, float]]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        self.weight_table = {}
+    @cached_property
+    def weight_table(self) -> dict[str, list[tuple[int, float]]]:
+        table: dict[str, list[tuple[int, float]]] = {}
         for i, relation in enumerate(sorted(self.relations)):
             for f, w in self.relations[relation].weights.items():
-                self.weight_table.setdefault(f, []).append((i, w))
+                table.setdefault(f, []).append((i, w))
+        return table
 
 
 def distill(
@@ -282,9 +276,9 @@ def _sgd_hinge_batched(
     return w.reshape(n_rel, stride)[:, :dim], bias
 
 
-def _fit_platt(margins: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+def _fit_platt(margins: np.ndarray, labels: np.ndarray) -> Platt:
     """Platt's sigmoid fit (Lin/Weng/Keerthi variant) on the training
-    margins; returns (A, B) with P(+) = 1/(1+exp(A*m + B))."""
+    margins: P(+) = 1/(1+exp(A*m + B))."""
     prior1 = float((labels > 0).sum())
     prior0 = float((labels <= 0).sum())
     hi = (prior1 + 1.0) / (prior1 + 2.0)
@@ -325,7 +319,7 @@ def _fit_platt(margins: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
             step /= 2.0
         if not improved:
             break
-    return a, b
+    return Platt(a, b)
 
 
 def train(
@@ -393,9 +387,9 @@ def classify_scored(model: LinearModel, mention: Mention) -> tuple[str, float]:
 
 def classify_counts(model: LinearModel, counts: dict[str, int]) -> tuple[str, float]:
     """The label and winning score of a feature dict, every relation's
-    `score` taken in one pass over the weighed names. Each total adds
-    `w * c` in name order, the order of `Mention.features`, as
-    `RelationModel.margin` does over `feature_counts()`; a feature a
+    calibrated score taken in one pass over the weighed names. Each total
+    adds `w * c` in name order, the order of `Mention.features`, left to
+    right as `train` sums the margins Platt is fit on; a feature a
     relation does not weigh would add 0.0 times a finite count to a total
     that is never -0.0, so skipping it changes no bit."""
     relations = sorted(model.relations.items())
@@ -414,33 +408,14 @@ def classify_counts(model: LinearModel, counts: dict[str, int]) -> tuple[str, fl
 
 
 def save_model(model: LinearModel, path: str) -> None:
-    obj = {
-        "feature_config": asdict(model.feature_config),
-        "train_config": asdict(model.train_config),
-        "relations": {
-            rel: {
-                "bias": rm.bias,
-                "weights": dict(sorted(rm.weights.items())),
-                **({"platt": {"A": rm.platt[0], "B": rm.platt[1]}} if rm.platt else {}),
-            }
-            for rel, rm in sorted(model.relations.items())
-        },
-    }
+    obj = asdict(model)
+    for rm in obj["relations"].values():
+        if rm["platt"] is None:  # a raw_margin model's relations have no platt key
+            del rm["platt"]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
 def load_model(path: str) -> LinearModel:
-    obj = json_object(path, ValueError, "model")
-    relations = {}
-    for rel, rm in obj["relations"].items():
-        platt = None
-        if "platt" in rm:
-            platt = (rm["platt"]["A"], rm["platt"]["B"])
-        relations[rel] = RelationModel(weights=rm["weights"], bias=rm["bias"], platt=platt)
-    configs = {
-        key: decode(cls, obj[key], ValueError, "model", key)
-        for key, cls in (("feature_config", FeatureConfig), ("train_config", TrainConfig))
-    }
-    return LinearModel(relations=relations, **configs)
+    return decode(LinearModel, json_file(path, ValueError, "model"), ValueError, f"model {path!r}")

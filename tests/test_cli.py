@@ -1,11 +1,16 @@
+import hashlib
 import json
+import shutil
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from reldistill import pipeline
 from reldistill.cli import main
 from reldistill.pipeline import RunConfig
 from reldistill.synthetic import generate_benchmark
+
+from test_decode import json_values
 
 
 def run(config, out, *args):
@@ -240,6 +245,63 @@ class TestErrors:
         assert capsys.readouterr().err == (
             f"error: manifest {str(manifest)!r} must be a JSON object, got a list\n"
         )
+
+    def test_mutated_manifest_or_model_exits_0_or_1(self, run_config_file, tmp_path, capsys):
+        # one value or key of a file `run` wrote is replaced, dropped or
+        # renamed; `extract` reads the manifest, its ingest and train records
+        # and model.json, whose new sha256 goes into the manifest so that
+        # the mutation reaches `load_model`
+        done = tmp_path / "done"
+        assert run(run_config_file, done, "run") == 0
+        written = {name: json.loads((done / name).read_text())
+                   for name in ("manifest.json", "model.json")}
+
+        @st.composite
+        def mutations(draw):
+            name = draw(st.sampled_from(sorted(written)))
+            obj = json.loads(json.dumps(written[name]))
+            node = obj
+            while True:
+                key = draw(st.sampled_from(sorted(node)))
+                if not (isinstance(node[key], dict) and node[key] and draw(st.booleans())):
+                    break
+                node = node[key]
+            how = draw(st.sampled_from(["value", "drop", "rename"]))
+            if how == "value":
+                node[key] = draw(json_values)
+            else:
+                value = node.pop(key)
+                if how == "rename":
+                    node[key + "x"] = value
+            return name, obj
+
+        other_features = json.loads(json.dumps(written["model.json"]))
+        other_features["feature_config"]["window"] += 1
+
+        @example(("manifest.json", {}))
+        @example(("manifest.json", {"stages": []}))
+        @example(("manifest.json", {"stages": {"ingest": []}}))
+        @example(("model.json", {}))
+        @example(("model.json", other_features))  # well formed, but not the run config's
+        @settings(max_examples=40, derandomize=True, deadline=None)
+        @given(mutations())
+        def check(mutation):
+            name, obj = mutation
+            out = tmp_path / "out"
+            shutil.rmtree(out, ignore_errors=True)
+            shutil.copytree(done, out)
+            (out / name).write_text(json.dumps(obj))
+            if name == "model.json":
+                manifest = json.loads((out / "manifest.json").read_text())
+                digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+                manifest["stages"]["train"]["outputs"][name] = digest
+                (out / "manifest.json").write_text(json.dumps(manifest))
+            code = run(run_config_file, out, "extract")
+            err = capsys.readouterr().err
+            assert code in (0, 1), err
+            assert code == 0 or name in err, err
+
+        check()
 
     def test_bad_triples_row_names_its_file(self, run_config_file, tmp_path, capsys):
         # the concept seeds and gold are TSV too: only the path tells which is bad

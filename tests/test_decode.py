@@ -1,6 +1,6 @@
 """The readers of every input format: the typed JSON decoder behind the
-run config, `schema.json` and the configs of `model.json`, and the JSONL
-and TSV line readers."""
+run config, `schema.json` and `model.json`, and the JSONL and TSV line
+readers."""
 
 import json
 from dataclasses import asdict, is_dataclass
@@ -102,6 +102,9 @@ def test_any_json_value_at_a_schema_key_loads_or_is_refused(tmp_path, key, value
                      "run config: 'variant' must be a list of strings, got 'RsRt'", id="variant"),
         pytest.param({"propagation": 3},
                      "run config: 'propagation' must be a JSON object, got 3", id="section"),
+        pytest.param({"training": {"reg_lambda": 10**400}},
+                     "run config: 'training.reg_lambda' must be a finite number, got "
+                     "100000000000000000...0000000000000000000", id="huge-int"),
     ],
 )
 def test_run_config_message_names_the_key(patch, message):
@@ -121,14 +124,14 @@ def test_schema_keys_default_to_empty(tmp_path):
     assert load_schema(str(path)).relation_names() == []
 
 
-def _saved_model(tmp_path, **configs):
+def _saved_model(tmp_path, key=None, value=None):
     obj = {
         "feature_config": asdict(FeatureConfig()),
         "train_config": asdict(TrainConfig()),
         "relations": {"rel": {"bias": 0.5, "weights": {"tok=a": 1.0}}},
     }
-    for key, patch in configs.items():
-        obj[key].update(patch)
+    if key:
+        _put(obj, key, value)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(obj))
     return str(path)
@@ -143,27 +146,40 @@ def test_load_model_refuses_json_that_is_not_an_object(tmp_path):
 
 
 def test_load_model_decodes_its_configs(tmp_path):
-    model = load_model(_saved_model(tmp_path, train_config={"negatives": 4}))
+    model = load_model(_saved_model(tmp_path, ("train_config", "negatives"), 4))
     assert model.feature_config == FeatureConfig()
     assert model.train_config == TrainConfig(negatives=4)
 
 
 @pytest.mark.parametrize(
-    "configs, message",
+    "key, value, message",
     [
-        pytest.param({"feature_config": {"window": "3"}},
-                     "model: 'feature_config.window' must be an integer, got '3'", id="str"),
-        pytest.param({"feature_config": {"bogus": 1}},
-                     "model: unknown key 'feature_config.bogus'", id="unknown"),
-        pytest.param({"train_config": {"reg_lambda": float("nan")}},
-                     "model: 'train_config.reg_lambda' must be a finite number, got nan",
-                     id="nan"),
+        pytest.param(("feature_config", "window"), "3",
+                     "'feature_config.window' must be an integer, got '3'", id="str"),
+        pytest.param(("feature_config", "bogus"), 1,
+                     "unknown key 'feature_config.bogus'", id="unknown"),
+        pytest.param(("train_config", "reg_lambda"), float("nan"),
+                     "'train_config.reg_lambda' must be a finite number, got nan", id="nan"),
+        pytest.param(("relations", "rel", "weights", "tok=a"), "1.0",
+                     "'relations.rel.weights.tok=a' must be a finite number, got '1.0'",
+                     id="weight"),
+        pytest.param(("relations", "rel", "platt"), [1.0, 2.0],
+                     "'relations.rel.platt' must be an object or null, got [1.0, 2.0]",
+                     id="platt"),
+        pytest.param(("relations", "rel", "bogus"), 1,
+                     "unknown key 'relations.rel.bogus'", id="relation-key"),
+        pytest.param(("train_config", "n"), 0,
+                     "'train_config': n must be >= 1, got 0", id="range"),
+        pytest.param(("relations", "rel", "bias"), 10**400,
+                     "'relations.rel.bias' must be a finite number, got "
+                     "100000000000000000...0000000000000000000", id="huge-int"),
     ],
 )
-def test_load_model_names_an_ill_typed_config_key(tmp_path, configs, message):
+def test_load_model_names_an_ill_typed_config_key(tmp_path, key, value, message):
+    path = _saved_model(tmp_path, key, value)
     with pytest.raises(ValueError) as err:
-        load_model(_saved_model(tmp_path, **configs))
-    assert str(err.value) == message
+        load_model(path)
+    assert str(err.value) == f"model {path!r}: {message}"
 
 
 @pytest.mark.parametrize(

@@ -52,6 +52,7 @@ from reldistill.propagation import (
 )
 from reldistill.training import (
     LinearModel,
+    Platt,
     RelationModel,
     TrainConfig,
     TrainingSet,
@@ -411,11 +412,25 @@ def enumerate_mentions_unshared_oracle(doc, config):
     return out
 
 
+def margin_oracle(rm, counts):
+    """A relation's margin on a feature dict, summed left to right as
+    `train` sums the margins Platt is fit on; the builtin sum compensates
+    its rounding from Python 3.12 on."""
+    total = 0.0
+    for f, c in counts.items():
+        total += rm.weights.get(f, 0.0) * c
+    return total + rm.bias
+
+
+def score_oracle(rm, counts):
+    return rm.calibrate(margin_oracle(rm, counts))
+
+
 def classify_scored_loop_oracle(model, mention):
     counts = mention.feature_counts()
     best_label, best_score = "other", 0.0
     for relation in sorted(model.relations):
-        score = model.relations[relation].score(counts)
+        score = score_oracle(model.relations[relation], counts)
         if score >= training.SCORE_THRESHOLD and score > best_score:
             best_label, best_score = relation, score
     return best_label, best_score
@@ -629,7 +644,7 @@ def classify_models(draw, vocab, feature_config=FeatureConfig(), max_weights=5):
     relations = {}
     for name in names:
         weights = draw(st.dictionaries(st.sampled_from(vocab), values, max_size=max_weights))
-        ab = (draw(st.floats(-10.0, 10.0)), draw(st.floats(-5.0, 5.0))) if platt else None
+        ab = Platt(draw(st.floats(-10.0, 10.0)), draw(st.floats(-5.0, 5.0))) if platt else None
         relations[name] = RelationModel(weights, draw(values), ab)
     if len(names) >= 2 and draw(st.booleans()):  # a tie between two relations
         relations[names[1]] = relations[names[0]]
@@ -1015,7 +1030,7 @@ def model_bits(model):
         relation: (
             [(f, w.hex()) for f, w in sorted(rm.weights.items())],
             rm.bias.hex(),
-            rm.platt and tuple(v.hex() for v in rm.platt),
+            rm.platt and (rm.platt.A.hex(), rm.platt.B.hex()),
         )
         for relation, rm in model.relations.items()
     }
@@ -1218,8 +1233,8 @@ def raw(relations):
     make_mention("m", {"a": 1, "z": 2}),
 ))
 @example((  # a*m + b = 1500 overflows exp: that relation scores 0.0
-    LinearModel({"r": RelationModel({"a": -300.0}, 0.0, (-5.0, 0.0)),
-                 "s": RelationModel({"b": 2.0}, 0.0, (-1.0, 0.0))},
+    LinearModel({"r": RelationModel({"a": -300.0}, 0.0, Platt(-5.0, 0.0)),
+                 "s": RelationModel({"b": 2.0}, 0.0, Platt(-1.0, 0.0))},
                 FeatureConfig(), TrainConfig()),
     make_mention("m", {"a": 1, "b": 1}),
 ))
@@ -1235,7 +1250,7 @@ def test_classify_scored_sums_in_the_mention_feature_order():
     # own order (c, b, a) all give 1.0
     rm = RelationModel({"c": -1e16, "b": 1e16, "a": 1.0}, 0.5, None)
     mention = make_mention("m", {"a": 1, "b": 1, "c": 1})
-    assert rm.score(mention.feature_counts()) == 0.5
+    assert score_oracle(rm, mention.feature_counts()) == 0.5
     assert math.fsum([1.0, 1e16, -1e16]) == 1.0
     assert classify_scored(raw({"r": rm}), mention) == ("r", 0.5)
 
@@ -1295,7 +1310,7 @@ def test_classify_scored_is_a_sequential_sum_not_a_blas_dot():
         weights = dict(zip(names, rng.uniform(-3.0, 3.0, len(names)).tolist()))
         mention = make_mention("m", dict(zip(names, rng.integers(1, 4, len(names)).tolist())))
         counts = mention.feature_counts()
-        margin = RelationModel(weights, 0.0, None).margin(counts)
+        margin = margin_oracle(RelationModel(weights, 0.0, None), counts)
         if margin < 0.0:  # negating every weight negates the sum exactly
             weights = {f: -w for f, w in weights.items()}
             margin = -margin

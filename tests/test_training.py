@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from reldistill.mentions import MentionSets
 from reldistill.propagation import RankedLabeling
 from reldistill.training import (
     LinearModel,
+    Platt,
     RelationModel,
     TrainConfig,
     TrainingSet,
@@ -21,7 +23,7 @@ from reldistill.training import (
     train,
 )
 
-from test_kernels import filter_counts, sgd_hinge_oracle
+from test_kernels import filter_counts, margin_oracle, score_oracle, sgd_hinge_oracle
 
 
 def make_mention(mid, features, tag="target"):
@@ -270,8 +272,8 @@ class TestClassify:
 class TestScore:
     def test_platt_score_past_exp_range_is_zero(self):
         # a*m + b = 1500 overflows math.exp; the sigmoid's limit there is 0
-        rm = RelationModel(weights={"f": -300.0}, bias=0.0, platt=(-5.0, 0.0))
-        assert rm.score({"f": 1}) == 0.0
+        rm = RelationModel(weights={"f": -300.0}, bias=0.0, platt=Platt(-5.0, 0.0))
+        assert score_oracle(rm, {"f": 1}) == 0.0
         model = LinearModel(
             relations={"rel": rm},
             feature_config=FeatureConfig(),
@@ -283,10 +285,11 @@ class TestScore:
         # (1e16 + 1.0) rounds to 1e16; a compensated sum would give 1.0
         rm = RelationModel(weights={"a": 1e16, "b": 1.0, "c": -1e16}, bias=0.5, platt=None)
         assert math.fsum([1e16, 1.0, -1e16]) == 1.0
-        assert rm.margin({"a": 1, "b": 1, "c": 1}) == 0.5
+        assert margin_oracle(rm, {"a": 1, "b": 1, "c": 1}) == 0.5
 
 
-def test_model_file_roundtrip(tmp_path, separable_mentions):
+@pytest.mark.parametrize("calibration", ["platt", "raw_margin"])
+def test_model_file_roundtrip(tmp_path, separable_mentions, calibration):
     pos, neg = separable_mentions
     vectors = [m.feature_counts() for m in pos + neg]
     ts = TrainingSet(
@@ -294,12 +297,14 @@ def test_model_file_roundtrip(tmp_path, separable_mentions):
         negatives=neg,
         feature_filter=build_feature_filter(vectors),
     )
-    config = TrainConfig(n=8, epochs=60, rng_seed=5)
+    config = TrainConfig(n=8, epochs=60, rng_seed=5, calibration=calibration)
     model = train(ts, config, FeatureConfig())
     path = tmp_path / "model.json"
     save_model(model, str(path))
     loaded = load_model(str(path))
-    assert loaded.feature_config == model.feature_config
-    assert loaded.train_config == model.train_config
+    assert loaded == model
+    # no golden hash pins a raw_margin file: it must keep having no platt key
+    relation = json.loads(path.read_text())["relations"]["rel"]
+    assert ("platt" in relation) == (calibration == "platt")
     for m in pos + neg:
         assert classify(loaded, m) == classify(model, m)
