@@ -1,7 +1,7 @@
 """The one reader of each input format: whole-file JSON, JSON objects
-decoded into typed dataclasses, JSONL lines and TSV rows. Each raises its
-caller's error class naming the file, the key path or the line, so a
-malformed input exits 1."""
+decoded into typed dataclasses, JSONL lines, TSV rows and the numbers in
+their fields. Each raises its caller's error class naming the file, the
+key path or the line, so a malformed input exits 1."""
 
 from __future__ import annotations
 
@@ -22,7 +22,9 @@ _KINDS = {  # (one, a list of them)
 }
 _OBJECT = ("an object", "objects")  # a dataclass or a dict
 
-# a dataclass's field hints, resolved once: `Workspace` decodes the manifest per artifact read
+# a dataclass's field hints, resolved once a process: each model relation, stage
+# record and schema relation decodes its class again, and resolving the hints of
+# one class costs 35-190 microseconds
 _hints = cache(get_type_hints)
 
 
@@ -139,3 +141,15 @@ def tsv_rows(path: str, n_fields: int, error):
                 if len(row) != n_fields:
                     raise error(f"{path}: line {line_no}: expected {n_fields} tab-separated fields")
                 yield line_no, row
+
+
+def finite(text: str, path: str, line_no: int, error) -> float:
+    """The finite number `text`, a field of line `line_no` of the file at
+    `path`; anything else raises `error` naming the file and the line."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise error(f"{path}: line {line_no}: expected a finite number, got {text!r}")

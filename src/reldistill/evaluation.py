@@ -9,7 +9,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .corpus import Document
-from .decode import tsv_rows
+from .decode import finite, tsv_rows
 from .features import FeatureConfig, Mention, extract_features
 from .kb import RelationSchema
 from .mentions import MentionSets, _surface
@@ -235,6 +235,6 @@ def write_predictions(preds: list[Prediction], path: str) -> None:
 
 def read_predictions(path: str) -> list[Prediction]:
     return [
-        Prediction(doc_id, relation, value, float(score))
-        for _, (doc_id, relation, value, score) in tsv_rows(path, 4, ValueError)
+        Prediction(doc_id, relation, value, finite(score, path, line_no, ValueError))
+        for line_no, (doc_id, relation, value, score) in tsv_rows(path, 4, ValueError)
     ]

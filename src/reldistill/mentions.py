@@ -8,6 +8,7 @@ obtained by propagating concept seeds over the mention-feature graph.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _str
 
@@ -222,17 +223,45 @@ def mention_to_dict(m: Mention) -> dict:
     }
 
 
+# the keys of a mention line whose values are strings
+_STRING_KEYS = ("corpus_tag", "doc_id", "kind", "mention_id", "section", "title_entity")
+
+
+def _refuse(obj: dict, key: str, kind: str) -> ValueError:
+    if key not in obj:
+        return ValueError(f"missing key {key!r}")
+    return ValueError(f"key {key!r} must be {kind}, got {reprlib.repr(obj[key])}")
+
+
+def _check_strings(obj: dict, keys) -> None:
+    for key in keys:
+        if not isinstance(obj.get(key), str):
+            raise _refuse(obj, key, "a string")
+
+
 def mention_from_dict(obj: dict, pairs: dict) -> Mention:
     """The mention of `obj`, its feature pairs shared through the `pairs`
-    table as in `enumerate_mentions`."""
-    items = sorted(obj["features"].items())
+    table as in `enumerate_mentions`. A line that is not an object, or a
+    key that is missing or of the wrong JSON type, raises ValueError
+    naming the key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a mention must be an object, got {reprlib.repr(obj)}")
+    _check_strings(obj, _STRING_KEYS)
+    surfaces = obj.get("surfaces")
+    if not (isinstance(surfaces, list) and {str}.issuperset(map(type, surfaces))):
+        raise _refuse(obj, "surfaces", "a list of strings")
+    features = obj.get("features")
+    # the counts' types, not isinstance: a JSON true is an int too
+    if not (isinstance(features, dict) and {int}.issuperset(map(type, features.values()))):
+        raise _refuse(obj, "features", "an object of integer counts")
+    items = sorted(features.items())
     return Mention(
         mention_id=obj["mention_id"],
         doc_id=obj["doc_id"],
         title_entity=obj["title_entity"],
         section_title=obj["section"],
         kind=obj["kind"],
-        item_surfaces=tuple(obj["surfaces"]),
+        item_surfaces=tuple(surfaces),
         features=tuple(map(pairs.setdefault, items, items)),
         corpus_tag=obj["corpus_tag"],
     )
@@ -243,7 +272,9 @@ def labeled_mention_to_dict(lm: LabeledMention) -> dict:
 
 
 def labeled_mention_from_dict(obj: dict, pairs: dict) -> LabeledMention:
-    return LabeledMention(mention_from_dict(obj, pairs), obj["label"], obj["source_set"])
+    mention = mention_from_dict(obj, pairs)
+    _check_strings(obj, ("label", "source_set"))
+    return LabeledMention(mention, obj["label"], obj["source_set"])
 
 
 class _PairText(dict):
@@ -295,14 +326,30 @@ class MentionEncoder:
         return f'{head}, "label": {label}{middle}, "source_set": {source_set}{tail}'
 
 
+def _read_lines(path: str, from_dict) -> list:
+    """`from_dict` of each line of the JSONL file at `path`, with one tuple
+    per distinct feature pair of the file; a malformed line raises
+    ValueError naming the file, the line and the key."""
+    pairs: dict = {}
+    out = []
+    try:
+        for line_no, obj in jsonl_lines(path, ValueError):
+            try:
+                out.append(from_dict(obj, pairs))
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return out
+
+
 def write_mentions(mentions: list[Mention], path: str, encoder: MentionEncoder) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(map(encoder.line, mentions))
 
 
 def read_mentions(path: str) -> list[Mention]:
-    pairs: dict = {}  # one tuple per distinct feature pair of the file
-    return [mention_from_dict(obj, pairs) for _, obj in jsonl_lines(path, ValueError)]
+    return _read_lines(path, mention_from_dict)
 
 
 def write_labeled_mentions(
@@ -313,5 +360,4 @@ def write_labeled_mentions(
 
 
 def read_labeled_mentions(path: str) -> list[LabeledMention]:
-    pairs: dict = {}  # one tuple per distinct feature pair of the file
-    return [labeled_mention_from_dict(obj, pairs) for _, obj in jsonl_lines(path, ValueError)]
+    return _read_lines(path, labeled_mention_from_dict)

@@ -6,12 +6,13 @@ whose sha256 is not the one its producing stage recorded. Every artifact
 is written through a temp file and `os.replace`, so a failed write
 leaves the previous file whole.
 
-The `Workspace` records what a stage did once it completes: each
-artifact it verified or wrote and each run-config file handed to
-`input`. It also holds the records it wrote for the documents, mention
-sets and pools; a later stage on the same workspace whose verified file
-hash equals the held one takes those records instead of decoding the
-file.
+The `Workspace` decodes `manifest.json` once, when it is made, and
+builds the running stage's record as the stage verifies or writes each
+artifact and hands each run-config file to `input`; the record enters
+the manifest once the stage completes. It also holds the records it
+wrote for the documents, mention sets and pools; a later stage on the
+same workspace whose verified file hash equals the held one takes those
+records instead of decoding the file.
 
 `ingest_corpora`, `label_mentions`, `propagate`, `fit_model` and
 `extract_all` are the in-process core of the method (ingest, distant
@@ -177,9 +178,11 @@ class Manifest:
 
 
 class Workspace:
-    """Output directory plus the provenance manifest, the files the
-    running stage read and wrote with their sha256, and the records
-    written with `write`, keyed on filename with the sha256 of the bytes."""
+    """Output directory plus the provenance manifest, decoded once when the
+    workspace is made, the running stage's record of the files it read and
+    wrote with their sha256, and the records written with `write`, keyed
+    on filename with the sha256 of the bytes. A workspace owns its
+    directory for its lifetime: only its own stages change the manifest."""
 
     MENTION_SET_FILES = {name: f"mentions_{name}.jsonl" for name in SET_NAMES}
     POOL_FILES = tuple(f"pool_{name}.jsonl" for name in _GRAPH_CORPORA)
@@ -193,54 +196,48 @@ class Workspace:
                 f"output directory {out_dir!r} cannot be made: {exc.strerror}"
             ) from None
         self.config = config
+        self.config_hash = config.config_hash()
         self.manifest_path = self.out / "manifest.json"
-        self._held: dict[str, tuple[str, list]] = {}
-        # path -> sha256 of the files the running stage read and wrote
-        self._inputs: dict[Path, str] = {}
-        self._outputs: dict[Path, str] = {}
-
-    def _load_manifest(self) -> Manifest:
+        self.manifest = Manifest(self.config_hash, {})
         if self.manifest_path.is_file():
             path = str(self.manifest_path)
             obj = json_file(path, StageError, "manifest")
-            return decode(Manifest, obj, StageError, f"manifest {path!r}")
-        return Manifest(self.config.config_hash(), {})
+            self.manifest = decode(Manifest, obj, StageError, f"manifest {path!r}")
+        self._held: dict[str, tuple[str, list]] = {}
+        self._record = StageRecord(self.config_hash, {}, {})
 
     @contextmanager
     def stage(self, stage: str):
-        """Gather the files the body reads and writes, then record them as
-        `stage`'s with the sha256 taken of each; a body that raises records
-        nothing, and the next stage starts from no files."""
-        self._inputs, self._outputs = {}, {}
+        """Record the files the body reads and writes, with the sha256 taken
+        of each, as `stage`'s; a body that raises records nothing, and the
+        next stage starts from no files."""
+        record = self._record = StageRecord(self.config_hash, {}, {})
         yield
-        manifest = self._load_manifest()
-        manifest.config_hash = self.config.config_hash()
-        manifest.stages[stage] = StageRecord(
-            manifest.config_hash,
-            inputs={p.name: digest for p, digest in sorted(self._inputs.items())},
-            outputs={p.name: digest for p, digest in sorted(self._outputs.items())},
-        )
+        # a read after the stage, outside any, must not change its record
+        self._record = StageRecord(self.config_hash, {}, {})
+        manifest = Manifest(self.config_hash, {**self.manifest.stages, stage: record})
         text = json.dumps(asdict(manifest), sort_keys=True, indent=1) + "\n"
         _write_atomic(self.manifest_path, lambda tmp: Path(tmp).write_text(text))
+        self.manifest = manifest
 
     def input(self, path: str) -> str:
         """`path`, a file the run config names, recorded as read."""
-        self._inputs[Path(path)] = _sha256(Path(path))
+        self._record.inputs[Path(path).name] = _sha256(Path(path))
         return path
 
-    def emit(self, filename: str, write) -> str:
-        """Write one artifact atomically; `write(path)` fills the file.
-        Returns its sha256."""
+    def emit(self, filename: str, writer, obj) -> str:
+        """Write one artifact atomically, `writer(obj, path)` filling the
+        file. Returns its sha256."""
         path = self.out / filename
-        _write_atomic(path, write)
-        self._outputs[path] = digest = _sha256(path)
+        _write_atomic(path, partial(writer, obj))
+        self._record.outputs[filename] = digest = _sha256(path)
         return digest
 
-    def write(self, filename: str, records, writer) -> None:
-        """`writer(records, path)` writes the artifact atomically; the
-        records are held for `read` under the sha256 of the bytes."""
+    def write(self, filename: str, writer, records) -> None:
+        """`emit` the records, and hold them for `read` under the sha256
+        of the bytes."""
         records = list(records)
-        self._held[filename] = (self.emit(filename, lambda tmp: writer(records, tmp)), records)
+        self._held[filename] = (self.emit(filename, writer, records), records)
 
     def read(self, filename: str, produced_by: str, reader):
         """The records of an artifact that exists, was produced under this
@@ -251,8 +248,8 @@ class Workspace:
             raise StageError(
                 f"artifact {filename!r} missing; run the {produced_by!r} command first"
             )
-        stage = self._load_manifest().stages.get(produced_by)
-        if stage and stage.config_hash != self.config.config_hash():
+        stage = self.manifest.stages.get(produced_by)
+        if stage and stage.config_hash != self.config_hash:
             raise StageError(
                 f"artifact {filename!r} was produced with a different config "
                 f"(manifest.json records another config_hash); re-run {produced_by!r}"
@@ -269,7 +266,7 @@ class Workspace:
                 f"artifact {filename!r} has changed since the {produced_by!r} stage "
                 f"wrote it (sha256 differs from manifest.json); re-run {produced_by!r}"
             )
-        self._inputs[path] = digest
+        self._record.inputs[filename] = digest
         held = self._held.get(filename)
         if held is not None and held[0] == digest:
             return list(held[1])
@@ -353,7 +350,7 @@ def stage_ingest(ws: Workspace) -> None:
         cfg.validate_paths()
         for name, docs in ingest_corpora(cfg).items():
             ws.input(getattr(cfg, f"{name}_corpus"))
-            ws.write(f"documents_{name}.jsonl", docs, write_corpus)
+            ws.write(f"documents_{name}.jsonl", write_corpus, docs)
 
 
 def _load_documents(ws: Workspace, name: str) -> list[Document]:
@@ -373,9 +370,9 @@ def stage_mentions(ws: Workspace) -> None:
 
         encoder = MentionEncoder()  # encodes each mention once for the six files
         for name, filename in Workspace.MENTION_SET_FILES.items():
-            ws.write(filename, sets.get(name), partial(write_labeled_mentions, encoder=encoder))
+            ws.write(filename, partial(write_labeled_mentions, encoder=encoder), sets.get(name))
         for pool, filename in zip(pools, Workspace.POOL_FILES):
-            ws.write(filename, pool, partial(write_mentions, encoder=encoder))
+            ws.write(filename, partial(write_mentions, encoder=encoder), pool)
 
 
 def _load_sets(ws: Workspace) -> MentionSets:
@@ -402,8 +399,8 @@ def stage_propagate(ws: Workspace) -> None:
     with ws.stage("propagate"):
         sets = _load_sets(ws)
         graph, ranking = propagate(sets, VariantSpec.parse(cfg.variant), cfg.propagation)
-        ws.emit("ranking.tsv", lambda path: write_ranking(ranking, path))
-        ws.emit("graph.tsv", lambda path: write_graph_dump(graph, path))
+        ws.emit("ranking.tsv", write_ranking, ranking)
+        ws.emit("graph.tsv", write_graph_dump, graph)
 
 
 def stage_train(ws: Workspace) -> None:
@@ -411,7 +408,7 @@ def stage_train(ws: Workspace) -> None:
     with ws.stage("train"):
         ranking = ws.read("ranking.tsv", "propagate", read_ranking)
         model = fit_model(ranking, _load_sets(ws), _load_pool(ws), cfg.training, cfg.features)
-        ws.emit("model.json", lambda path: save_model(model, path))
+        ws.emit("model.json", save_model, model)
 
 
 def stage_extract(ws: Workspace) -> None:
@@ -424,7 +421,7 @@ def stage_extract(ws: Workspace) -> None:
                 f"{asdict(model.feature_config)}, got {asdict(cfg.features)}"
             )
         predictions = extract_all(_load_documents(ws, "eval"), model, cfg.features)
-        ws.emit("predictions.tsv", lambda path: write_predictions(predictions, path))
+        ws.emit("predictions.tsv", write_predictions, predictions)
 
 
 def stage_eval(ws: Workspace) -> None:
@@ -433,8 +430,8 @@ def stage_eval(ws: Workspace) -> None:
         gold = _load_gold(ws)
         report = evaluate(predictions, gold)
         points = pr_curve(predictions, gold)
-        ws.emit("report.json", lambda path: write_report(report, path))
-        ws.emit("pr_curve.csv", lambda path: write_pr_curve(points, path))
+        ws.emit("report.json", write_report, report)
+        ws.emit("pr_curve.csv", write_pr_curve, points)
 
 
 def stage_sweep(ws: Workspace) -> None:
@@ -458,13 +455,13 @@ def stage_sweep(ws: Workspace) -> None:
                 micro = evaluate(extract_all(eval_docs, model, cfg.features), gold).micro
                 rows.append((strategy, n, micro.precision, micro.recall, micro.f1))
 
-        def write_sweep(path: str) -> None:
+        def write_sweep(rows, path: str) -> None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("variant,strategy,n,precision,recall,f1\n")
                 for strategy, n, p, r, f1 in rows:
                     fh.write(f"{variant_name},{strategy},{n},{p:.12g},{r:.12g},{f1:.12g}\n")
 
-        ws.emit("sweep.csv", write_sweep)
+        ws.emit("sweep.csv", write_sweep, rows)
 
 
 STAGES = {

@@ -15,7 +15,7 @@ from itertools import chain, combinations, repeat
 import numpy as np
 import scipy.sparse as sp
 
-from .decode import tsv_rows
+from .decode import finite, tsv_rows
 from .features import Mention, feature_matrix
 from .mentions import SET_NAMES, MentionSets
 
@@ -268,8 +268,8 @@ def write_ranking(ranking: RankedLabeling, path: str) -> None:
 
 def read_ranking(path: str) -> RankedLabeling:
     per_class: dict[str, list[tuple[str, float]]] = {}
-    for _, (cls, _rank, mid, score) in tsv_rows(path, 4, ValueError):
-        per_class.setdefault(cls, []).append((mid, float(score)))
+    for line_no, (cls, _rank, mid, score) in tsv_rows(path, 4, ValueError):
+        per_class.setdefault(cls, []).append((mid, finite(score, path, line_no, ValueError)))
     return RankedLabeling(per_class=per_class)
 
 

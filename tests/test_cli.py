@@ -34,6 +34,20 @@ def bench0_config(tmp_path_factory):
     return config_path
 
 
+def _json_edit(change):
+    """The JSONL line edited as its decoded value."""
+    return lambda line: json.dumps(change(json.loads(line)))
+
+
+def _without(obj: dict, key: str) -> dict:
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def _score(line: str, score: str) -> str:
+    """A TSV artifact line with `score` as its last field."""
+    return "\t".join([*line.split("\t")[:-1], score])
+
+
 class TestFullPipeline:
     def test_run_produces_all_artifacts(self, run_config_file, tmp_path):
         out = tmp_path / "out"
@@ -236,6 +250,19 @@ class TestErrors:
             f"error: manifest {str(manifest)!r}: invalid JSON ("
         )
 
+    def test_corrupt_manifest_stops_ingest_before_it_writes(
+        self, run_config_file, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        manifest = out / "manifest.json"
+        manifest.write_text("{")
+        assert run(run_config_file, out, "ingest") == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: manifest {str(manifest)!r}: invalid JSON ("
+        )
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
     def test_manifest_that_is_not_an_object_exits_1(self, run_config_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(run_config_file, out, "ingest") == 0
@@ -302,6 +329,60 @@ class TestErrors:
             assert code == 0 or name in err, err
 
         check()
+
+    @pytest.mark.parametrize(
+        "filename, command, edit, named",
+        [
+            pytest.param("mentions_Rs.jsonl", "propagate",
+                         _json_edit(lambda o: _without(o, "features")),
+                         "line 1: missing key 'features'", id="no-features"),
+            pytest.param("mentions_Rs.jsonl", "propagate",
+                         _json_edit(lambda o: {**o, "features": list(o["features"])}),
+                         "line 1: key 'features' must be an object of integer counts, got [",
+                         id="features-list"),
+            pytest.param("mentions_Rs.jsonl", "propagate",
+                         _json_edit(lambda o: {**o, "features": {f: str(c) for f, c in
+                                                                 o["features"].items()}}),
+                         "line 1: key 'features' must be an object of integer counts, got {",
+                         id="count-string"),
+            pytest.param("mentions_Rs.jsonl", "propagate", _json_edit(lambda o: {**o, "label": 1}),
+                         "line 1: key 'label' must be a string, got 1", id="label-number"),
+            pytest.param("mentions_Rs.jsonl", "propagate", _json_edit(lambda o: [o]),
+                         "line 1: a mention must be an object, got [", id="line-list"),
+            pytest.param("mentions_Rs.jsonl", "propagate",
+                         _json_edit(lambda o: {**o, "surfaces": "x"}),
+                         "line 1: key 'surfaces' must be a list of strings, got 'x'",
+                         id="surfaces-string"),
+            pytest.param("mentions_Rs.jsonl", "propagate", lambda line: line[:-1],
+                         "line 1: invalid JSON (", id="not-json"),
+            pytest.param("pool_target.jsonl", "train",
+                         _json_edit(lambda o: _without(o, "mention_id")),
+                         "line 1: missing key 'mention_id'", id="pool-no-mention-id"),
+            pytest.param("ranking.tsv", "train", lambda line: _score(line, "abc"),
+                         "line 1: expected a finite number, got 'abc'", id="ranking-word"),
+            pytest.param("ranking.tsv", "train", lambda line: _score(line, "inf"),
+                         "line 1: expected a finite number, got 'inf'", id="ranking-inf"),
+            pytest.param("predictions.tsv", "eval", lambda line: _score(line, "abc"),
+                         "line 1: expected a finite number, got 'abc'", id="predictions-word"),
+            pytest.param("predictions.tsv", "eval", lambda line: _score(line, "nan"),
+                         "line 1: expected a finite number, got 'nan'", id="predictions-nan"),
+        ],
+    )
+    def test_malformed_artifact_line_exits_1(self, run_config_file, tmp_path, capsys,
+                                             filename, command, edit, named):
+        # the first line is rewritten and its file's new sha256 recorded, so
+        # the line reaches the artifact's reader
+        out = tmp_path / "out"
+        assert run(run_config_file, out, "run") == 0
+        path = out / filename
+        first, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([edit(first.rstrip("\n")) + "\n", *rest]))
+        manifest = json.loads((out / "manifest.json").read_text())
+        producer = next(s for s in manifest["stages"].values() if filename in s["outputs"])
+        producer["outputs"][filename] = hashlib.sha256(path.read_bytes()).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert run(run_config_file, out, command) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {named}")
 
     def test_bad_triples_row_names_its_file(self, run_config_file, tmp_path, capsys):
         # the concept seeds and gold are TSV too: only the path tells which is bad

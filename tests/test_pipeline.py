@@ -4,7 +4,7 @@ that the stages and the benchmark harness share."""
 
 import json
 from collections import Counter
-from dataclasses import fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -13,7 +13,7 @@ from reldistill import benchmark, pipeline
 from reldistill.features import FeatureConfig, Mention
 from reldistill.mentions import LabeledMention, MentionSets
 from reldistill.pipeline import RunConfig, StageError
-from reldistill.propagation import PropagationConfig, VariantSpec, build_graph
+from reldistill.propagation import PropagationConfig, VariantSpec, build_graph, read_ranking
 from reldistill.synthetic import generate_benchmark
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -66,6 +66,46 @@ def test_run_hashes_each_artifact_once_per_stage(run_config_file, tmp_path, monk
         got = Counter(p.name for s, p in hashed if s == stage and p.parent == out)
         recorded = [n for n in (*record["inputs"], *record["outputs"]) if (out / n).is_file()]
         assert got == Counter(recorded), stage
+
+
+def test_a_workspace_decodes_the_manifest_and_hashes_the_config_once(
+    run_config_file, tmp_path, monkeypatch
+):
+    """`run_all` into a fresh directory decodes no manifest.json and hashes
+    the run config once; a staged `train` in that directory, on a new
+    workspace as each CLI command makes, decodes the manifest once."""
+    calls = Counter()
+    decode, config_hash = pipeline.decode, RunConfig.config_hash
+
+    def counting_decode(cls, *args):
+        calls[cls.__name__] += 1
+        return decode(cls, *args)
+
+    def counting_config_hash(self):
+        calls["config_hash"] += 1
+        return config_hash(self)
+
+    monkeypatch.setattr(pipeline, "decode", counting_decode)
+    monkeypatch.setattr(RunConfig, "config_hash", counting_config_hash)
+    config = pipeline.load_run_config(str(run_config_file))
+    out = str(tmp_path / "out")
+    pipeline.run_all(pipeline.Workspace(out, config))
+    assert (calls["Manifest"], calls["config_hash"]) == (0, 1)
+    pipeline.stage_train(pipeline.Workspace(out, config))
+    assert (calls["Manifest"], calls["config_hash"]) == (1, 2)
+
+
+def test_a_read_after_run_changes_no_stage_record(run_config_file, tmp_path):
+    """A read outside any stage is recorded in no stage: neither in the
+    workspace's manifest nor in the file the next stage writes."""
+    ws = pipeline.Workspace(str(tmp_path / "out"), pipeline.load_run_config(str(run_config_file)))
+    pipeline.run_all(ws)
+    recorded = json.loads(ws.manifest_path.read_text())
+    assert "ranking.tsv" not in recorded["stages"]["eval"]["inputs"]
+    ws.read("ranking.tsv", "propagate", read_ranking)
+    assert asdict(ws.manifest) == recorded
+    pipeline.stage_extract(ws)  # the same files again, and the manifest rewritten
+    assert json.loads(ws.manifest_path.read_text()) == recorded
 
 
 def test_harness_refuses_a_doc_id_of_both_graph_corpora(tmp_path):
