@@ -36,7 +36,7 @@ def main(argv: list[str] | None = None) -> int:
             run_all(ws)
         else:
             STAGES[args.command](ws)
-    # StageError, SchemaError and CorpusFormatError are ValueErrors
+    # decode.InputError, every malformed input's class, is a ValueError
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,7 +4,9 @@ Documents are entity-centric: each carries a title entity and a list of
 named sections. Input files may ship precomputed NP chunks, coordinate
 lists, and dependency annotations; when chunks are missing and POS tags
 are available, a POS-pattern chunker and a conjunction-run list detector
-fill them in.
+fill them in. A malformed line raises `decode.InputError` naming the
+field; `decode.jsonl` reads the lines and puts the file and the line in
+front of that message.
 
 A token is the exact tuple (surface, pos, dep_head, dep_label), the order
 of `TOKEN_FIELDS`; the last three may be None. A sentence's tokens, NP
@@ -20,7 +22,7 @@ import reprlib
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _str
 
-from .decode import jsonl_lines
+from .decode import InputError, jsonl
 from .norm import normalize
 
 POS_TAGS = {"NOUN", "PROPN", "ADJ", "VERB", "DET", "CONJ", "PUNCT", "OTHER"}
@@ -40,10 +42,6 @@ _DEFAULT_POS_PREFIXES = [
     ("CC", "CONJ"),
     ("IN", "OTHER"),
 ]
-
-
-class CorpusFormatError(ValueError):
-    """Raised for malformed corpus files; message names file, line and field."""
 
 
 def map_pos(tag: str) -> str:
@@ -105,7 +103,7 @@ def chunk_sentence(tokens) -> list[tuple[int, int]]:
     tags = [pos for _, pos, _, _ in tokens]
     for i, (surface, pos, _, _) in enumerate(tokens):
         if pos is None:
-            raise CorpusFormatError(
+            raise InputError(
                 f"token {i} ({surface!r}) has no POS tag; "
                 "supply precomputed np_chunks instead"
             )
@@ -151,8 +149,8 @@ def detect_coordinate_lists(sentence: Sentence) -> list[CoordinateList]:
     return lists
 
 
-def _shape_error(line_no: int, where: str, kind: str, value) -> CorpusFormatError:
-    return CorpusFormatError(f"line {line_no}: {where} must be {kind}, got {reprlib.repr(value)}")
+def _shape_error(where: str, kind: str, value) -> InputError:
+    return InputError(f"{where} must be {kind}, got {reprlib.repr(value)}")
 
 
 def _span(value) -> tuple[int, int] | None:
@@ -165,54 +163,52 @@ def _span(value) -> tuple[int, int] | None:
     return None
 
 
-def _parse_sentence(obj: dict, line_no: int) -> Sentence:
+def _parse_sentence(obj: dict) -> Sentence:
     if "tokens" not in obj:
-        raise CorpusFormatError(f"line {line_no}: sentence missing 'tokens'")
+        raise InputError("sentence missing 'tokens'")
     raw_tokens = obj["tokens"]
     if not isinstance(raw_tokens, list):
-        raise _shape_error(line_no, "sentence field 'tokens'", "a list", raw_tokens)
+        raise _shape_error("sentence field 'tokens'", "a list", raw_tokens)
     n = len(raw_tokens)
     tokens = []
     for ti, t in enumerate(raw_tokens):
         if not isinstance(t, dict):
-            raise _shape_error(line_no, f"token {ti}", "an object", t)
+            raise _shape_error(f"token {ti}", "an object", t)
         surface = t.get("surface")
         if not surface:
-            raise CorpusFormatError(f"line {line_no}: token {ti} missing 'surface'")
+            raise InputError(f"token {ti} missing 'surface'")
         if not isinstance(surface, str):
-            raise _shape_error(line_no, f"token {ti} field 'surface'", "a string", surface)
+            raise _shape_error(f"token {ti} field 'surface'", "a string", surface)
         pos = t.get("pos")
         if pos is not None:
             if not isinstance(pos, str):
-                raise _shape_error(line_no, f"token {ti} field 'pos'", "a string", pos)
+                raise _shape_error(f"token {ti} field 'pos'", "a string", pos)
             pos = map_pos(pos)
         dep_head = t.get("dep_head")
         if dep_head is not None:
             if type(dep_head) is not int:  # a JSON true is a Python int, not an index
-                raise _shape_error(line_no, f"token {ti} field 'dep_head'", "an integer", dep_head)
+                raise _shape_error(f"token {ti} field 'dep_head'", "an integer", dep_head)
             if not (0 <= dep_head < n) or dep_head == ti:
-                raise CorpusFormatError(
-                    f"line {line_no}: token {ti} has invalid dep_head {dep_head}"
-                )
+                raise InputError(f"token {ti} has invalid dep_head {dep_head}")
         dep_label = t.get("dep_label")
         if dep_label is not None and not isinstance(dep_label, str):
-            raise _shape_error(line_no, f"token {ti} field 'dep_label'", "a string", dep_label)
+            raise _shape_error(f"token {ti} field 'dep_label'", "a string", dep_label)
         tokens.append((surface, pos, dep_head, dep_label))
 
     if "np_chunks" in obj:
         raw_chunks = obj["np_chunks"]
         if not isinstance(raw_chunks, list):
-            raise _shape_error(line_no, "sentence field 'np_chunks'", "a list", raw_chunks)
+            raise _shape_error("sentence field 'np_chunks'", "a list", raw_chunks)
         chunks, seen = [], set()
         for ci, value in enumerate(raw_chunks):
             span = _span(value)
             if span is None:
-                raise _shape_error(line_no, f"np_chunk {ci}", "a pair of integers", value)
+                raise _shape_error(f"np_chunk {ci}", "a pair of integers", value)
             s, e = span
             if not (0 <= s < e <= n):
-                raise CorpusFormatError(f"line {line_no}: np_chunk ({s},{e}) out of range")
+                raise InputError(f"np_chunk ({s},{e}) out of range")
             if span in seen:
-                raise CorpusFormatError(f"line {line_no}: duplicate np_chunk ({s},{e})")
+                raise InputError(f"duplicate np_chunk ({s},{e})")
             seen.add(span)
             chunks.append(span)
     elif all(pos is not None for _, pos, _, _ in tokens):
@@ -225,31 +221,28 @@ def _parse_sentence(obj: dict, line_no: int) -> Sentence:
     if "coordinate_lists" in obj:
         raw_lists = obj["coordinate_lists"]
         if not isinstance(raw_lists, list):
-            raise _shape_error(line_no, "sentence field 'coordinate_lists'", "a list", raw_lists)
+            raise _shape_error("sentence field 'coordinate_lists'", "a list", raw_lists)
         chunk_set = set(chunks)
         lists = []
         for li, cl in enumerate(raw_lists):
             where = f"coordinate list {li}"
             if not isinstance(cl, dict):
-                raise _shape_error(line_no, where, "an object", cl)
+                raise _shape_error(where, "an object", cl)
             raw_items = cl.get("items")
             # detect_coordinate_lists never builds a list of fewer than 2 items
             if not isinstance(raw_items, list) or len(raw_items) < 2:
                 raise _shape_error(
-                    line_no, f"{where} field 'items'", "a list of at least 2 np_chunks", raw_items
+                    f"{where} field 'items'", "a list of at least 2 np_chunks", raw_items
                 )
             items = tuple(map(_span, raw_items))
             for value, span in zip(raw_items, items):
                 if span not in chunk_set:
-                    raise CorpusFormatError(
-                        f"line {line_no}: {where} item {reprlib.repr(value)} not an np_chunk"
-                    )
+                    raise InputError(f"{where} item {reprlib.repr(value)} not an np_chunk")
             if "head" in cl:
                 head = _span(cl["head"])
                 if head is None or not (0 <= head[0] < head[1] <= n):
                     raise _shape_error(
-                        line_no, f"{where} field 'head'",
-                        f"a span inside the {n}-token sentence", cl["head"],
+                        f"{where} field 'head'", f"a span inside the {n}-token sentence", cl["head"]
                     )
             else:
                 head = items[-1]
@@ -257,8 +250,7 @@ def _parse_sentence(obj: dict, line_no: int) -> Sentence:
             # at or after the end of the one before
             if any(b[0] < a[1] for a, b in zip(items, items[1:])):
                 raise _shape_error(
-                    line_no, f"{where} field 'items'",
-                    "ascending np_chunks that do not overlap", raw_items,
+                    f"{where} field 'items'", "ascending np_chunks that do not overlap", raw_items
                 )
             lists.append(CoordinateList(items, head))
         sent.coordinate_lists = tuple(lists)
@@ -266,7 +258,7 @@ def _parse_sentence(obj: dict, line_no: int) -> Sentence:
         spans = set()
         for _, _, (s, e), _ in sent.mention_targets():
             if (s, e) in spans:
-                raise CorpusFormatError(f"line {line_no}: duplicate mention span ({s},{e})")
+                raise InputError(f"duplicate mention span ({s},{e})")
             spans.add((s, e))
     else:
         sent.coordinate_lists = tuple(detect_coordinate_lists(sent))
@@ -284,53 +276,47 @@ def ingest_corpus(path: str, corpus_tag: str) -> list[Document]:
     """Load one Document per JSONL line, preserving order."""
     if corpus_tag not in ("structured", "target"):
         raise ValueError(f"corpus_tag must be 'structured' or 'target', got {corpus_tag!r}")
-    try:
-        return _documents(path, corpus_tag)
-    except CorpusFormatError as exc:
-        raise CorpusFormatError(f"{path}: {exc}") from None
-
-
-def _documents(path: str, corpus_tag: str) -> list[Document]:
-    docs = []
     seen_ids = set()
-    for line_no, obj in jsonl_lines(path, CorpusFormatError):
+
+    def document(obj) -> Document:
         if not isinstance(obj, dict):
-            raise _shape_error(line_no, "a document", "an object", obj)
+            raise _shape_error("a document", "an object", obj)
         for key, cls, kind in _DOCUMENT_FIELDS:
             if key not in obj:
-                raise CorpusFormatError(f"line {line_no}: missing '{key}'")
+                raise InputError(f"missing '{key}'")
             if not isinstance(obj[key], cls):
-                raise _shape_error(line_no, f"field {key!r}", kind, obj[key])
+                raise _shape_error(f"field {key!r}", kind, obj[key])
         doc_id = obj["doc_id"]
         if doc_id in seen_ids:
-            raise CorpusFormatError(f"line {line_no}: duplicate doc_id {doc_id!r}")
+            raise InputError(f"duplicate doc_id {doc_id!r}")
         seen_ids.add(doc_id)
         title = normalize(obj["title_entity"])
         if not title:
-            raise CorpusFormatError(f"line {line_no}: empty title_entity")
+            raise InputError("empty title_entity")
         sections = []
         for sec_i, sec in enumerate(obj["sections"]):
             where = f"section {sec_i}"
             if not isinstance(sec, dict):
-                raise _shape_error(line_no, where, "an object", sec)
+                raise _shape_error(where, "an object", sec)
             if "title" not in sec:
-                raise CorpusFormatError(f"line {line_no}: section missing 'title'")
+                raise InputError("section missing 'title'")
             sec_title = sec["title"]
             if not isinstance(sec_title, str):
-                raise _shape_error(line_no, f"{where} field 'title'", "a string", sec_title)
+                raise _shape_error(f"{where} field 'title'", "a string", sec_title)
             if not normalize(sec_title):
-                raise CorpusFormatError(f"line {line_no}: empty section title")
+                raise InputError("empty section title")
             sents = sec.get("sentences", [])
             if not isinstance(sents, list):
-                raise _shape_error(line_no, f"{where} field 'sentences'", "a list", sents)
+                raise _shape_error(f"{where} field 'sentences'", "a list", sents)
             sentences = []
             for sent_i, s in enumerate(sents):
                 if not isinstance(s, dict):
-                    raise _shape_error(line_no, f"{where} sentence {sent_i}", "an object", s)
-                sentences.append(_parse_sentence(s, line_no))
+                    raise _shape_error(f"{where} sentence {sent_i}", "an object", s)
+                sentences.append(_parse_sentence(s))
             sections.append(Section(title=sec_title, sentences=sentences))
-        docs.append(Document(doc_id, title, sections, corpus_tag))
-    return docs
+        return Document(doc_id, title, sections, corpus_tag)
+
+    return jsonl(path, document)
 
 
 def document_to_dict(doc: Document) -> dict:

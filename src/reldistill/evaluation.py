@@ -9,7 +9,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .corpus import Document
-from .decode import finite, tsv_rows
+from .decode import InputError, finite, tsv
 from .features import FeatureConfig, Mention, extract_features
 from .kb import RelationSchema
 from .mentions import MentionSets, _surface
@@ -65,12 +65,12 @@ def _prf(tp: int, n_pred: int, n_gold: int) -> RelationMetrics:
 
 
 def load_gold(path: str, schema: RelationSchema | None = None) -> list[GoldAnnotation]:
-    out = []
-    for line_no, (doc_id, relation, value) in tsv_rows(path, 3, ValueError):
+    def gold(doc_id: str, relation: str, value: str) -> GoldAnnotation:
         if schema is not None and not schema.has_relation(relation):
-            raise ValueError(f"{path}: line {line_no}: unknown relation {relation!r}")
-        out.append(GoldAnnotation(doc_id, relation, normalize(value)))
-    return out
+            raise InputError(f"unknown relation {relation!r}")
+        return GoldAnnotation(doc_id, relation, normalize(value))
+
+    return tsv(path, 3, gold)
 
 
 def extract_document(
@@ -234,7 +234,4 @@ def write_predictions(preds: list[Prediction], path: str) -> None:
 
 
 def read_predictions(path: str) -> list[Prediction]:
-    return [
-        Prediction(doc_id, relation, value, finite(score, path, line_no, ValueError))
-        for line_no, (doc_id, relation, value, score) in tsv_rows(path, 4, ValueError)
-    ]
+    return tsv(path, 4, lambda doc, rel, value, score: Prediction(doc, rel, value, finite(score)))

@@ -4,14 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .decode import decode, json_file, tsv_rows
+from .decode import InputError, decode, json_file, tsv
 from .norm import normalize
 
 MAX_SURFACE_LEN = 60  # longer KB objects and seed instances are dropped as noise
-
-
-class SchemaError(ValueError):
-    pass
 
 
 def _is_noise(surface: str) -> bool:
@@ -71,18 +67,18 @@ class ConceptSeed:
 
 
 def load_schema(path: str) -> RelationSchema:
-    schema = decode(RelationSchema, json_file(path, SchemaError, "schema"), SchemaError, "schema")
+    schema = decode(RelationSchema, json_file(path, "schema"), "schema")
     claimed_sections: dict[str, str] = {}
     for rel in schema.relations:
         if schema.relation(rel.name) is not rel:  # the name map keeps the last of a name
-            raise SchemaError(f"duplicate relation {rel.name!r}")
+            raise InputError(f"duplicate relation {rel.name!r}")
         if rel.range_concept not in schema.concepts:
-            raise SchemaError(
+            raise InputError(
                 f"relation {rel.name!r} references unknown concept {rel.range_concept!r}"
             )
         for t in rel.section_titles:
             if t in claimed_sections:
-                raise SchemaError(
+                raise InputError(
                     f"section title {t!r} claimed by both "
                     f"{claimed_sections[t]!r} and {rel.name!r}"
                 )
@@ -93,32 +89,30 @@ def load_schema(path: str) -> RelationSchema:
 def load_triples(path: str, schema: RelationSchema) -> list[Triple]:
     """Load TSV triples; normalized, deduplicated, and without the
     triples whose object `_is_noise`."""
-    out: set[Triple] = set()
-    for line_no, (rel, subj, obj) in tsv_rows(path, 3, SchemaError):
+
+    def triple(rel: str, subj: str, obj: str) -> Triple | None:
         if not schema.has_relation(rel):
-            raise SchemaError(f"{path}: line {line_no}: unknown relation {rel!r}")
+            raise InputError(f"unknown relation {rel!r}")
         subj, obj = normalize(subj), normalize(obj)
         if not subj or not obj:
-            raise SchemaError(f"{path}: line {line_no}: empty subject or object")
-        if _is_noise(obj):
-            continue
-        out.add(Triple(rel, subj, obj))
-    return sorted(out)
+            raise InputError("empty subject or object")
+        return None if _is_noise(obj) else Triple(rel, subj, obj)
+
+    return sorted(set(tsv(path, 3, triple)) - {None})
 
 
 def load_concept_seeds(path: str, schema: RelationSchema) -> list[ConceptSeed]:
     """Load TSV concept seeds; normalized, deduplicated, and without the
     seeds whose instance `_is_noise`."""
-    out: set[ConceptSeed] = set()
     known = set(schema.concepts)
-    for line_no, (concept, instance) in tsv_rows(path, 2, SchemaError):
+
+    def seed(concept: str, instance: str) -> ConceptSeed | None:
         if concept not in known:
-            raise SchemaError(f"{path}: line {line_no}: unknown concept {concept!r}")
+            raise InputError(f"unknown concept {concept!r}")
         instance = normalize(instance)
         if not instance:
-            raise SchemaError(f"{path}: line {line_no}: empty instance")
-        if _is_noise(instance):
-            continue
-        out.add(ConceptSeed(concept, instance))
-    return sorted(out)
+            raise InputError("empty instance")
+        return None if _is_noise(instance) else ConceptSeed(concept, instance)
+
+    return sorted(set(tsv(path, 2, seed)) - {None})
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass, field
+from functools import partial
 from json.encoder import encode_basestring_ascii as _str
 
 from .corpus import Document
-from .decode import jsonl_lines
+from .decode import InputError, jsonl
 from .features import FeatureConfig, Mention, extract_features
 from .kb import ConceptSeed, RelationSchema, Triple
 from .norm import normalize
@@ -227,10 +228,10 @@ def mention_to_dict(m: Mention) -> dict:
 _STRING_KEYS = ("corpus_tag", "doc_id", "kind", "mention_id", "section", "title_entity")
 
 
-def _refuse(obj: dict, key: str, kind: str) -> ValueError:
+def _refuse(obj: dict, key: str, kind: str) -> InputError:
     if key not in obj:
-        return ValueError(f"missing key {key!r}")
-    return ValueError(f"key {key!r} must be {kind}, got {reprlib.repr(obj[key])}")
+        return InputError(f"missing key {key!r}")
+    return InputError(f"key {key!r} must be {kind}, got {reprlib.repr(obj[key])}")
 
 
 def _check_strings(obj: dict, keys) -> None:
@@ -242,10 +243,10 @@ def _check_strings(obj: dict, keys) -> None:
 def mention_from_dict(obj: dict, pairs: dict) -> Mention:
     """The mention of `obj`, its feature pairs shared through the `pairs`
     table as in `enumerate_mentions`. A line that is not an object, or a
-    key that is missing or of the wrong JSON type, raises ValueError
+    key that is missing or of the wrong JSON type, raises InputError
     naming the key."""
     if not isinstance(obj, dict):
-        raise ValueError(f"a mention must be an object, got {reprlib.repr(obj)}")
+        raise InputError(f"a mention must be an object, got {reprlib.repr(obj)}")
     _check_strings(obj, _STRING_KEYS)
     surfaces = obj.get("surfaces")
     if not (isinstance(surfaces, list) and {str}.issuperset(map(type, surfaces))):
@@ -326,30 +327,15 @@ class MentionEncoder:
         return f'{head}, "label": {label}{middle}, "source_set": {source_set}{tail}'
 
 
-def _read_lines(path: str, from_dict) -> list:
-    """`from_dict` of each line of the JSONL file at `path`, with one tuple
-    per distinct feature pair of the file; a malformed line raises
-    ValueError naming the file, the line and the key."""
-    pairs: dict = {}
-    out = []
-    try:
-        for line_no, obj in jsonl_lines(path, ValueError):
-            try:
-                out.append(from_dict(obj, pairs))
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return out
-
-
 def write_mentions(mentions: list[Mention], path: str, encoder: MentionEncoder) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(map(encoder.line, mentions))
 
 
 def read_mentions(path: str) -> list[Mention]:
-    return _read_lines(path, mention_from_dict)
+    """The mentions of a JSONL file, with one tuple per distinct feature
+    pair of the file."""
+    return jsonl(path, partial(mention_from_dict, pairs={}))
 
 
 def write_labeled_mentions(
@@ -360,4 +346,4 @@ def write_labeled_mentions(
 
 
 def read_labeled_mentions(path: str) -> list[LabeledMention]:
-    return _read_lines(path, labeled_mention_from_dict)
+    return jsonl(path, partial(labeled_mention_from_dict, pairs={}))

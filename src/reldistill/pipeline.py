@@ -32,7 +32,7 @@ from functools import partial
 from pathlib import Path
 
 from .corpus import Document, ingest_corpus, write_corpus
-from .decode import decode, json_file, required
+from .decode import InputError, decode, json_file, required
 from .evaluation import (
     GoldAnnotation,
     Prediction,
@@ -81,10 +81,6 @@ from .training import (
 )
 
 
-class StageError(ValueError):
-    """Missing upstream artifact or config mismatch between stages."""
-
-
 # corpus name -> the corpus_tag of its documents; the eval corpus is
 # held-out target text, and the other two build the graph
 CORPUS_TAGS = {"structured": "structured", "target": "target", "eval": "target"}
@@ -109,20 +105,20 @@ class RunConfig:
 
     def __post_init__(self):
         if not all(n > 0 for n in self.sweep_n) or len(set(self.sweep_n)) < len(self.sweep_n):
-            raise StageError(
+            raise InputError(
                 "run config: 'sweep_n' must be a list of distinct positive integers, "
                 f"got {self.sweep_n!r}"
             )
         variant = frozenset(self.variant)
         if len(variant) < len(self.variant) or variant not in LEGAL_VARIANTS:
-            raise StageError(
+            raise InputError(
                 "run config: 'variant' must be a list of distinct set names, Rs plus "
                 f"at least one of {', '.join(SET_NAMES[1:])}, got {self.variant!r}"
             )
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
-        return decode(cls, obj, StageError, "run config")
+        return decode(cls, obj, "run config")
 
     def config_hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
@@ -131,11 +127,11 @@ class RunConfig:
     def validate_paths(self) -> None:
         for name in (f.name for f in fields(self) if required(f)):
             if not Path(getattr(self, name)).is_file():
-                raise StageError(f"config path {name} does not exist: {getattr(self, name)}")
+                raise InputError(f"config path {name} does not exist: {getattr(self, name)}")
 
 
 def load_run_config(path: str) -> RunConfig:
-    return RunConfig.from_dict(json_file(path, StageError, "run config"))
+    return RunConfig.from_dict(json_file(path, "run config"))
 
 
 _HASH_BLOCK = 1 << 20  # bytes read at a time to hash a file
@@ -192,7 +188,7 @@ class Workspace:
         try:
             self.out.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError) as exc:  # a file in the way
-            raise StageError(
+            raise InputError(
                 f"output directory {out_dir!r} cannot be made: {exc.strerror}"
             ) from None
         self.config = config
@@ -201,8 +197,7 @@ class Workspace:
         self.manifest = Manifest(self.config_hash, {})
         if self.manifest_path.is_file():
             path = str(self.manifest_path)
-            obj = json_file(path, StageError, "manifest")
-            self.manifest = decode(Manifest, obj, StageError, f"manifest {path!r}")
+            self.manifest = decode(Manifest, json_file(path, "manifest"), f"manifest {path!r}")
         self._held: dict[str, tuple[str, list]] = {}
         self._record = StageRecord(self.config_hash, {}, {})
 
@@ -220,9 +215,16 @@ class Workspace:
         _write_atomic(self.manifest_path, lambda tmp: Path(tmp).write_text(text))
         self.manifest = manifest
 
+    def _record_input(self, name: str, digest: str) -> None:
+        """Record the file `name` with sha256 `digest` as read by the running
+        stage. The record keys its inputs by file name, so a second file
+        of that name with other bytes is refused rather than lost."""
+        if self._record.inputs.setdefault(name, digest) != digest:
+            raise InputError(f"two different inputs of one stage are named {name!r}; rename one")
+
     def input(self, path: str) -> str:
         """`path`, a file the run config names, recorded as read."""
-        self._record.inputs[Path(path).name] = _sha256(Path(path))
+        self._record_input(Path(path).name, _sha256(Path(path)))
         return path
 
     def emit(self, filename: str, writer, obj) -> str:
@@ -245,28 +247,28 @@ class Workspace:
         the file still has the bytes written, else `reader(path)`."""
         path = self.out / filename
         if not path.is_file():
-            raise StageError(
+            raise InputError(
                 f"artifact {filename!r} missing; run the {produced_by!r} command first"
             )
         stage = self.manifest.stages.get(produced_by)
         if stage and stage.config_hash != self.config_hash:
-            raise StageError(
+            raise InputError(
                 f"artifact {filename!r} was produced with a different config "
                 f"(manifest.json records another config_hash); re-run {produced_by!r}"
             )
         recorded = stage.outputs.get(filename) if stage else None
         if recorded is None:
-            raise StageError(
+            raise InputError(
                 f"artifact {filename!r} is not recorded as an output of the "
                 f"{produced_by!r} stage in manifest.json; re-run {produced_by!r}"
             )
         digest = _sha256(path)
         if digest != recorded:
-            raise StageError(
+            raise InputError(
                 f"artifact {filename!r} has changed since the {produced_by!r} stage "
                 f"wrote it (sha256 differs from manifest.json); re-run {produced_by!r}"
             )
-        self._record.inputs[filename] = digest
+        self._record_input(filename, digest)
         held = self._held.get(filename)
         if held is not None and held[0] == digest:
             return list(held[1])
@@ -337,7 +339,7 @@ def ingest_corpora(paths) -> dict[str, list[Document]]:
     }
     shared = {d.doc_id for d in docs["structured"]} & {d.doc_id for d in docs["target"]}
     if shared:
-        raise StageError(
+        raise InputError(
             f"doc_id {min(shared)!r} is in both {paths.structured_corpus} "
             f"and {paths.target_corpus}"
         )
@@ -416,7 +418,7 @@ def stage_extract(ws: Workspace) -> None:
     with ws.stage("extract"):
         model = ws.read("model.json", "train", load_model)
         if model.feature_config != cfg.features:
-            raise StageError(
+            raise InputError(
                 "feature config mismatch: model.json was trained with "
                 f"{asdict(model.feature_config)}, got {asdict(cfg.features)}"
             )

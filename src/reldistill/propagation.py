@@ -15,7 +15,7 @@ from itertools import chain, combinations, repeat
 import numpy as np
 import scipy.sparse as sp
 
-from .decode import finite, tsv_rows
+from .decode import finite, tsv
 from .features import Mention, feature_matrix
 from .mentions import SET_NAMES, MentionSets
 
@@ -268,8 +268,11 @@ def write_ranking(ranking: RankedLabeling, path: str) -> None:
 
 def read_ranking(path: str) -> RankedLabeling:
     per_class: dict[str, list[tuple[str, float]]] = {}
-    for line_no, (cls, _rank, mid, score) in tsv_rows(path, 4, ValueError):
-        per_class.setdefault(cls, []).append((mid, finite(score, path, line_no, ValueError)))
+
+    def row(cls: str, _rank: str, mid: str, score: str) -> None:
+        per_class.setdefault(cls, []).append((mid, finite(score)))
+
+    tsv(path, 4, row)
     return RankedLabeling(per_class=per_class)
 
 

@@ -284,6 +284,12 @@ def _fit_platt(margins: np.ndarray, labels: np.ndarray) -> Platt:
     hi = (prior1 + 1.0) / (prior1 + 2.0)
     lo = 1.0 / (prior0 + 2.0)
     t = np.where(labels > 0, hi, lo)
+
+    def cross_entropy(fapb: np.ndarray) -> float:
+        return float(np.sum(np.where(
+            fapb >= 0, t * fapb + np.log1p(np.exp(-fapb)), (t - 1) * fapb + np.log1p(np.exp(fapb))
+        )))
+
     a, b = 0.0, math.log((prior0 + 1.0) / (prior1 + 1.0))
     eps = 1e-12
     sigma = 1e-12
@@ -292,7 +298,7 @@ def _fit_platt(margins: np.ndarray, labels: np.ndarray) -> Platt:
         fapb = a * margins + b
         p = np.where(fapb >= 0, np.exp(-fapb) / (1.0 + np.exp(-fapb)), 1.0 / (1.0 + np.exp(fapb)))
         if fval is None:
-            fval = float(np.sum(np.where(fapb >= 0, t * fapb + np.log1p(np.exp(-fapb)), (t - 1) * fapb + np.log1p(np.exp(fapb)))))
+            fval = cross_entropy(fapb)
         d1 = t - p
         d2 = p * (1.0 - p)
         g1 = float(np.sum(margins * d1))
@@ -310,8 +316,7 @@ def _fit_platt(margins: np.ndarray, labels: np.ndarray) -> Platt:
         improved = False
         while step >= 1e-10:
             na, nb = a + step * da, b + step * db
-            fapb = na * margins + nb
-            newf = float(np.sum(np.where(fapb >= 0, t * fapb + np.log1p(np.exp(-fapb)), (t - 1) * fapb + np.log1p(np.exp(fapb)))))
+            newf = cross_entropy(na * margins + nb)
             if newf < fval + eps:
                 a, b, fval = na, nb, newf
                 improved = True
@@ -418,4 +423,4 @@ def save_model(model: LinearModel, path: str) -> None:
 
 
 def load_model(path: str) -> LinearModel:
-    return decode(LinearModel, json_file(path, ValueError, "model"), ValueError, f"model {path!r}")
+    return decode(LinearModel, json_file(path, "model"), f"model {path!r}")

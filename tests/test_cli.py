@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -406,6 +407,45 @@ class TestErrors:
         assert run(run_config_file, tmp_path / "out", "run") == 1
         assert capsys.readouterr().err == (
             f"error: {corpus}: line 2: field 'sections' must be a list, got 'Overview'\n"
+        )
+
+    @pytest.mark.parametrize("key", ["target_corpus", "triples", "concept_seeds", "gold"])
+    def test_input_that_is_not_utf8_names_its_file(self, run_config_file, tmp_path, capsys,
+                                                   key):
+        cfg = json.loads(run_config_file.read_text())
+        bad = tmp_path / f"bad-{key}"
+        bad.write_bytes(Path(cfg[key]).read_bytes() + b"\xff")
+        run_config_file.write_text(json.dumps({**cfg, key: str(bad)}))
+        assert run(run_config_file, tmp_path / "out", "run") == 1
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+
+    def test_artifact_that_is_not_utf8_names_its_file(self, run_config_file, tmp_path, capsys):
+        # the new sha256 is recorded, so the bytes reach the artifact's reader
+        out = tmp_path / "out"
+        assert run(run_config_file, out, "run") == 0
+        path = out / "ranking.tsv"
+        path.write_bytes(path.read_bytes() + b"\xff")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["stages"]["propagate"]["outputs"]["ranking.tsv"] = (
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        )
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert run(run_config_file, out, "train") == 1
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+    def test_two_inputs_of_one_stage_with_one_file_name_exit_1(
+        self, run_config_file, tmp_path, capsys
+    ):
+        # the stage record keys its inputs by file name, so one hash would be lost
+        cfg = json.loads(run_config_file.read_text())
+        for key, folder in (("triples", "a"), ("concept_seeds", "b")):
+            (tmp_path / folder).mkdir()
+            shutil.copy(cfg[key], tmp_path / folder / "kb.tsv")
+            cfg[key] = str(tmp_path / folder / "kb.tsv")
+        run_config_file.write_text(json.dumps(cfg))
+        assert run(run_config_file, tmp_path / "out", "run") == 1
+        assert capsys.readouterr().err == (
+            "error: two different inputs of one stage are named 'kb.tsv'; rename one\n"
         )
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])

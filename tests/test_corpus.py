@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from reldistill.corpus import (
     POS_TAGS,
     CoordinateList,
-    CorpusFormatError,
     Document,
     Section,
     Sentence,
@@ -19,6 +18,7 @@ from reldistill.corpus import (
     map_pos,
     write_corpus,
 )
+from reldistill.decode import InputError
 from reldistill.norm import normalize
 
 
@@ -134,7 +134,7 @@ class TestChunker:
         assert chunk_sentence(tokens) == [(0, 2)]
 
     def test_missing_pos_raises(self):
-        with pytest.raises(CorpusFormatError, match="precomputed"):
+        with pytest.raises(InputError, match="precomputed"):
             chunk_sentence([token("drug")])
 
     @given(
@@ -243,13 +243,13 @@ class TestIngest:
         path.write_text(
             json.dumps({"doc_id": "d1", "title_entity": "x", "sections": [{}]}) + "\n"
         )
-        with pytest.raises(CorpusFormatError, match="line 1"):
+        with pytest.raises(InputError, match="line 1"):
             ingest_corpus(str(path), "target")
 
     def test_invalid_json_line_named_with_its_file(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"doc_id": "d1", "title_entity": "x", "sections": []}\n{"doc_id": \n')
-        with pytest.raises(CorpusFormatError) as err:
+        with pytest.raises(InputError) as err:
             ingest_corpus(str(path), "target")
         assert str(err.value).startswith(f"{path}: line 2: invalid JSON (")
 
@@ -257,7 +257,7 @@ class TestIngest:
         row = json.dumps({"doc_id": "d1", "title_entity": "x", "sections": []})
         path = tmp_path / "c.jsonl"
         path.write_text(row + "\n" + row + "\n")
-        with pytest.raises(CorpusFormatError, match="duplicate"):
+        with pytest.raises(InputError, match="duplicate"):
             ingest_corpus(str(path), "target")
 
     @pytest.mark.parametrize(
@@ -282,7 +282,7 @@ class TestIngest:
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps({"doc_id": "d0", "title_entity": "y", "sections": []})
                         + "\n" + json.dumps(doc) + "\n")
-        with pytest.raises(CorpusFormatError) as err:
+        with pytest.raises(InputError) as err:
             ingest_corpus(str(path), "target")
         assert str(err.value) == f"{path}: line 2: {message}"
 
@@ -315,7 +315,7 @@ class TestIngest:
     )
     def test_ill_shaped_document_named(self, tmp_path, where, value, message):
         path = second_line_corpus(tmp_path, where, value)
-        with pytest.raises(CorpusFormatError) as err:
+        with pytest.raises(InputError) as err:
             ingest_corpus(str(path), "target")
         assert str(err.value) == f"{path}: line 2: {message}"
 
@@ -374,7 +374,7 @@ class TestIngest:
     )
     def test_ill_shaped_chunk_or_list_named(self, tmp_path, where, value, message):
         path = second_line_corpus(tmp_path, ("sections", 0, "sentences", 0, *where), value)
-        with pytest.raises(CorpusFormatError) as err:
+        with pytest.raises(InputError) as err:
             ingest_corpus(str(path), "target")
         assert str(err.value) == f"{path}: line 2: {message}"
 
@@ -385,7 +385,7 @@ class TestIngest:
             "np_chunks": [[1, 3], [1, 3]],
         }
         path = second_line_corpus(tmp_path, ("sections", 0, "sentences", 0), sentence)
-        with pytest.raises(CorpusFormatError) as err:
+        with pytest.raises(InputError) as err:
             ingest_corpus(str(path), "target")
         assert str(err.value) == f"{path}: line 2: duplicate np_chunk (1,3)"
 
@@ -396,7 +396,7 @@ class TestIngest:
             "coordinate_lists": [{"items": [[0, 2], [1, 3]], "head": [1, 3]}],
         }
         path = second_line_corpus(tmp_path, ("sections", 0, "sentences", 0), sentence)
-        with pytest.raises(CorpusFormatError) as err:
+        with pytest.raises(InputError) as err:
             ingest_corpus(str(path), "target")
         assert str(err.value) == (
             f"{path}: line 2: coordinate list 0 field 'items' must be ascending np_chunks "

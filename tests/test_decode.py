@@ -9,11 +9,11 @@ from typing import get_type_hints
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from reldistill.decode import jsonl_lines, tsv_rows
+from reldistill.decode import InputError, jsonl, lines, tsv
 from reldistill.evaluation import read_predictions
 from reldistill.features import FeatureConfig
-from reldistill.kb import SchemaError, load_schema
-from reldistill.pipeline import RunConfig, StageError
+from reldistill.kb import load_schema
+from reldistill.pipeline import RunConfig
 from reldistill.propagation import read_ranking
 from reldistill.training import TrainConfig, load_model
 
@@ -67,9 +67,9 @@ def test_any_json_value_at_a_run_config_key_decodes_or_is_refused(key, value):
     try:
         config = RunConfig.from_dict(cfg)
     except ValueError as exc:
-        # StageError from the decoder, ValueError from a section's range check:
+        # InputError from the decoder, ValueError from a section's range check:
         # both exit 1; a TypeError or KeyError here would exit 2
-        assert isinstance(exc, StageError) or key[0] in ("propagation", "features", "training")
+        assert isinstance(exc, InputError) or key[0] in ("propagation", "features", "training")
     else:
         json.dumps(asdict(config), allow_nan=False)  # no NaN or infinity got through
 
@@ -85,7 +85,7 @@ def test_any_json_value_at_a_schema_key_loads_or_is_refused(tmp_path, key, value
     path.write_text(json.dumps(obj))
     try:
         load_schema(str(path))
-    except SchemaError:
+    except InputError:
         pass
 
 
@@ -109,7 +109,7 @@ def test_any_json_value_at_a_schema_key_loads_or_is_refused(tmp_path, key, value
 )
 def test_run_config_message_names_the_key(patch, message):
     cfg = {name: f"{name}.path" for name in PATHS} | patch
-    with pytest.raises(StageError) as err:
+    with pytest.raises(InputError) as err:
         RunConfig.from_dict(json.loads(json.dumps(cfg)))
     assert str(err.value) == message
 
@@ -199,17 +199,70 @@ def test_tsv_artifact_line_with_wrong_field_count_is_named(tmp_path, reader, goo
     assert str(err.value) == f"{path}: line 3: expected 4 tab-separated fields"
 
 
-def test_tsv_rows_skips_blank_lines_and_numbers_the_rest(tmp_path):
+def test_tsv_skips_blank_lines_and_numbers_the_rest(tmp_path):
     path = tmp_path / "rows.tsv"
     path.write_text("a\tb\n\n  \nc\td")
-    assert list(tsv_rows(str(path), 2, ValueError)) == [(1, ["a", "b"]), (4, ["c", "d"])]
+    assert tsv(str(path), 2, lambda *row: row) == [("a", "b"), ("c", "d")]
+    path.write_text("a\tb\n\n  \nc\td\ne\n")
+    with pytest.raises(InputError) as err:
+        tsv(str(path), 2, lambda *row: row)
+    assert str(err.value) == f"{path}: line 5: expected 2 tab-separated fields"
 
 
-def test_jsonl_lines_raise_the_callers_error(tmp_path):
+def test_jsonl_names_the_line_that_is_not_json(tmp_path):
     path = tmp_path / "lines.jsonl"
     path.write_text('{"a": 1}\n\n[1, 2]\n{"a": \n')
-    lines = jsonl_lines(str(path), SchemaError)
-    assert next(lines) == (1, {"a": 1})
-    assert next(lines) == (3, [1, 2])
-    with pytest.raises(SchemaError, match=r"^line 4: invalid JSON \("):
-        next(lines)
+    seen = []
+    with pytest.raises(InputError) as err:
+        jsonl(str(path), seen.append)
+    assert seen == [{"a": 1}, [1, 2]]
+    assert str(err.value).startswith(f"{path}: line 4: invalid JSON (")
+
+
+def _refuse_b(line: str) -> str:
+    if line.startswith("b"):
+        raise InputError("no b")
+    return line
+
+
+def test_lines_skip_blank_lines_but_count_them(tmp_path):
+    # text mode: "\r\n" and a lone "\r" end a line as "\n" does
+    path = tmp_path / "lines.txt"
+    path.write_text("a\r\n\r\n \t\ra\n\nb\n", newline="")
+    with pytest.raises(InputError) as err:
+        lines(str(path), _refuse_b)
+    assert str(err.value) == f"{path}: line 6: no b"
+    path.write_text("a\r\n\r\n \t\ra", newline="")
+    assert lines(str(path), _refuse_b) == ["a\n", "a"]
+
+
+def test_lines_prefix_an_input_error_with_the_file_and_line(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_text("a\nb\n")
+    with pytest.raises(InputError) as err:
+        lines(str(path), _refuse_b)
+    assert str(err.value) == f"{path}: line 2: no b"
+
+
+@pytest.mark.parametrize("exc", [TypeError("a bug"), ValueError("not an input error")],
+                         ids=["TypeError", "ValueError"])
+def test_lines_pass_any_other_exception_through_unchanged(tmp_path, exc):
+    path = tmp_path / "lines.txt"
+    path.write_text("a\n")
+
+    def parse(line):
+        raise exc
+
+    with pytest.raises(type(exc)) as err:
+        lines(str(path), parse)
+    assert err.value is exc
+    assert str(err.value) == str(exc)
+
+
+def test_lines_name_a_file_that_is_not_utf8(tmp_path):
+    # the text is decoded in blocks, so only the file is named, not the line
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"a\nb\n\xff\n")
+    with pytest.raises(InputError) as err:
+        lines(str(path), str.strip)
+    assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte)"

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
+from reldistill.decode import InputError
 from reldistill.features import Mention
 from reldistill.kb import (
     ConceptSeed,
-    SchemaError,
     Triple,
     load_concept_seeds,
     load_schema,
@@ -59,7 +59,7 @@ def test_overlapping_sections_rejected(tmp_path):
     }
     path = tmp_path / "schema.json"
     path.write_text(json.dumps(obj))
-    with pytest.raises(SchemaError, match="uses"):
+    with pytest.raises(InputError, match="uses"):
         load_schema(str(path))
 
 
@@ -67,7 +67,7 @@ def test_unknown_concept_rejected(tmp_path):
     obj = {"concepts": [], "relations": [{"name": "a", "range_concept": "X"}]}
     path = tmp_path / "schema.json"
     path.write_text(json.dumps(obj))
-    with pytest.raises(SchemaError, match="unknown concept"):
+    with pytest.raises(InputError, match="unknown concept"):
         load_schema(str(path))
 
 
@@ -98,13 +98,13 @@ def test_unknown_concept_rejected(tmp_path):
 def test_malformed_schema_names_relation_and_key(tmp_path, obj, message):
     path = tmp_path / "schema.json"
     path.write_text(json.dumps(obj))
-    with pytest.raises(SchemaError) as err:
+    with pytest.raises(InputError) as err:
         load_schema(str(path))
     assert str(err.value).startswith(message)
 
 
 def test_schema_that_is_a_directory_refused(tmp_path):
-    with pytest.raises(SchemaError) as err:
+    with pytest.raises(InputError) as err:
         load_schema(str(tmp_path))
     assert str(err.value) == f"schema {str(tmp_path)!r} is a directory, not a JSON file"
 
@@ -156,7 +156,7 @@ class TestTriples:
     def test_unknown_relation(self, tmp_path, schema):
         path = tmp_path / "t.tsv"
         path.write_text("notARelation\ta\tb\n")
-        with pytest.raises(SchemaError, match="line 1"):
+        with pytest.raises(InputError, match="line 1"):
             load_triples(str(path), schema)
 
     def test_order_independent(self, tmp_path, schema):
@@ -186,7 +186,7 @@ class TestTriples:
 def test_concept_seed_unknown_concept(tmp_path, schema):
     path = tmp_path / "s.tsv"
     path.write_text("NotAConcept\tnausea\n")
-    with pytest.raises(SchemaError, match="line 1"):
+    with pytest.raises(InputError, match="line 1"):
         load_concept_seeds(str(path), schema)
 
 

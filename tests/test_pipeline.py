@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from reldistill import benchmark, pipeline
+from reldistill.decode import InputError
 from reldistill.features import FeatureConfig, Mention
 from reldistill.mentions import LabeledMention, MentionSets
-from reldistill.pipeline import RunConfig, StageError
+from reldistill.pipeline import RunConfig
 from reldistill.propagation import PropagationConfig, VariantSpec, build_graph, read_ranking
 from reldistill.synthetic import generate_benchmark
 
@@ -115,7 +116,7 @@ def test_harness_refuses_a_doc_id_of_both_graph_corpora(tmp_path):
     assert '"doc_id": "t-drug000"' in text
     assert '"doc_id": "s-drug000"' in Path(paths.structured_corpus).read_text(encoding="utf-8")
     target.write_text(text.replace('"doc_id": "t-drug000"', '"doc_id": "s-drug000"'))
-    with pytest.raises(StageError) as err:
+    with pytest.raises(InputError) as err:
         benchmark.prepare(paths)
     assert str(err.value) == (
         f"doc_id 's-drug000' is in both {paths.structured_corpus} and {paths.target_corpus}"
