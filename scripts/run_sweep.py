@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from reldistill import benchmark  # noqa: E402
 from reldistill.evaluation import BASELINES  # noqa: E402
-from reldistill.propagation import LEGAL_VARIANTS, VariantSpec  # noqa: E402
+from reldistill.mentions import LEGAL_VARIANTS, VariantSpec  # noqa: E402
 from reldistill.synthetic import generate_benchmark  # noqa: E402
 from reldistill.training import TrainConfig  # noqa: E402
 

@@ -11,9 +11,9 @@ from .corpus import Document
 from .evaluation import EvalReport, GoldAnnotation, evaluate, load_gold, run_baseline
 from .features import FeatureConfig, Mention
 from .kb import RelationSchema, load_concept_seeds, load_schema, load_triples
-from .mentions import MentionSets
+from .mentions import MentionSets, VariantSpec
 from .pipeline import extract_all, fit_model, ingest_corpora, label_mentions, propagate
-from .propagation import PropagationConfig, RankedLabeling, VariantSpec
+from .propagation import PropagationConfig, RankedLabeling
 from .propagation import multirankwalk  # noqa: F401  (the tracer tests check it is rebound here)
 from .synthetic import BenchmarkPaths
 from .training import TrainConfig

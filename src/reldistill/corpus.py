@@ -79,6 +79,10 @@ class Sentence:
         lists = [(cl, "list", cl.span, cl.item_spans) for cl in self.coordinate_lists]
         return lists + [(s, "singleton", s, (s,)) for s in self.np_chunks if s not in in_list]
 
+    def surface(self, span) -> str:
+        """The text of `span`: its tokens' surfaces joined by spaces."""
+        return " ".join([surface for surface, _, _, _ in self.tokens[span[0] : span[1]]])
+
 
 @dataclass
 class Section:

@@ -12,7 +12,7 @@ from .corpus import Document
 from .decode import InputError, finite, tsv
 from .features import FeatureConfig, Mention, extract_features
 from .kb import RelationSchema
-from .mentions import MentionSets, _surface
+from .mentions import MentionSets
 from .norm import normalize
 from .training import LinearModel, TrainConfig, build_training_set, classify_counts, train
 from .training import classify_scored  # noqa: F401  (the tracer tests check it is rebound here)
@@ -95,7 +95,7 @@ def extract_document(
                 if label == "other":
                     continue
                 for span in item_spans:
-                    key = (label, normalize(_surface(sent.tokens, span)))
+                    key = (label, normalize(sent.surface(span)))
                     if score > best.get(key, float("-inf")):
                         best[key] = score
     return [

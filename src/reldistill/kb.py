@@ -27,12 +27,28 @@ class RelationDef:
 
 @dataclass
 class RelationSchema:
+    """Relations of distinct names over known concepts, no section title shared."""
+
     relations: list[RelationDef] = field(default_factory=list)
     concepts: list[str] = field(default_factory=list)
     _by_name: dict[str, RelationDef] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._by_name = {r.name: r for r in self.relations}
+        self._by_name = {}
+        claimed_sections: dict[str, str] = {}
+        for i, rel in enumerate(self.relations):
+            at = f"schema: 'relations[{i}]"
+            if rel.name in self._by_name:
+                raise InputError(f"{at}.name': duplicate relation {rel.name!r}")
+            self._by_name[rel.name] = rel
+            if rel.range_concept not in self.concepts:
+                raise InputError(f"{at}.range_concept': unknown concept {rel.range_concept!r}")
+            for t in sorted(rel.section_titles):
+                if claimed_sections.setdefault(t, rel.name) != rel.name:
+                    raise InputError(
+                        f"{at}.section_titles': section title {t!r} claimed by both "
+                        f"{claimed_sections[t]!r} and {rel.name!r}"
+                    )
 
     def relation(self, name: str) -> RelationDef:
         return self._by_name[name]
@@ -67,23 +83,7 @@ class ConceptSeed:
 
 
 def load_schema(path: str) -> RelationSchema:
-    schema = decode(RelationSchema, json_file(path, "schema"), "schema")
-    claimed_sections: dict[str, str] = {}
-    for rel in schema.relations:
-        if schema.relation(rel.name) is not rel:  # the name map keeps the last of a name
-            raise InputError(f"duplicate relation {rel.name!r}")
-        if rel.range_concept not in schema.concepts:
-            raise InputError(
-                f"relation {rel.name!r} references unknown concept {rel.range_concept!r}"
-            )
-        for t in rel.section_titles:
-            if t in claimed_sections:
-                raise InputError(
-                    f"section title {t!r} claimed by both "
-                    f"{claimed_sections[t]!r} and {rel.name!r}"
-                )
-            claimed_sections[t] = rel.name
-    return schema
+    return decode(RelationSchema, json_file(path, "schema"), "schema")
 
 
 def load_triples(path: str, schema: RelationSchema) -> list[Triple]:

@@ -1,4 +1,4 @@
-"""Mention enumeration, distant labeling, and concept seed expansion.
+"""Mention enumeration, distant labeling, concept expansion, graph variants.
 
 Produces the four labeled sets: section-constrained relation mentions
 from the structured corpus (Rs), unconstrained relation mentions from
@@ -11,6 +11,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import combinations
 from json.encoder import encode_basestring_ascii as _str
 
 from .corpus import Document
@@ -18,9 +19,37 @@ from .decode import InputError, jsonl
 from .features import FeatureConfig, Mention, extract_features
 from .kb import ConceptSeed, RelationSchema, Triple
 from .norm import normalize
+from .propagation import build_graph_from_mentions, multirankwalk
 
 # the four labeled sets, in the order a graph variant's name spells them
 SET_NAMES = ("Rs", "Cs", "Rt", "Ct")
+
+# a graph holds Rs, the seeds of relation propagation, and at least one other set
+LEGAL_VARIANTS = [
+    frozenset(("Rs", *others))
+    for k in range(1, len(SET_NAMES))
+    for others in combinations(SET_NAMES[1:], k)
+]
+
+
+@dataclass(frozen=True)
+class VariantSpec:
+    include: frozenset[str]
+
+    def __post_init__(self):
+        if self.include not in LEGAL_VARIANTS:
+            raise ValueError(
+                f"variant {sorted(self.include)} is not one of the {len(LEGAL_VARIANTS)} "
+                "legal combinations (Rs plus at least one other set)"
+            )
+
+    @classmethod
+    def parse(cls, names) -> "VariantSpec":
+        return cls(frozenset(names))
+
+    @property
+    def name(self) -> str:
+        return "".join(s for s in SET_NAMES if s in self.include)
 
 
 @dataclass(frozen=True)
@@ -54,10 +83,6 @@ class MentionSets:
         return {lm.mention.mention_id for lm in self.Rs + self.Rt}
 
 
-def _surface(doc_tokens, span) -> str:
-    return " ".join([surface for surface, _, _, _ in doc_tokens[span[0] : span[1]]])
-
-
 def enumerate_mentions(doc: Document, config: FeatureConfig, pairs: dict) -> list[Mention]:
     """All coordinate lists plus NP chunks not inside any list. Each
     (name, count) pair of `Mention.features` is the `pairs` table's tuple
@@ -78,7 +103,7 @@ def enumerate_mentions(doc: Document, config: FeatureConfig, pairs: dict) -> lis
                         title_entity=doc.title_entity,
                         section_title=section_title,
                         kind=kind,
-                        item_surfaces=tuple(_surface(sent.tokens, s) for s in item_spans),
+                        item_surfaces=tuple(map(sent.surface, item_spans)),
                         features=tuple(map(pairs.setdefault, items, items)),
                         corpus_tag=doc.corpus_tag,
                     )
@@ -145,8 +170,6 @@ def expand_concept_mentions(
     non-seed mention is labeled with its argmax concept when its score
     clears the floor, capped at top_k per concept.
     """
-    from .propagation import build_graph_from_mentions, multirankwalk
-
     instances_by_concept: dict[str, set[str]] = {}
     for seed in concept_seeds:
         instances_by_concept.setdefault(seed.concept, set()).add(seed.instance)
@@ -160,22 +183,17 @@ def expand_concept_mentions(
     if not seed_ids:
         return []
 
-    graph = build_graph_from_mentions(mentions)
-    seeds_in_graph = {c: ids & graph.node_index.keys() for c, ids in seed_ids.items()}
-    seeds_in_graph = {c: ids for c, ids in seeds_in_graph.items() if ids}
+    ranking = multirankwalk(build_graph_from_mentions(mentions), seed_ids, prop_config)
     by_id = {m.mention_id: m for m in mentions}
-
     kept_by_concept: dict[str, set[str]] = {}
-    if seeds_in_graph:
-        ranking = multirankwalk(graph, seeds_in_graph, prop_config)
-        for concept, ranked in ranking.per_class.items():
-            kept = kept_by_concept[concept] = set()
-            for mention_id, score in ranked:
-                if len(kept) >= prop_config.concept_top_k:
-                    break
-                seed = mention_id in seed_ids[concept]
-                if seed or score >= prop_config.concept_score_floor:
-                    kept.add(mention_id)
+    for concept, ranked in ranking.per_class.items():
+        kept = kept_by_concept[concept] = set()
+        for mention_id, score in ranked:
+            if len(kept) >= prop_config.concept_top_k:
+                break
+            seed = mention_id in seed_ids[concept]
+            if seed or score >= prop_config.concept_score_floor:
+                kept.add(mention_id)
     # every concept keeps all its seeds, those outside the graph included
     for concept, ids in seed_ids.items():
         kept_by_concept.setdefault(concept, set()).update(ids)

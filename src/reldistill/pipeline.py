@@ -8,11 +8,11 @@ leaves the previous file whole.
 
 The `Workspace` decodes `manifest.json` once, when it is made, and
 builds the running stage's record as the stage verifies or writes each
-artifact and hands each run-config file to `input`; the record enters
-the manifest once the stage completes. It also holds the records it
-wrote for the documents, mention sets and pools; a later stage on the
-same workspace whose verified file hash equals the held one takes those
-records instead of decoding the file.
+artifact and hands each run-config input, by name, to `input`; the
+record enters the manifest once the stage completes. It also holds the
+records it wrote for the documents, mention sets and pools; a later
+stage on the same workspace whose verified file hash equals the held
+one takes those records instead of decoding the file.
 
 `ingest_corpora`, `label_mentions`, `propagate`, `fit_model` and
 `extract_all` are the in-process core of the method (ingest, distant
@@ -48,9 +48,11 @@ from .evaluation import (
 from .features import FeatureConfig, Mention
 from .kb import ConceptSeed, RelationSchema, Triple, load_concept_seeds, load_schema, load_triples
 from .mentions import (
+    LEGAL_VARIANTS,
     SET_NAMES,
     MentionEncoder,
     MentionSets,
+    VariantSpec,
     build_mention_sets,
     corpus_mentions,
     read_labeled_mentions,
@@ -59,11 +61,9 @@ from .mentions import (
     write_mentions,
 )
 from .propagation import (
-    LEGAL_VARIANTS,
     BipartiteGraph,
     PropagationConfig,
     RankedLabeling,
-    VariantSpec,
     build_graph,
     multirankwalk,
     read_ranking,
@@ -124,10 +124,15 @@ class RunConfig:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
+    def input_path(self, name: str) -> str:
+        """The path of the input field `name`, refused unless it is a file."""
+        if not Path(path := getattr(self, name)).is_file():
+            raise InputError(f"config path {name} does not exist: {path}")
+        return path
+
     def validate_paths(self) -> None:
         for name in (f.name for f in fields(self) if required(f)):
-            if not Path(getattr(self, name)).is_file():
-                raise InputError(f"config path {name} does not exist: {getattr(self, name)}")
+            self.input_path(name)
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -222,8 +227,9 @@ class Workspace:
         if self._record.inputs.setdefault(name, digest) != digest:
             raise InputError(f"two different inputs of one stage are named {name!r}; rename one")
 
-    def input(self, path: str) -> str:
-        """`path`, a file the run config names, recorded as read."""
+    def input(self, name: str) -> str:
+        """The path of the run-config input `name`, checked, then recorded as read."""
+        path = self.config.input_path(name)
         self._record_input(Path(path).name, _sha256(Path(path)))
         return path
 
@@ -292,15 +298,15 @@ def label_mentions(
 def propagate(
     sets: MentionSets, variant: VariantSpec, propagation: PropagationConfig
 ) -> tuple[BipartiteGraph, RankedLabeling]:
-    """The variant's graph and its walk, one class per relation from its Rs mentions in it."""
+    """The variant's graph and its walk, one class per relation seeded on its Rs mentions."""
     graph = build_graph(sets, variant)
     seeds: dict[str, set[str]] = {}
     for lm in sets.Rs:
-        if lm.mention.mention_id in graph.node_index:
-            seeds.setdefault(lm.label, set()).add(lm.mention.mention_id)
-    if not seeds:
+        seeds.setdefault(lm.label, set()).add(lm.mention.mention_id)
+    ranking = multirankwalk(graph, seeds, propagation)
+    if not ranking.per_class:
         raise ValueError("no Rs seed mentions survive in the propagation graph")
-    return graph, multirankwalk(graph, seeds, propagation)
+    return graph, ranking
 
 
 def fit_model(
@@ -351,7 +357,7 @@ def stage_ingest(ws: Workspace) -> None:
     with ws.stage("ingest"):
         cfg.validate_paths()
         for name, docs in ingest_corpora(cfg).items():
-            ws.input(getattr(cfg, f"{name}_corpus"))
+            ws.input(f"{name}_corpus")
             ws.write(f"documents_{name}.jsonl", write_corpus, docs)
 
 
@@ -365,9 +371,9 @@ def stage_mentions(ws: Workspace) -> None:
     cfg = ws.config
     with ws.stage("mentions"):
         docs = [_load_documents(ws, name) for name in _GRAPH_CORPORA]
-        schema = load_schema(ws.input(cfg.schema))
-        triples = load_triples(ws.input(cfg.triples), schema)
-        seeds = load_concept_seeds(ws.input(cfg.concept_seeds), schema)
+        schema = load_schema(ws.input("schema"))
+        triples = load_triples(ws.input("triples"), schema)
+        seeds = load_concept_seeds(ws.input("concept_seeds"), schema)
         sets, pools = label_mentions(*docs, schema, triples, seeds, cfg.features, cfg.propagation)
 
         encoder = MentionEncoder()  # encodes each mention once for the six files
@@ -392,8 +398,8 @@ def _load_pool(ws: Workspace) -> list[Mention]:
 
 
 def _load_gold(ws: Workspace) -> list[GoldAnnotation]:
-    schema = load_schema(ws.input(ws.config.schema))
-    return load_gold(ws.input(ws.config.gold), schema)
+    schema = load_schema(ws.input("schema"))
+    return load_gold(ws.input("gold"), schema)
 
 
 def stage_propagate(ws: Workspace) -> None:

@@ -1,5 +1,5 @@
 """TF-IDF bipartite mention-feature graph and multi-class personalized
-PageRank (one restart distribution per class, argmax assignment).
+PageRank: each class restarts from its seeds in the graph; argmax assignment.
 
 The walk is undirected: the transition matrix is the row-normalized
 symmetric weighted adjacency, so every step alternates between the
@@ -10,41 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 
 import numpy as np
 import scipy.sparse as sp
 
 from .decode import finite, tsv
 from .features import Mention, feature_matrix
-from .mentions import SET_NAMES, MentionSets
-
-# a graph holds Rs, the seeds of relation propagation, and at least one other set
-LEGAL_VARIANTS = [
-    frozenset(("Rs", *others))
-    for k in range(1, len(SET_NAMES))
-    for others in combinations(SET_NAMES[1:], k)
-]
-
-
-@dataclass(frozen=True)
-class VariantSpec:
-    include: frozenset[str]
-
-    def __post_init__(self):
-        if self.include not in LEGAL_VARIANTS:
-            raise ValueError(
-                f"variant {sorted(self.include)} is not one of the {len(LEGAL_VARIANTS)} "
-                "legal combinations (Rs plus at least one other set)"
-            )
-
-    @classmethod
-    def parse(cls, names) -> "VariantSpec":
-        return cls(frozenset(names))
-
-    @property
-    def name(self) -> str:
-        return "".join(s for s in SET_NAMES if s in self.include)
 
 
 @dataclass(frozen=True)
@@ -144,8 +116,9 @@ def build_graph_from_mentions(mentions: list[Mention]) -> BipartiteGraph:
     )
 
 
-def build_graph(sets: MentionSets, variant: VariantSpec) -> BipartiteGraph:
-    """Graph over the union of mentions in the variant's sets."""
+def build_graph(sets, variant) -> BipartiteGraph:
+    """Graph over the union of mentions in the sets of `variant`, a
+    `mentions.VariantSpec`, taken from `sets`, a `mentions.MentionSets`."""
     pool = sets.by_id(variant.include)
     if not pool:
         raise ValueError(f"variant {variant.name} selects no mentions")
@@ -235,14 +208,16 @@ def multirankwalk(
     seeds_by_class: dict[str, set[str]],
     config: PropagationConfig,
 ) -> RankedLabeling:
-    """One PPR per class; each mention gets its argmax class (ties to the
-    lexicographically first class); per-class rankings cover only the
-    mentions assigned to that class, best first. A mention that scores 0
-    for every class (no walk reaches it) gets no class."""
-    if not seeds_by_class:
-        raise ValueError("no classes given")
-    classes = sorted(seeds_by_class)
-    columns = _ppr_columns(graph, [seeds_by_class[c] for c in classes], config)
+    """One PPR per class from its seeds that are graph nodes; each mention
+    gets its argmax class (ties to the lexicographically first class). A
+    class ranks its mentions, best first; one with no seed in the graph or
+    no mention is absent, as from `write_ranking`'s file. A mention that
+    scores 0 for every class (no walk reaches it) gets no class."""
+    seeds = {c: ids & graph.node_index.keys() for c, ids in seeds_by_class.items()}
+    classes = sorted(c for c, ids in seeds.items() if ids)
+    if not classes:
+        return RankedLabeling(per_class={})
+    columns = _ppr_columns(graph, [seeds[c] for c in classes], config)
     n_m = len(graph.mention_nodes)
     scores = np.column_stack([p[:n_m] for p in columns])  # mentions x classes
     # np.argmax takes the first maximum: ties go to the first class
@@ -254,9 +229,9 @@ def multirankwalk(
         if score == 0.0:
             continue
         per_class[classes[k]].append((mid, score))
-    for cls in classes:
-        per_class[cls].sort(key=lambda t: (-t[1], t[0]))
-    return RankedLabeling(per_class=per_class)
+    for ranked in per_class.values():
+        ranked.sort(key=lambda t: (-t[1], t[0]))
+    return RankedLabeling(per_class={c: ranked for c, ranked in per_class.items() if ranked})
 
 
 def write_ranking(ranking: RankedLabeling, path: str) -> None:

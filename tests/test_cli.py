@@ -600,6 +600,13 @@ class TestErrors:
                 {"name": "sideEffect", "range_concept": "Symptom",
                  "section_title": ["Side Effects"]},
             ]}, "schema: unknown key 'relations[2].section_title'", id="key-typo"),
+            # the toy schema with its first relation appended again
+            pytest.param({"concepts": ["DiseaseOrMedicalCondition", "Symptom"], "relations": [
+                {"name": "usedToTreat", "range_concept": "DiseaseOrMedicalCondition"},
+                {"name": "sideEffect", "range_concept": "Symptom"},
+                {"name": "usedToTreat", "range_concept": "DiseaseOrMedicalCondition"},
+            ]}, "schema: 'relations[2].name': duplicate relation 'usedToTreat'",
+                id="duplicate-relation"),
         ],
     )
     def test_malformed_schema_exits_1(self, run_config_file, tmp_path, capsys, schema_obj, named):
@@ -609,6 +616,25 @@ class TestErrors:
         run_config_file.write_text(json.dumps(cfg))
         assert run(run_config_file, tmp_path / "out", "run") == 1
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, stage", [("schema", "mentions"), ("gold", "eval"), ("gold", "sweep")]
+    )
+    def test_input_that_became_a_directory_exits_1(
+        self, run_config_file, tmp_path, capsys, name, stage
+    ):
+        # every stage that reads a run-config input checks it, not only ingest
+        cfg = json.loads(run_config_file.read_text())
+        path = tmp_path / Path(cfg[name]).name
+        shutil.copy(cfg[name], path)
+        cfg[name] = str(path)
+        run_config_file.write_text(json.dumps(cfg))
+        assert run(run_config_file, tmp_path / "out", "run") == 0
+        path.unlink()
+        path.mkdir()
+        capsys.readouterr()
+        assert run(run_config_file, tmp_path / "out", stage) == 1
+        assert f"error: config path {name} does not exist: {path}" in capsys.readouterr().err
 
     def test_doc_id_in_both_corpora_exits_1(self, run_config_file, data_dir, tmp_path, capsys):
         target = tmp_path / "target.jsonl"

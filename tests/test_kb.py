@@ -7,6 +7,8 @@ from reldistill.decode import InputError
 from reldistill.features import Mention
 from reldistill.kb import (
     ConceptSeed,
+    RelationDef,
+    RelationSchema,
     Triple,
     load_concept_seeds,
     load_schema,
@@ -72,6 +74,24 @@ def test_unknown_concept_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "relations, concepts, message",
+    [
+        ([RelationDef("a", "C"), RelationDef("a", "C")], ["C"],
+         "schema: 'relations[1].name': duplicate relation 'a'"),
+        ([RelationDef("a", "C"), RelationDef("b", "X")], ["C"],
+         "schema: 'relations[1].range_concept': unknown concept 'X'"),
+        ([RelationDef("a", "C", frozenset({"Uses"})), RelationDef("b", "C", frozenset({"uses"}))],
+         ["C"], "schema: 'relations[1].section_titles': section title 'uses' claimed by "
+         "both 'a' and 'b'"),
+    ],
+)
+def test_schema_built_in_code_obeys_the_schema_rules(relations, concepts, message):
+    with pytest.raises(InputError) as err:
+        RelationSchema(relations, concepts)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "obj, message",
     [
         ([{"name": "a", "range_concept": "C"}], "schema must be a JSON object, got a list"),
@@ -93,6 +113,11 @@ def test_unknown_concept_rejected(tmp_path):
                                             "section_title": ["Uses"]}]},
          "schema: unknown key 'relations[0].section_title'"),
         ({"concepts": ["C"], "relation": []}, "schema: unknown key 'relation'"),
+        # the second relation of a name is the one refused
+        ({"concepts": ["C"], "relations": [{"name": "a", "range_concept": "C"},
+                                           {"name": "b", "range_concept": "C"},
+                                           {"name": "a", "range_concept": "C"}]},
+         "schema: 'relations[2].name': duplicate relation 'a'"),
     ],
 )
 def test_malformed_schema_names_relation_and_key(tmp_path, obj, message):

@@ -9,6 +9,7 @@ oracle bit for bit, not just to a tolerance."""
 import hashlib
 import json
 import math
+import tempfile
 from collections import Counter
 
 import numpy as np
@@ -48,7 +49,9 @@ from reldistill.propagation import (
     build_graph_from_mentions,
     multirankwalk,
     personalized_pagerank,
+    read_ranking,
     write_graph_dump,
+    write_ranking,
 )
 from reldistill.training import (
     LinearModel,
@@ -301,7 +304,7 @@ def multirankwalk_dict_oracle(graph, seeds_by_class, config):
         per_class[best].append((mid, best_score))
     for cls in classes:
         per_class[cls].sort(key=lambda t: (-t[1], t[0]))
-    return RankedLabeling(per_class=per_class)
+    return RankedLabeling(per_class={c: ranked for c, ranked in per_class.items() if ranked})
 
 
 def graph_dump_edges_oracle(graph, path):
@@ -561,6 +564,27 @@ def seeded_graphs(draw):
         for c in range(n_classes)
     }
     return graph, seeds
+
+
+@st.composite
+def walk_seeds(draw):
+    """A mention list and 1-3 classes seeded on its mention ids or on an id
+    that is no node; two classes may share their seeds."""
+    mentions = draw(mention_lists())
+    ids = st.sampled_from([m.mention_id for m in mentions] + ["ghost"])
+    seeds = {
+        f"rel{c}": set(draw(st.lists(ids, min_size=1, max_size=3)))
+        for c in range(draw(st.integers(1, 3)))
+    }
+    return mentions, seeds
+
+
+# a chain of four mentions; A and B walk from the same seed, so every tie
+# goes to A and B is assigned no mention
+SHARED_SEED = (
+    [make_mention(f"m{i}", {f"f{i}": 1, f"f{i + 1}": 1}) for i in range(4)],
+    {"A": {"m0"}, "B": {"m0"}},
+)
 
 
 @st.composite
@@ -892,6 +916,24 @@ def test_multirankwalk_matches_per_class_ppr_and_first_max(case):
     got = multirankwalk(graph, seeds, config)
     want = multirankwalk_dict_oracle(graph, seeds, config)
     assert got.per_class == want.per_class
+
+
+@given(walk_seeds())
+@example(SHARED_SEED)
+@settings(max_examples=150, deadline=None)
+def test_ranking_file_holds_the_walks_classes(case):
+    """What `train` and `sweep` read back from ranking.tsv is the ranking
+    the in-process harness trains on: the same classes, each with its
+    mention ids in the same order."""
+    mentions, seeds = case
+    ranking = multirankwalk(build_graph_from_mentions(mentions), seeds, PropagationConfig())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/ranking.tsv"
+        write_ranking(ranking, path)
+        back = read_ranking(path)
+    assert set(back.per_class) == set(ranking.per_class)
+    for cls, ranked in ranking.per_class.items():
+        assert [mid for mid, _ in back.per_class[cls]] == [mid for mid, _ in ranked]
 
 
 def test_multirankwalk_ties_go_to_first_class():

@@ -12,9 +12,9 @@ import pytest
 from reldistill import benchmark, pipeline
 from reldistill.decode import InputError
 from reldistill.features import FeatureConfig, Mention
-from reldistill.mentions import LabeledMention, MentionSets
+from reldistill.mentions import LabeledMention, MentionSets, VariantSpec
 from reldistill.pipeline import RunConfig
-from reldistill.propagation import PropagationConfig, VariantSpec, build_graph, read_ranking
+from reldistill.propagation import PropagationConfig, build_graph, read_ranking
 from reldistill.synthetic import generate_benchmark
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reldistill.features import Mention
-from reldistill.mentions import LabeledMention, MentionSets
+from reldistill.mentions import LEGAL_VARIANTS, LabeledMention, MentionSets, VariantSpec
 from reldistill.propagation import (
-    LEGAL_VARIANTS,
     BipartiteGraph,
     PropagationConfig,
-    VariantSpec,
     _ppr_columns,
     build_graph,
     build_graph_from_mentions,
@@ -352,6 +350,37 @@ class TestMultiRankWalk:
             graph, {"relA": {"m1"}, "relB": {"m2"}}, PropagationConfig(tolerance=1e-14)
         )
         assert assigned(ranking)["mid"] == "relA"
+
+    def test_seed_that_is_no_node_is_skipped(self):
+        mentions = [
+            make_mention("a1", {"f1": 1, "f2": 1, "u": 1}),
+            make_mention("a2", {"f2": 1, "f3": 1, "u": 1}),
+            make_mention("dropped", {"u": 1}),  # idf 0 only: no node
+        ]
+        graph = build_graph_from_mentions(mentions)
+        assert "dropped" not in graph.node_index
+        got = multirankwalk(graph, {"r": {"a1", "dropped", "ghost"}}, PropagationConfig())
+        assert got == multirankwalk(graph, {"r": {"a1"}}, PropagationConfig())
+        assert [mid for mid, _ in got.per_class["r"]] == ["a1", "a2"]
+
+    def test_class_without_a_seed_in_the_graph_is_absent(self):
+        mentions = [make_mention("a1", {"f1": 1, "f2": 1}), make_mention("a2", {"f2": 1})]
+        graph = build_graph_from_mentions(mentions)
+        got = multirankwalk(
+            graph, {"relA": {"a1"}, "relB": {"ghost"}}, PropagationConfig()
+        )
+        assert got == multirankwalk(graph, {"relA": {"a1"}}, PropagationConfig())
+        assert list(got.per_class) == ["relA"]
+        # with no class left, the ranking is empty
+        assert multirankwalk(graph, {"relB": {"ghost"}}, PropagationConfig()).per_class == {}
+        assert multirankwalk(graph, {}, PropagationConfig()).per_class == {}
+
+    def test_class_assigned_no_mention_is_absent(self):
+        # A and B walk from one seed: every mention ties and goes to A
+        mentions = [make_mention(f"m{i}", {f"f{i}": 1, f"f{i + 1}": 1}) for i in range(4)]
+        graph = build_graph_from_mentions(mentions)
+        got = multirankwalk(graph, {"A": {"m0"}, "B": {"m0"}}, PropagationConfig())
+        assert {cls: len(ranked) for cls, ranked in got.per_class.items()} == {"A": 4}
 
     def test_scores_in_unit_interval(self):
         mentions = [make_mention(f"m{i}", {f"f{i}": 1, "link": 1}) for i in range(5)]
