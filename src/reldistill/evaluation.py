@@ -227,6 +227,14 @@ def write_pr_curve(points: list[tuple[float, float, float]], path: str) -> None:
             fh.write(f"{theta:.12g},{p:.12g},{r:.12g}\n")
 
 
+def write_sweep(rows: list[tuple[str, str, int, RelationMetrics]], path: str, fmt: str) -> None:
+    """One row per (variant, strategy, n) cell: its micro scores in format `fmt`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("variant,strategy,n,precision,recall,f1\n")
+        for name, strategy, n, m in rows:
+            fh.write(f"{name},{strategy},{n},{m.precision:{fmt}},{m.recall:{fmt}},{m.f1:{fmt}}\n")
+
+
 def write_predictions(preds: list[Prediction], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for p in sorted(preds, key=lambda p: (p.doc_id, p.relation, p.value)):

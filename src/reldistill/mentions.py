@@ -51,6 +51,11 @@ class VariantSpec:
     def name(self) -> str:
         return "".join(s for s in SET_NAMES if s in self.include)
 
+    @property
+    def strategies(self) -> tuple[str, ...]:
+        """The distillation strategies this graph can feed: Target needs a target set."""
+        return ("Both", "Target") if self.include & {"Rt", "Ct"} else ("Both",)
+
 
 @dataclass(frozen=True)
 class LabeledMention:

@@ -14,11 +14,11 @@ records it wrote for the documents, mention sets and pools; a later
 stage on the same workspace whose verified file hash equals the held
 one takes those records instead of decoding the file.
 
-`ingest_corpora`, `label_mentions`, `propagate`, `fit_model` and
-`extract_all` are the in-process core of the method (ingest, distant
-labeling, propagation, distill and train, extract). They write nothing;
-the stages wrap them with artifact reads and writes, and `benchmark`
-runs the method through them alone.
+`ingest_corpora`, `label_mentions`, `propagate`, `fit_model`, `extract_all`
+and `sweep_cells` are the in-process core of the method (ingest, distant
+labeling, propagation, distill and train, extract, the strategy × top-N
+grid). They write nothing: the stages wrap them with artifact reads and
+writes, and `benchmark` and `scripts/run_sweep.py` call them alone.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .evaluation import (
     write_pr_curve,
     write_predictions,
     write_report,
+    write_sweep,
 )
 from .features import FeatureConfig, Mention
 from .kb import ConceptSeed, RelationSchema, Triple, load_concept_seeds, load_schema, load_triples
@@ -104,7 +105,8 @@ class RunConfig:
     sweep_n: list[int] = field(default_factory=lambda: [5, 10, 20])
 
     def __post_init__(self):
-        if not all(n > 0 for n in self.sweep_n) or len(set(self.sweep_n)) < len(self.sweep_n):
+        # min's default refuses an empty grid, which would write a header-only sweep.csv
+        if min(self.sweep_n, default=0) < 1 or len(set(self.sweep_n)) < len(self.sweep_n):
             raise InputError(
                 "run config: 'sweep_n' must be a list of distinct positive integers, "
                 f"got {self.sweep_n!r}"
@@ -334,6 +336,21 @@ def extract_all(
     return predictions
 
 
+def sweep_cells(
+    ranking: RankedLabeling, sets: MentionSets, pool: list[Mention],
+    eval_docs: list[Document], gold: list[GoldAnnotation],
+    variant: VariantSpec, ns: list[int], train_config: TrainConfig, feature_config: FeatureConfig,
+):
+    """For each cell of the strategies `variant` can feed × the top-N values
+    `ns`, fit a model on the ranking, sets and pool and score it on the
+    eval documents; yields (strategy, n, micro scores)."""
+    for strategy in variant.strategies:
+        for n in ns:
+            config = replace(train_config, n=n, strategy=strategy)
+            model = fit_model(ranking, sets, pool, config, feature_config)
+            yield strategy, n, evaluate(extract_all(eval_docs, model, feature_config), gold).micro
+
+
 def ingest_corpora(paths) -> dict[str, list[Document]]:
     """The documents of the structured, target and eval corpora of a
     `RunConfig` or `BenchmarkPaths`, keyed on corpus name. A mention id
@@ -443,33 +460,19 @@ def stage_eval(ws: Workspace) -> None:
 
 
 def stage_sweep(ws: Workspace) -> None:
-    """Re-run distill+train+extract+eval across N values and both
-    strategies; emits F1-vs-N rows for the configured variant. The CSV is
-    written only after every cell has succeeded."""
+    """Re-run distill+train+extract+eval over `sweep_cells`, the strategies
+    the configured variant can feed × the N values of `sweep_n`; emits
+    F1-vs-N rows. The CSV is written only after every cell has succeeded."""
     cfg = ws.config
     with ws.stage("sweep"):
-        ranking = ws.read("ranking.tsv", "propagate", read_ranking)
-        sets = _load_sets(ws)
-        pool = _load_pool(ws)
-        eval_docs = _load_documents(ws, "eval")
-        gold = _load_gold(ws)
-        variant_name = VariantSpec.parse(cfg.variant).name
-
-        rows = []
-        for strategy in ("Both", "Target"):
-            for n in cfg.sweep_n:
-                tc = replace(cfg.training, n=n, strategy=strategy)
-                model = fit_model(ranking, sets, pool, tc, cfg.features)
-                micro = evaluate(extract_all(eval_docs, model, cfg.features), gold).micro
-                rows.append((strategy, n, micro.precision, micro.recall, micro.f1))
-
-        def write_sweep(rows, path: str) -> None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("variant,strategy,n,precision,recall,f1\n")
-                for strategy, n, p, r, f1 in rows:
-                    fh.write(f"{variant_name},{strategy},{n},{p:.12g},{r:.12g},{f1:.12g}\n")
-
-        ws.emit("sweep.csv", write_sweep, rows)
+        variant = VariantSpec.parse(cfg.variant)
+        cells = sweep_cells(
+            ws.read("ranking.tsv", "propagate", read_ranking), _load_sets(ws), _load_pool(ws),
+            _load_documents(ws, "eval"), _load_gold(ws),
+            variant, cfg.sweep_n, cfg.training, cfg.features,
+        )
+        rows = [(variant.name, *cell) for cell in cells]
+        ws.emit("sweep.csv", partial(write_sweep, fmt=".12g"), rows)
 
 
 STAGES = {

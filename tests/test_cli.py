@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from reldistill import pipeline
 from reldistill.cli import main
+from reldistill.mentions import LEGAL_VARIANTS, VariantSpec
 from reldistill.pipeline import RunConfig
 from reldistill.synthetic import generate_benchmark
 
@@ -202,17 +204,23 @@ class TestAtomicWrites:
 
 
 class TestSweep:
-    def test_sweep_rows(self, run_config_file, tmp_path):
+    @pytest.mark.parametrize(
+        "spec", [VariantSpec(v) for v in LEGAL_VARIANTS], ids=lambda spec: spec.name
+    )
+    def test_sweep_rows(self, run_config_file, tmp_path, spec):
+        # after a successful run, sweep succeeds on every legal variant: one
+        # row per strategy the variant can feed and N of sweep_n, in order
+        cfg = json.loads(run_config_file.read_text())
+        cfg["variant"] = sorted(spec.include)
+        run_config_file.write_text(json.dumps(cfg))
         out = tmp_path / "out"
         assert run(run_config_file, out, "run") == 0
         assert run(run_config_file, out, "sweep") == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "variant,strategy,n,precision,recall,f1"
         rows = [line.split(",") for line in lines[1:]]
-        assert len(rows) == 6  # 2 strategies x sweep_n [1, 2, 3]
-        assert {r[0] for r in rows} == {"RsRt"}
-        assert {r[1] for r in rows} == {"Both", "Target"}
-        assert sorted(int(r[2]) for r in rows if r[1] == "Both") == [1, 2, 3]
+        cells = product(spec.strategies, cfg["sweep_n"])
+        assert [tuple(r[:3]) for r in rows] == [(spec.name, s, str(n)) for s, n in cells]
         for r in rows:
             assert 0.0 <= float(r[5]) <= 1.0
 
@@ -496,6 +504,8 @@ class TestErrors:
             pytest.param({"variant": ["Rs", 1]}, "'variant'", id="variant-int-item"),
             pytest.param({"sweep_n": [5, 0]}, "'sweep_n'", id="sweep_n-zero"),
             pytest.param({"sweep_n": [5, True]}, "'sweep_n'", id="sweep_n-bool"),
+            # an empty grid would write a header-only sweep.csv
+            pytest.param({"sweep_n": []}, "'sweep_n'", id="sweep_n-empty"),
             # a repeated N fits every cell and writes every row twice
             pytest.param({"sweep_n": [3, 3]}, "'sweep_n'", id="sweep_n-repeated"),
             # a repeated set name would run as RsRt under a config hash of its own

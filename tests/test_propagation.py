@@ -99,6 +99,15 @@ class TestVariantSpec:
         assert len(LEGAL_VARIANTS) == 7 and set(LEGAL_VARIANTS) == set(table)
         assert {v: VariantSpec(v).name for v in LEGAL_VARIANTS} == table
 
+    def test_only_the_variant_without_a_target_set_cannot_feed_target(self):
+        # Target distills target-corpus mentions, and only Rt and Ct add
+        # them to the graph: every Target cell of RsCs has no positives
+        both = ("Both", "Target")
+        assert {VariantSpec(v).name: VariantSpec(v).strategies for v in LEGAL_VARIANTS} == {
+            "RsCs": ("Both",), "RsRt": both, "RsCt": both, "RsCsRt": both,
+            "RsCsCt": both, "RsRtCt": both, "RsCsRtCt": both,
+        }
+
 
 class TestBuildGraph:
     def test_tfidf_weight_exact(self):

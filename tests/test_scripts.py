@@ -24,3 +24,19 @@ def test_bare_script_imports_the_checkout(script, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+def test_sweep_error_outside_the_skip_rule_reaches_the_caller(tmp_path):
+    # the benchmark has too few unlabeled mentions for 5000 negatives: the
+    # script fails on the first cell and writes no CSV
+    out = tmp_path / "sweep.csv"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_sweep.py"), "--n-values", "5000", "--out", str(out)],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "need 5000 negatives" in proc.stderr
+    assert not out.exists()
