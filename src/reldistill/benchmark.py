@@ -66,7 +66,7 @@ def ranking_for(art: BenchmarkArtifacts, variant: list[str]) -> RankedLabeling:
 
 
 def _score(art: BenchmarkArtifacts, model) -> EvalReport:
-    return evaluate(extract_all(art.eval_docs, model, art.feature_config), art.gold)
+    return evaluate(extract_all(art.eval_docs, model), art.gold)
 
 
 def distilled_report(

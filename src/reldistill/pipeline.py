@@ -2,9 +2,9 @@
 provenance manifest. Each stage reads the previous stage's files, writes
 its own, and records input/output hashes plus the run-config hash so
 incompatible artifacts cannot be mixed. A stage refuses an artifact
-whose sha256 is not the one its producing stage recorded. Every artifact
-is written through a temp file and `os.replace`, so a failed write
-leaves the previous file whole.
+whose sha256 is not the one its producing stage recorded, or made from
+files a re-run replaced (`Workspace.stage`). Every artifact is written
+through a temp file and `os.replace`: a failed write keeps the old one.
 
 The `Workspace` decodes `manifest.json` once, when it is made, and
 builds the running stage's record as the stage verifies or writes each
@@ -210,14 +210,22 @@ class Workspace:
 
     @contextmanager
     def stage(self, stage: str):
-        """Record the files the body reads and writes, with the sha256 taken
-        of each, as `stage`'s; a body that raises records nothing, and the
-        next stage starts from no files."""
+        """Record the files the body reads and writes, with their sha256, as
+        `stage`'s; a body that raises records nothing. A completed stage
+        retires each record that read another version of a file it wrote,
+        and so on downstream; one that writes the same bytes retires none."""
         record = self._record = StageRecord(self.config_hash, {}, {})
         yield
         # a read after the stage, outside any, must not change its record
         self._record = StageRecord(self.config_hash, {}, {})
-        manifest = Manifest(self.config_hash, {**self.manifest.stages, stage: record})
+        # a record is stale once it read a file in a version other than the
+        # current one: this stage's files have the digests just taken, and
+        # a retired stage's files have none
+        stages, current = {**self.manifest.stages, stage: record}, dict(record.outputs)
+        while stale := [name for name, other in stages.items()
+                        if any(current.get(f, d) != d for f, d in other.inputs.items())]:
+            current.update((f, None) for name in stale for f in stages.pop(name).outputs)
+        manifest = Manifest(self.config_hash, stages)
         text = json.dumps(asdict(manifest), sort_keys=True, indent=1) + "\n"
         _write_atomic(self.manifest_path, lambda tmp: Path(tmp).write_text(text))
         self.manifest = manifest
@@ -327,12 +335,10 @@ def fit_model(
     return train(training_set, train_config, feature_config)
 
 
-def extract_all(
-    docs: list[Document], model: LinearModel, feature_config: FeatureConfig
-) -> list[Prediction]:
+def extract_all(docs: list[Document], model: LinearModel) -> list[Prediction]:
     predictions = []
     for doc in docs:
-        predictions.extend(extract_document(doc, model, feature_config))
+        predictions.extend(extract_document(doc, model, model.feature_config))
     return predictions
 
 
@@ -342,13 +348,16 @@ def sweep_cells(
     variant: VariantSpec, ns: list[int], train_config: TrainConfig, feature_config: FeatureConfig,
 ):
     """For each cell of the strategies `variant` can feed × the top-N values
-    `ns`, fit a model on the ranking, sets and pool and score it on the
-    eval documents; yields (strategy, n, micro scores)."""
+    `ns`, fit a model and score it on the eval documents; yields (strategy,
+    n, micro scores). A cell's error is raised again, of its class, naming the cell."""
     for strategy in variant.strategies:
         for n in ns:
             config = replace(train_config, n=n, strategy=strategy)
-            model = fit_model(ranking, sets, pool, config, feature_config)
-            yield strategy, n, evaluate(extract_all(eval_docs, model, feature_config), gold).micro
+            try:
+                model = fit_model(ranking, sets, pool, config, feature_config)
+                yield strategy, n, evaluate(extract_all(eval_docs, model), gold).micro
+            except ValueError as exc:
+                raise type(exc)(f"sweep cell {variant.name}/{strategy}/N={n}: {exc}") from exc
 
 
 def ingest_corpora(paths) -> dict[str, list[Document]]:
@@ -437,15 +446,10 @@ def stage_train(ws: Workspace) -> None:
 
 
 def stage_extract(ws: Workspace) -> None:
-    cfg = ws.config
     with ws.stage("extract"):
+        # `read` hands over only the model the `train` record of this config made
         model = ws.read("model.json", "train", load_model)
-        if model.feature_config != cfg.features:
-            raise InputError(
-                "feature config mismatch: model.json was trained with "
-                f"{asdict(model.feature_config)}, got {asdict(cfg.features)}"
-            )
-        predictions = extract_all(_load_documents(ws, "eval"), model, cfg.features)
+        predictions = extract_all(_load_documents(ws, "eval"), model)
         ws.emit("predictions.tsv", write_predictions, predictions)
 
 

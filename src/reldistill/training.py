@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .decode import decode, json_file
+from .decode import InputError, decode, json_file
 from .features import FeatureConfig, FeatureFilter, Mention, build_feature_filter, feature_matrix
 from .mentions import SET_NAMES, MentionSets
 from .propagation import RankedLabeling
@@ -113,7 +113,7 @@ def distill(
         for mention_id, _score in ranked:
             mention = by_id.get(mention_id)
             if mention is None:
-                continue
+                raise InputError(f"ranked mention {mention_id!r} is in no mention set")
             if config.strategy == "Target" and mention.corpus_tag != "target":
                 continue
             chosen.append(mention)

@@ -157,6 +157,45 @@ class TestStaging:
         err = capsys.readouterr().err
         assert "documents_structured.jsonl" in err and "not recorded" in err
 
+    def test_rerun_on_changed_inputs_retires_the_records_that_read_the_old_files(
+        self, run_config_file, data_dir, tmp_path, capsys
+    ):
+        # `mentions` on two of the six triples writes other mention sets:
+        # the `propagate` record read the old ones, and every later record
+        # read a file that a retired stage wrote
+        triples = tmp_path / "triples.tsv"
+        shutil.copy(data_dir / "triples.tsv", triples)
+        cfg = json.loads(run_config_file.read_text())
+        run_config_file.write_text(json.dumps({**cfg, "triples": str(triples)}))
+        out = tmp_path / "out"
+        assert run(run_config_file, out, "run") == 0
+        triples.write_text("".join(triples.read_text().splitlines(keepends=True)[:2]))
+        assert run(run_config_file, out, "mentions") == 0
+        capsys.readouterr()
+        for command, filename, producer in (
+            ("train", "ranking.tsv", "propagate"),
+            ("sweep", "ranking.tsv", "propagate"),
+            ("extract", "model.json", "train"),
+        ):
+            assert run(run_config_file, out, command) == 1
+            assert capsys.readouterr().err == (
+                f"error: artifact {filename!r} is not recorded as an output of the "
+                f"{producer!r} stage in manifest.json; re-run {producer!r}\n"
+            )
+        for command in ("propagate", "train", "extract", "eval"):
+            assert run(run_config_file, out, command) == 0
+
+    def test_rerun_with_the_same_outputs_retires_nothing(self, run_config_file, tmp_path):
+        out = tmp_path / "out"
+        assert run(run_config_file, out, "run") == 0
+        manifest = (out / "manifest.json").read_text()
+        assert run(run_config_file, out, "mentions") == 0
+        assert (out / "manifest.json").read_text() == manifest
+        assert run(run_config_file, out, "train") == 0
+        assert set(json.loads((out / "manifest.json").read_text())["stages"]) == {
+            "ingest", "mentions", "propagate", "train", "extract", "eval"
+        }
+
     def test_config_change_invalidates_artifacts(self, run_config_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(run_config_file, out, "run") == 0
@@ -223,6 +262,19 @@ class TestSweep:
         assert [tuple(r[:3]) for r in rows] == [(spec.name, s, str(n)) for s, n in cells]
         for r in rows:
             assert 0.0 <= float(r[5]) <= 1.0
+
+    def test_failed_cell_is_named(self, run_config_file, tmp_path, capsys):
+        # the toy fixture has far fewer than 5000 unlabeled mentions
+        cfg = json.loads(run_config_file.read_text())
+        run_config_file.write_text(json.dumps({**cfg, "sweep_n": [5000]}))
+        out = tmp_path / "out"
+        assert run(run_config_file, out, "run") == 0
+        capsys.readouterr()
+        assert run(run_config_file, out, "sweep") == 1
+        assert capsys.readouterr().err.startswith(
+            "error: sweep cell RsRt/Both/N=5000: need 5000 negatives but only "
+        )
+        assert not (out / "sweep.csv").exists()
 
 
 class TestErrors:
@@ -393,16 +445,34 @@ class TestErrors:
         assert run(run_config_file, out, command) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {named}")
 
-    def test_bad_triples_row_names_its_file(self, run_config_file, tmp_path, capsys):
-        # the concept seeds and gold are TSV too: only the path tells which is bad
-        triples = tmp_path / "triples.tsv"
-        triples.write_text("treats\taspirin\n")
+    @pytest.mark.parametrize(
+        "key, text, message",
+        [
+            # the concept seeds and gold are TSV too: only the path tells which is bad
+            pytest.param("triples", "treats\taspirin\n",
+                         "{path}: line 1: expected 3 tab-separated fields", id="triples-fields"),
+            pytest.param("triples", "sideEffect\t \tnausea\n",
+                         "{path}: line 1: empty subject or object", id="triples-empty-subject"),
+            pytest.param("triples", "sideEffect\tmeloxicam\t\n",
+                         "{path}: line 1: empty subject or object", id="triples-empty-object"),
+            pytest.param("concept_seeds", "Symptom\t \n",
+                         "{path}: line 1: empty instance", id="seeds-empty-instance"),
+            pytest.param("gold", "t1\tcures\tnausea\n",
+                         "{path}: line 1: unknown relation 'cures'", id="gold-unknown-relation"),
+            pytest.param("gold", "", "gold set is empty", id="gold-empty"),
+            # no drug of the corpora has a triple: Rs and Rt are both empty
+            pytest.param("triples", "sideEffect\tnodrug\tnausea\n",
+                         "variant RsRt selects no mentions", id="triples-match-nothing"),
+        ],
+    )
+    def test_bad_kb_or_gold_file_exits_1(self, run_config_file, tmp_path, capsys,
+                                         key, text, message):
+        path = tmp_path / f"{key}.tsv"
+        path.write_text(text)
         cfg = json.loads(run_config_file.read_text())
-        run_config_file.write_text(json.dumps({**cfg, "triples": str(triples)}))
+        run_config_file.write_text(json.dumps({**cfg, key: str(path)}))
         assert run(run_config_file, tmp_path / "out", "run") == 1
-        assert capsys.readouterr().err == (
-            f"error: {triples}: line 1: expected 3 tab-separated fields\n"
-        )
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
     def test_bad_structured_line_names_its_file(self, run_config_file, data_dir, tmp_path, capsys):
         # the target and eval corpora are well formed: only the path tells which is bad
@@ -552,6 +622,16 @@ class TestErrors:
                 "propagation", {"concept_top_k": -5}, "concept_top_k must be >= 0, got -5",
                 id="concept_top_k",
             ),
+            pytest.param("propagation", {"alpha": 1.0}, "alpha must be in (0,1), got 1.0", id="alpha"),
+            pytest.param("propagation", {"max_iters": 0}, "max_iters must be >=1 and tolerance > 0",
+                         id="max_iters"),
+            pytest.param("propagation", {"tolerance": 0.0},
+                         "max_iters must be >=1 and tolerance > 0", id="tolerance"),
+            pytest.param("training", {"strategy": "Neither"}, "unknown strategy 'Neither'",
+                         id="strategy"),
+            pytest.param("training", {"calibration": "sigmoid"}, "unknown calibration 'sigmoid'",
+                         id="calibration"),
+            pytest.param("training", {"reg_lambda": 0.0}, "reg_lambda must be > 0", id="reg_lambda"),
         ],
     )
     def test_out_of_range_feature_config(
@@ -689,6 +769,20 @@ class TestErrors:
                 np_chunks=[[0, 1], [3, 4]], coordinate_lists=[{"items": [[3, 4], [0, 1]]}]),
                          "line 2: coordinate list 0 field 'items' must be ascending np_chunks "
                          "that do not overlap, got [[3, 4], [0, 1]]", id="list-items-descending"),
+            pytest.param(lambda doc: doc["sections"][0]["sentences"][0].pop("tokens"),
+                         "line 2: sentence missing 'tokens'", id="no-tokens"),
+            pytest.param(lambda doc: doc["sections"][0]["sentences"][0]["tokens"][0].pop("surface"),
+                         "line 2: token 0 missing 'surface'", id="no-surface"),
+            pytest.param(lambda doc: doc["sections"][0]["sentences"][0]["tokens"][0].update(
+                dep_head=9), "line 2: token 0 has invalid dep_head 9", id="dep_head"),
+            pytest.param(lambda doc: doc["sections"][0]["sentences"][0].update(np_chunks=[[3, 9]]),
+                         "line 2: np_chunk (3,9) out of range", id="np_chunk-range"),
+            pytest.param(lambda doc: doc.pop("title_entity"),
+                         "line 2: missing 'title_entity'", id="no-title_entity"),
+            pytest.param(lambda doc: doc.update(title_entity=" "),
+                         "line 2: empty title_entity", id="empty-title_entity"),
+            pytest.param(lambda doc: doc["sections"][0].update(title=" "),
+                         "line 2: empty section title", id="empty-section-title"),
         ],
     )
     def test_ill_shaped_corpus_exits_1(self, run_config_file, data_dir, tmp_path, capsys,

@@ -197,6 +197,36 @@ class TestConceptExpansion:
             ("d2|s0|t0|0-1", "Drug"),
         }
 
+    def test_cap_and_floor_each_bind(self, concept_seeds):
+        # Symptom: a star of four mentions around its seed, each scoring
+        # about 0.08, so the cap of 3 cuts two; DiseaseOrMedicalCondition:
+        # a chain from its seed scoring about 0.10 and 0.03 one and two
+        # steps away, so the floor cuts the second. "headache" and "pain"
+        # are seeds outside the graph (no feature): kept past both.
+        mentions = [
+            make_mention(f"s{i}|s0|t0|0-1", [surface], {"hub": 1})
+            for i, surface in enumerate(["nausea", "vomiting", "dizziness", "rash", "itch"])
+        ] + [
+            make_mention(f"d{i}|s0|t0|0-1", [surface], {f"d{i}": 1, f"d{i + 1}": 1})
+            for i, surface in enumerate(["arthritis", "gout", "fever", "flu"])
+        ] + [
+            make_mention("h|s0|t0|0-1", ["headache"], {}),
+            make_mention("p|s0|t0|0-1", ["pain"], {}),
+        ]
+
+        def kept(top_k, floor):
+            config = PropagationConfig(concept_top_k=top_k, concept_score_floor=floor)
+            out = expand_concept_mentions(mentions, concept_seeds, config, "Ct")
+            return {(lm.mention.doc_id, lm.label[0]) for lm in out}
+
+        assert kept(3, 0.05) == {
+            ("s0", "S"), ("s1", "S"), ("s2", "S"), ("h", "S"),
+            ("d0", "D"), ("d1", "D"), ("p", "D"),
+        }
+        # each alone: the floor keeps all of the star, the cap the chain's third
+        assert {"s3", "s4"} <= {doc for doc, _ in kept(10, 0.05)}
+        assert ("d2", "D") in kept(3, 0.0)
+
     @pytest.mark.parametrize("source_set", ["Cs", "Ct"])
     def test_set_name_is_the_one_given(self, concept_seeds, source_set):
         # a target mention sorts first, so its corpus tag cannot name the set

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from reldistill.decode import InputError
 from reldistill.features import FeatureConfig, Mention, build_feature_filter
 from reldistill.mentions import MentionSets
 from reldistill.propagation import RankedLabeling
@@ -116,6 +117,12 @@ class TestDistill:
         )
         assert len(positives["rel"]) == 5
         assert shortfalls == {"rel": 5}
+
+    def test_ranked_id_in_no_set_is_refused(self):
+        # a ranking made from other mention sets: the id is not skipped
+        ranking = RankedLabeling(per_class={"rel": [("m1", 0.9), ("gone", 0.8), ("m2", 0.7)]})
+        with pytest.raises(InputError, match=r"^ranked mention 'gone' is in no mention set$"):
+            distill(ranking, self._sets(), TrainConfig(n=2, strategy="Both"))
 
     def test_prefix_order_preserved(self):
         positives, _ = distill(
