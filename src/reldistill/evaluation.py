@@ -70,7 +70,10 @@ def load_gold(path: str, schema: RelationSchema | None = None) -> list[GoldAnnot
             raise InputError(f"unknown relation {relation!r}")
         return GoldAnnotation(doc_id, relation, normalize(value))
 
-    return tsv(path, 3, gold)
+    annotations = tsv(path, 3, gold)
+    if not annotations:
+        raise InputError(f"{path}: gold set is empty")
+    return annotations
 
 
 def extract_document(

@@ -1,4 +1,8 @@
-"""Mention feature extraction and frequency-based feature filtering.
+"""Mention feature extraction, the feature table, and frequency-based
+feature filtering.
+
+A mention's features are a row of a `FeatureTable`, whose columns are
+its names in sorted order; graphs and training matrices select rows.
 
 One generator serves singleton NPs and coordinate lists alike. Feature
 ids are namespaced so no two rules can emit the same id:
@@ -17,14 +21,13 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
 from .corpus import CoordinateList, Sentence
-
-FeatureVector = dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,62 @@ class FeatureConfig:
                 raise ValueError(f"{key} must be >= {low}, got {value}")
 
 
+class _Ids(dict):  # name -> its provisional id: how many names came before it
+    def __missing__(self, name: str) -> int:
+        i = self[name] = len(self)
+        return i
+
+
+class FeatureTable:
+    """Rows of feature counts. The first read of `matrix` sorts the names and
+    remaps their provisional ids, so that column order is name order; the
+    table then takes no more rows."""
+
+    def __init__(self):
+        self._ids = _Ids()
+        self._entries: list[int] = []  # provisional ids, row after row
+        self._ends = [0]  # row i holds entries _ends[i]:_ends[i + 1]
+        self._counts: list[int] = []  # the counts of `add_counts` rows; `add` rows count 1s
+
+    def add(self, names: Iterable[str]) -> FeatureRow:
+        """A new row counting each occurrence of a name in `names`."""
+        self._entries += map(self._ids.__getitem__, names)
+        self._ends.append(len(self._entries))
+        return FeatureRow(self, len(self._ends) - 2)
+
+    def add_counts(self, counts: dict[str, int]) -> FeatureRow:
+        """A new row counting each name of `counts` its count. A table takes
+        rows of `add` or of `add_counts`, not of both."""
+        self._counts += counts.values()
+        return self.add(counts)
+
+    @cached_property
+    def matrix(self) -> tuple[list[str], sp.csr_matrix]:
+        """The sorted names and the int64 count matrix, column j counting `names[j]`."""
+        ids, entries = self._ids, np.fromiter(self._entries, np.intp, len(self._entries))
+        names = sorted(ids)
+        column = np.argsort(np.fromiter(map(ids.__getitem__, names), np.intp, len(names)))
+        counts = np.array(self._counts or np.ones(len(entries)), np.int64)
+        x = sp.csr_matrix((counts, column[entries], self._ends), (len(self._ends) - 1, len(names)))
+        x.sum_duplicates()  # sorts each row's columns and sums a name's repeats
+        del self._ids, self._entries, self._ends, self._counts  # sealed: `add` fails
+        return names, x
+
+
+@dataclass(eq=False, slots=True)
+class FeatureRow:
+    """One mention's feature counts, iterated as (name, count) pairs in name
+    order. A row is equal only to itself."""
+
+    table: FeatureTable
+    row: int
+
+    def __iter__(self):
+        names, x = self.table.matrix
+        lo, hi = x.indptr[self.row : self.row + 2].tolist()
+        return zip(map(names.__getitem__, x.indices[lo:hi].tolist()), x.data[lo:hi].tolist())
+
+
 @dataclass(frozen=True)
 class Mention:
     mention_id: str
@@ -50,31 +109,28 @@ class Mention:
     section_title: str  # normalized
     kind: str  # "singleton" or "list"
     item_surfaces: tuple[str, ...]
-    features: tuple[tuple[str, int], ...]
+    features: FeatureRow
     corpus_tag: str
 
-    def feature_counts(self) -> FeatureVector:
+    def feature_counts(self) -> dict[str, int]:
         return dict(self.features)
 
 
-def feature_matrix(mentions: list[Mention]) -> tuple[list[str], sp.csr_matrix]:
-    """The sorted vocabulary of `mentions` and their mention x feature
-    count matrix: CSR, float64 counts, one row per mention in the order
-    given. Column j is `vocab[j]`; `Mention.features` is sorted, so the
-    indices within each row are too."""
-    names = [f for m in mentions for f, _ in m.features]
-    vocab = sorted(set(names))
-    column = {f: j for j, f in enumerate(vocab)}
-    indptr = np.cumsum([0] + [len(m.features) for m in mentions])
-    x = sp.csr_matrix(
-        (
-            np.fromiter((c for m in mentions for _, c in m.features), float, len(names)),
-            np.fromiter(map(column.__getitem__, names), np.int32, len(names)),
-            indptr,
-        ),
-        shape=(len(mentions), len(vocab)),
-    )
-    return vocab, x
+def select_rows(mentions: list[Mention]) -> tuple[list[str], sp.csr_matrix]:
+    """The sorted names `mentions` hold and their float64 count matrix: their
+    rows of the table they share, in the order given, its columns compacted
+    to those names."""
+    rows = [m.features for m in mentions]
+    table = rows[0].table if rows else FeatureTable()
+    if any(row.table is not table for row in rows):
+        raise ValueError("the mentions' features are rows of several feature tables")
+    names, x = table.matrix
+    x = x[np.fromiter((row.row for row in rows), np.intp, len(rows))]
+    used = np.zeros(len(names), dtype=bool)
+    used[x.indices] = True
+    column = np.cumsum(used, dtype=np.int32) - 1
+    x = sp.csr_matrix((x.data.astype(float), column[x.indices], x.indptr), (len(rows), used.sum()))
+    return list(map(names.__getitem__, np.flatnonzero(used).tolist())), x
 
 
 def _closest_ancestor_verb(sentence: Sentence, head_idx: int) -> int | None:

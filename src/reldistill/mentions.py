@@ -4,6 +4,9 @@ Produces the four labeled sets: section-constrained relation mentions
 from the structured corpus (Rs), unconstrained relation mentions from
 the target corpus (Rt), and concept mentions from both corpora (Cs, Ct)
 obtained by propagating concept seeds over the mention-feature graph.
+
+Each enumerated or read mention's features are a new row of the
+`FeatureTable` its caller hands in.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from json.encoder import encode_basestring_ascii as _str
 
 from .corpus import Document
 from .decode import InputError, jsonl
-from .features import FeatureConfig, Mention, extract_features
+from .features import FeatureConfig, FeatureRow, FeatureTable, Mention, extract_features
 from .kb import ConceptSeed, RelationSchema, Triple
 from .norm import normalize
 from .propagation import build_graph_from_mentions, multirankwalk
@@ -88,19 +91,14 @@ class MentionSets:
         return {lm.mention.mention_id for lm in self.Rs + self.Rt}
 
 
-def enumerate_mentions(doc: Document, config: FeatureConfig, pairs: dict) -> list[Mention]:
-    """All coordinate lists plus NP chunks not inside any list. Each
-    (name, count) pair of `Mention.features` is the `pairs` table's tuple
-    for that pair; pairs the table lacks are added."""
+def enumerate_mentions(doc: Document, config: FeatureConfig, table: FeatureTable) -> list[Mention]:
+    """All coordinate lists plus NP chunks not inside any list, each one's
+    features a new row of `table`."""
     out = []
     for sec_i, sec in enumerate(doc.sections):
         section_title = normalize(sec.title)
         for sent_i, sent in enumerate(sec.sentences):
             for target, kind, span, item_spans in sent.mention_targets():
-                counts: dict[str, int] = {}
-                for name in extract_features(sent, target, config):
-                    counts[name] = counts.get(name, 0) + 1
-                items = sorted(counts.items())
                 out.append(
                     Mention(
                         mention_id=f"{doc.doc_id}|s{sec_i}|t{sent_i}|{span[0]}-{span[1]}",
@@ -109,20 +107,20 @@ def enumerate_mentions(doc: Document, config: FeatureConfig, pairs: dict) -> lis
                         section_title=section_title,
                         kind=kind,
                         item_surfaces=tuple(map(sent.surface, item_spans)),
-                        features=tuple(map(pairs.setdefault, items, items)),
+                        features=table.add(extract_features(sent, target, config)),
                         corpus_tag=doc.corpus_tag,
                     )
                 )
     return out
 
 
-def corpus_mentions(docs: list[Document], config: FeatureConfig) -> list[Mention]:
-    """The mentions of `docs` sorted by id. Every structure downstream is
-    keyed on `mention_id`, so two mentions may not share one. Equal
-    (name, count) feature pairs are one tuple across the mentions: a
-    corpus has far fewer distinct pairs than its mentions hold."""
-    pairs: dict = {}
-    out = [m for doc in docs for m in enumerate_mentions(doc, config, pairs)]
+def corpus_mentions(
+    docs: list[Document], config: FeatureConfig, table: FeatureTable
+) -> list[Mention]:
+    """The mentions of `docs` sorted by id, their features rows of `table`.
+    Every structure downstream is keyed on `mention_id`, so two mentions
+    may not share one."""
+    out = [m for doc in docs for m in enumerate_mentions(doc, config, table)]
     out.sort(key=lambda m: m.mention_id)
     for a, b in zip(out, out[1:]):
         if a.mention_id == b.mention_id:
@@ -243,7 +241,7 @@ def mention_to_dict(m: Mention) -> dict:
         "kind": m.kind,
         "surfaces": list(m.item_surfaces),
         "corpus_tag": m.corpus_tag,
-        "features": {f: c for f, c in m.features},
+        "features": dict(m.features),
     }
 
 
@@ -263,11 +261,10 @@ def _check_strings(obj: dict, keys) -> None:
             raise _refuse(obj, key, "a string")
 
 
-def mention_from_dict(obj: dict, pairs: dict) -> Mention:
-    """The mention of `obj`, its feature pairs shared through the `pairs`
-    table as in `enumerate_mentions`. A line that is not an object, or a
-    key that is missing or of the wrong JSON type, raises InputError
-    naming the key."""
+def mention_from_dict(obj: dict, table: FeatureTable) -> Mention:
+    """The mention of `obj`, its features a new row of `table`. A line
+    that is not an object, or a key that is missing or of the wrong JSON
+    type, raises InputError naming the key."""
     if not isinstance(obj, dict):
         raise InputError(f"a mention must be an object, got {reprlib.repr(obj)}")
     _check_strings(obj, _STRING_KEYS)
@@ -275,10 +272,11 @@ def mention_from_dict(obj: dict, pairs: dict) -> Mention:
     if not (isinstance(surfaces, list) and {str}.issuperset(map(type, surfaces))):
         raise _refuse(obj, "surfaces", "a list of strings")
     features = obj.get("features")
-    # the counts' types, not isinstance: a JSON true is an int too
-    if not (isinstance(features, dict) and {int}.issuperset(map(type, features.values()))):
+    # the counts' types, not isinstance: a JSON true is an int too; a feature
+    # table holds int64 counts
+    if not (isinstance(features, dict) and {int}.issuperset(map(type, features.values()))
+            and max(map(abs, features.values()), default=0) < 2**63):
         raise _refuse(obj, "features", "an object of integer counts")
-    items = sorted(features.items())
     return Mention(
         mention_id=obj["mention_id"],
         doc_id=obj["doc_id"],
@@ -286,7 +284,7 @@ def mention_from_dict(obj: dict, pairs: dict) -> Mention:
         section_title=obj["section"],
         kind=obj["kind"],
         item_surfaces=tuple(surfaces),
-        features=tuple(map(pairs.setdefault, items, items)),
+        features=table.add_counts(features),
         corpus_tag=obj["corpus_tag"],
     )
 
@@ -295,46 +293,58 @@ def labeled_mention_to_dict(lm: LabeledMention) -> dict:
     return {**mention_to_dict(lm.mention), "label": lm.label, "source_set": lm.source_set}
 
 
-def labeled_mention_from_dict(obj: dict, pairs: dict) -> LabeledMention:
-    mention = mention_from_dict(obj, pairs)
+def labeled_mention_from_dict(obj: dict, table: FeatureTable) -> LabeledMention:
+    mention = mention_from_dict(obj, table)
     _check_strings(obj, ("label", "source_set"))
     return LabeledMention(mention, obj["label"], obj["source_set"])
 
 
-class _PairText(dict):
-    """(name, count) -> its JSON text `"name": count`, made on first lookup."""
+class _EntryText(dict):
+    """(column, count) -> the JSON text `"name": count` of that entry of a
+    table whose columns are `names`, made on first lookup."""
 
-    def __missing__(self, pair: tuple[str, int]) -> str:
-        text = self[pair] = f"{_str(pair[0])}: {pair[1]}"
+    def __init__(self, names: list[str]):
+        self.names = names
+
+    def __missing__(self, entry: tuple[int, int]) -> str:
+        text = self[entry] = f"{_str(self.names[entry[0]])}: {entry[1]}"
         return text
 
 
 class MentionEncoder:
     """Lines equal to `json.dumps(mention_to_dict(m), sort_keys=True)` and its
     labeled form, spliced from three fragments per mention object, cut where
-    `label` and `source_set` go. `Mention.features` must be sorted, names unique.
+    `label` and `source_set` go.
 
     Two memos live as long as the encoder, which is one stage's:
     - the fragments, keyed on the mention object and not on `mention_id`.
       The mention stage never hands it two mentions with one id, but the
       writers accept any lists, and a structured and a target mention that
       share an id differ in `corpus_tag`, so each must keep its own lines.
-    - the text of each distinct (name, count) feature pair, so a pair that
-      thousands of mentions hold is encoded once."""
+    - the text of every entry of each feature table it meets, made for the
+      whole table at once, each distinct (column, count) entry encoded once."""
 
     def __init__(self):
         self._parts: dict[int, tuple[Mention, str, str, str]] = {}
-        self._pair_text = _PairText()
+        self._texts: dict[FeatureTable, tuple[list[str], list[int]]] = {}
+
+    def _features(self, row: FeatureRow) -> str:
+        if row.table not in self._texts:
+            names, x = row.table.matrix
+            entries = zip(x.indices.tolist(), x.data.tolist())
+            texts = list(map(_EntryText(names).__getitem__, entries))
+            self._texts[row.table] = texts, x.indptr.tolist()
+        texts, bounds = self._texts[row.table]
+        return ", ".join(texts[bounds[row.row] : bounds[row.row + 1]])
 
     def _fragments(self, m: Mention) -> tuple[Mention, str, str, str]:
         # an entry holds its mention, so no other live object can have that id
         parts = self._parts.get(id(m))
         if parts is None or parts[0] is not m:
-            features = ", ".join(map(self._pair_text.__getitem__, m.features))
             parts = self._parts[id(m)] = (
                 m,
                 f'{{"corpus_tag": {_str(m.corpus_tag)}, "doc_id": {_str(m.doc_id)}, '
-                f'"features": {{{features}}}, "kind": {_str(m.kind)}',
+                f'"features": {{{self._features(m.features)}}}, "kind": {_str(m.kind)}',
                 f', "mention_id": {_str(m.mention_id)}, "section": {_str(m.section_title)}',
                 f', "surfaces": [{", ".join(map(_str, m.item_surfaces))}], '
                 f'"title_entity": {_str(m.title_entity)}}}\n',
@@ -355,10 +365,9 @@ def write_mentions(mentions: list[Mention], path: str, encoder: MentionEncoder) 
         fh.writelines(map(encoder.line, mentions))
 
 
-def read_mentions(path: str) -> list[Mention]:
-    """The mentions of a JSONL file, with one tuple per distinct feature
-    pair of the file."""
-    return jsonl(path, partial(mention_from_dict, pairs={}))
+def read_mentions(path: str, table: FeatureTable) -> list[Mention]:
+    """The mentions of a JSONL file, their features new rows of `table`."""
+    return jsonl(path, partial(mention_from_dict, table=table))
 
 
 def write_labeled_mentions(
@@ -368,5 +377,5 @@ def write_labeled_mentions(
         fh.writelines(map(encoder.labeled_line, lms))
 
 
-def read_labeled_mentions(path: str) -> list[LabeledMention]:
-    return jsonl(path, partial(labeled_mention_from_dict, pairs={}))
+def read_labeled_mentions(path: str, table: FeatureTable) -> list[LabeledMention]:
+    return jsonl(path, partial(labeled_mention_from_dict, table=table))

@@ -46,7 +46,7 @@ from .evaluation import (
     write_report,
     write_sweep,
 )
-from .features import FeatureConfig, Mention
+from .features import FeatureConfig, FeatureTable, Mention
 from .kb import ConceptSeed, RelationSchema, Triple, load_concept_seeds, load_schema, load_triples
 from .mentions import (
     LEGAL_VARIANTS,
@@ -300,8 +300,10 @@ def label_mentions(
     features: FeatureConfig,
     propagation: PropagationConfig,
 ) -> tuple[MentionSets, tuple[list[Mention], list[Mention]]]:
-    """Distant labeling: the Rs/Rt/Cs/Ct sets and each graph corpus's mentions (its pool)."""
-    pools = (corpus_mentions(structured_docs, features), corpus_mentions(target_docs, features))
+    """Distant labeling: the Rs/Rt/Cs/Ct sets and each graph corpus's mentions (its pool),
+    their features rows of one table."""
+    table = FeatureTable()
+    pools = tuple(corpus_mentions(docs, features, table) for docs in (structured_docs, target_docs))
     return build_mention_sets(*pools, triples, seeds, schema, propagation), pools
 
 
@@ -401,6 +403,11 @@ def stage_mentions(ws: Workspace) -> None:
         triples = load_triples(ws.input("triples"), schema)
         seeds = load_concept_seeds(ws.input("concept_seeds"), schema)
         sets, pools = label_mentions(*docs, schema, triples, seeds, cfg.features, cfg.propagation)
+        if not sets.Rs:  # every variant walks from Rs
+            titles = {doc.title_entity for doc in docs[0]}
+            hits = sum(t.subject in titles for t in triples)
+            raise InputError(f"{cfg.triples}: Rs is empty: {hits} of {len(triples)} triples have "
+                             "a subject that is a structured document's title entity")
 
         encoder = MentionEncoder()  # encodes each mention once for the six files
         for name, filename in Workspace.MENTION_SET_FILES.items():
@@ -409,18 +416,14 @@ def stage_mentions(ws: Workspace) -> None:
             ws.write(filename, partial(write_mentions, encoder=encoder), pool)
 
 
-def _load_sets(ws: Workspace) -> MentionSets:
-    sets = MentionSets()
+def _load_mentions(ws: Workspace, with_pool: bool) -> tuple[MentionSets, list[Mention]]:
+    """The four sets and, `with_pool`, the pool, their features rows of one table."""
+    table, sets, pool = FeatureTable(), MentionSets(), []
     for name, filename in Workspace.MENTION_SET_FILES.items():
-        setattr(sets, name, ws.read(filename, "mentions", read_labeled_mentions))
-    return sets
-
-
-def _load_pool(ws: Workspace) -> list[Mention]:
-    pool = []
-    for filename in Workspace.POOL_FILES:
-        pool += ws.read(filename, "mentions", read_mentions)
-    return pool
+        setattr(sets, name, ws.read(filename, "mentions", partial(read_labeled_mentions, table=table)))
+    for filename in Workspace.POOL_FILES if with_pool else ():
+        pool += ws.read(filename, "mentions", partial(read_mentions, table=table))
+    return sets, pool
 
 
 def _load_gold(ws: Workspace) -> list[GoldAnnotation]:
@@ -431,7 +434,7 @@ def _load_gold(ws: Workspace) -> list[GoldAnnotation]:
 def stage_propagate(ws: Workspace) -> None:
     cfg = ws.config
     with ws.stage("propagate"):
-        sets = _load_sets(ws)
+        sets, _ = _load_mentions(ws, with_pool=False)
         graph, ranking = propagate(sets, VariantSpec.parse(cfg.variant), cfg.propagation)
         ws.emit("ranking.tsv", write_ranking, ranking)
         ws.emit("graph.tsv", write_graph_dump, graph)
@@ -441,7 +444,7 @@ def stage_train(ws: Workspace) -> None:
     cfg = ws.config
     with ws.stage("train"):
         ranking = ws.read("ranking.tsv", "propagate", read_ranking)
-        model = fit_model(ranking, _load_sets(ws), _load_pool(ws), cfg.training, cfg.features)
+        model = fit_model(ranking, *_load_mentions(ws, with_pool=True), cfg.training, cfg.features)
         ws.emit("model.json", save_model, model)
 
 
@@ -471,7 +474,7 @@ def stage_sweep(ws: Workspace) -> None:
     with ws.stage("sweep"):
         variant = VariantSpec.parse(cfg.variant)
         cells = sweep_cells(
-            ws.read("ranking.tsv", "propagate", read_ranking), _load_sets(ws), _load_pool(ws),
+            ws.read("ranking.tsv", "propagate", read_ranking), *_load_mentions(ws, with_pool=True),
             _load_documents(ws, "eval"), _load_gold(ws),
             variant, cfg.sweep_n, cfg.training, cfg.features,
         )

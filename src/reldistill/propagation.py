@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .decode import finite, tsv
-from .features import Mention, feature_matrix
+from .features import Mention, select_rows
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def build_graph_from_mentions(mentions: list[Mention]) -> BipartiteGraph:
     if total == 0:
         raise ValueError("cannot build a graph from zero mentions")
 
-    vocab, x = feature_matrix([by_id[mid] for mid in mention_ids])
+    vocab, x = select_rows([by_id[mid] for mid in mention_ids])
     df = np.bincount(x.indices, minlength=len(vocab))
     keep = df < total
     kept = np.flatnonzero(keep)

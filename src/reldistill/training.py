@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .decode import InputError, decode, json_file
-from .features import FeatureConfig, FeatureFilter, Mention, build_feature_filter, feature_matrix
+from .features import FeatureConfig, FeatureFilter, Mention, build_feature_filter, select_rows
 from .mentions import SET_NAMES, MentionSets
 from .propagation import RankedLabeling
 
@@ -151,7 +151,9 @@ def build_training_set(
 ) -> TrainingSet:
     negatives = sample_negatives(pool, labeled_ids, config.n_negatives, config.rng_seed)
     mentions = [m for ms in positives.values() for m in ms] + negatives
-    feature_filter = build_feature_filter([f for f, _ in m.features] for m in mentions)
+    vocab, x = select_rows(mentions)
+    names, ends = list(map(vocab.__getitem__, x.indices.tolist())), x.indptr.tolist()
+    feature_filter = build_feature_filter(map(names.__getitem__, map(slice, ends, ends[1:])))
     return TrainingSet(
         positives=positives,
         negatives=negatives,
@@ -351,9 +353,11 @@ def train(
             )
     # `mentions` is every training mention, so every allowed feature is a
     # column; a missing one is a KeyError, never a neighbouring column
-    vocab, counts = feature_matrix(mentions)
-    column = {f: j for j, f in enumerate(vocab)}
-    x = counts[:, np.array([column[f] for f in allowed], dtype=np.intp)]
+    vocab, counts = select_rows(mentions)
+    kept = [j for j, name in enumerate(vocab) if name in training_set.feature_filter.allowed]
+    if len(kept) < len(allowed):
+        raise KeyError(min(training_set.feature_filter.allowed.difference(vocab)))
+    x = counts[:, kept]
     # relation r's examples: its positives, the other relations' positives
     # in name order, then the negatives
     bounds = np.cumsum([0] + [len(pos) for pos in blocks]).tolist()

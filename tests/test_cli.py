@@ -406,6 +406,11 @@ class TestErrors:
                                                                  o["features"].items()}}),
                          "line 1: key 'features' must be an object of integer counts, got {",
                          id="count-string"),
+            # a feature table holds int64 counts
+            pytest.param("mentions_Rs.jsonl", "propagate",
+                         _json_edit(lambda o: {**o, "features": {f: 2**63 for f in o["features"]}}),
+                         "line 1: key 'features' must be an object of integer counts, got {",
+                         id="count-past-int64"),
             pytest.param("mentions_Rs.jsonl", "propagate", _json_edit(lambda o: {**o, "label": 1}),
                          "line 1: key 'label' must be a string, got 1", id="label-number"),
             pytest.param("mentions_Rs.jsonl", "propagate", _json_edit(lambda o: [o]),
@@ -459,10 +464,11 @@ class TestErrors:
                          "{path}: line 1: empty instance", id="seeds-empty-instance"),
             pytest.param("gold", "t1\tcures\tnausea\n",
                          "{path}: line 1: unknown relation 'cures'", id="gold-unknown-relation"),
-            pytest.param("gold", "", "gold set is empty", id="gold-empty"),
+            pytest.param("gold", "", "{path}: gold set is empty", id="gold-empty"),
             # no drug of the corpora has a triple: Rs and Rt are both empty
             pytest.param("triples", "sideEffect\tnodrug\tnausea\n",
-                         "variant RsRt selects no mentions", id="triples-match-nothing"),
+                         "{path}: Rs is empty: 0 of 1 triples have a subject that is a "
+                         "structured document's title entity", id="triples-match-nothing"),
         ],
     )
     def test_bad_kb_or_gold_file_exits_1(self, run_config_file, tmp_path, capsys,

@@ -14,7 +14,7 @@ from reldistill.evaluation import (
     run_baseline,
 )
 from reldistill.benchmark import BenchmarkArtifacts, baseline_report
-from reldistill.features import FeatureConfig
+from reldistill.features import FeatureConfig, FeatureTable
 from reldistill.kb import RelationSchema
 from reldistill.mentions import MentionSets, build_relation_mentions, corpus_mentions
 from reldistill.propagation import PropagationConfig
@@ -201,9 +201,9 @@ def covering(schema: RelationSchema, labeled) -> RelationSchema:
 class TestBaselines:
     @pytest.fixture()
     def setup(self, structured_docs, target_docs, triples, schema):
-        fc = FeatureConfig()
-        sm = corpus_mentions(structured_docs, fc)
-        tm = corpus_mentions(target_docs, fc)
+        fc, table = FeatureConfig(), FeatureTable()
+        sm = corpus_mentions(structured_docs, fc, table)
+        tm = corpus_mentions(target_docs, fc, table)
         sets = MentionSets(
             Rs=build_relation_mentions(sm, triples, schema, True),
             Rt=build_relation_mentions(tm, triples, schema, False),

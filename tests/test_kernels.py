@@ -1,8 +1,9 @@
 """The array kernels of `training`, `propagation` and `evaluation`, the
-per-mention feature and scoring kernels of the read path, the mention
-list whose feature pairs are shared, and the block-wise file hash,
-against the per-element loops, block matrices, whole copies and
-unshared lists they replaced, kept here as oracles.
+per-mention feature and scoring kernels of the read path, the feature
+table that every graph and design matrix selects rows of, and the
+block-wise file hash, against the per-element loops, block matrices,
+whole copies, name-based matrices and per-mention feature tuples they
+replaced, kept here as oracles.
 Every artifact depends on these kernels, so each must agree with its
 oracle bit for bit, not just to a tolerance."""
 
@@ -11,6 +12,7 @@ import json
 import math
 import tempfile
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,14 +25,19 @@ from reldistill.evaluation import GoldAnnotation, Prediction, extract_document, 
 from reldistill.features import (
     FeatureConfig,
     FeatureFilter,
+    FeatureTable,
     Mention,
     _closest_ancestor_verb,
     extract_features,
-    feature_matrix,
+    select_rows,
 )
 from reldistill.mentions import (
+    LEGAL_VARIANTS,
+    SET_NAMES,
     LabeledMention,
     MentionEncoder,
+    MentionSets,
+    VariantSpec,
     corpus_mentions,
     enumerate_mentions,
     labeled_mention_to_dict,
@@ -46,6 +53,7 @@ from reldistill.propagation import (
     PropagationConfig,
     RankedLabeling,
     _walk_matrix,
+    build_graph,
     build_graph_from_mentions,
     multirankwalk,
     personalized_pagerank,
@@ -69,10 +77,29 @@ from reldistill.training import (
 )
 
 from test_corpus import token
-from test_propagation import assigned, make_mention
+from test_propagation import as_pairs, assigned, make_mention
 
 
 # --- oracles: the loops the kernels replaced --------------------------------
+
+
+def feature_matrix(mentions):
+    """The sorted vocabulary of `mentions` and their float64 count matrix,
+    one row per mention in the order given, each column looked up by name
+    in a vocabulary rebuilt from the mentions' (name, count) pairs."""
+    names = [f for m in mentions for f, _ in m.features]
+    vocab = sorted(set(names))
+    column = {f: j for j, f in enumerate(vocab)}
+    indptr = np.cumsum([0] + [len(tuple(m.features)) for m in mentions])
+    x = sp.csr_matrix(
+        (
+            np.fromiter((c for m in mentions for _, c in m.features), float, len(names)),
+            np.fromiter(map(column.__getitem__, names), np.int32, len(names)),
+            indptr,
+        ),
+        shape=(len(mentions), len(vocab)),
+    )
+    return vocab, x
 
 
 def sgd_hinge_getrow_oracle(x, y, reg_lambda, epochs, rng_seed):
@@ -443,7 +470,7 @@ def extract_document_mention_oracle(doc, model, feature_config):
     """Build every `Mention` of the document, then score it by the
     per-relation loop."""
     best = {}
-    for mention in enumerate_mentions(doc, feature_config, {}):
+    for mention in enumerate_mentions(doc, feature_config, FeatureTable()):
         label, score = classify_scored_loop_oracle(model, mention)
         if label == "other":
             continue
@@ -692,7 +719,7 @@ def extraction_cases(draw):
     """Documents drawn by `feature_corpora` and a model over their feature
     names, which leaves most of each mention's features unweighed."""
     docs, config = draw(feature_corpora())
-    vocab = sorted({f for doc in docs for m in enumerate_mentions(doc, config, {})
+    vocab = sorted({f for doc in docs for m in enumerate_mentions(doc, config, FeatureTable())
                     for f, _ in m.features})
     return docs, draw(classify_models(vocab, config, max_weights=20)), config
 
@@ -1152,7 +1179,7 @@ def test_train_refuses_an_allowed_feature_no_mention_has(monkeypatch):
 def test_feature_matrix_rows_follow_the_given_order():
     mentions = [make_mention("m1", {"f2": 1, "f10": 3}), make_mention("m0", {}),
                 make_mention("m2", {"a": 2})]
-    vocab, x = feature_matrix(mentions)
+    vocab, x = select_rows(mentions)
     assert vocab == ["a", "f10", "f2"]
     assert x.dtype == np.float64 and x.has_sorted_indices
     assert x.toarray().tolist() == [[0.0, 3.0, 1.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
@@ -1219,15 +1246,15 @@ def test_feature_targets_reach_the_dependency_features(condition):
 
 @given(feature_corpora())
 @settings(max_examples=200, deadline=None)
-def test_shared_pairs_give_the_unshared_mentions_and_lines(tmp_path_factory, corpus):
+def test_table_rows_give_the_unshared_mentions_and_lines(tmp_path_factory, corpus):
     docs, config = corpus
     want = [m for doc in docs for m in enumerate_mentions_unshared_oracle(doc, config)]
     for doc in docs:  # a table of its own per document
-        mentions = enumerate_mentions(doc, config, {})
-        assert mentions == enumerate_mentions_unshared_oracle(doc, config)
+        mentions = enumerate_mentions(doc, config, FeatureTable())
+        assert as_pairs(mentions) == enumerate_mentions_unshared_oracle(doc, config)
     want.sort(key=lambda m: m.mention_id)
-    got = corpus_mentions(docs, config)
-    assert got == want
+    got = corpus_mentions(docs, config, FeatureTable())
+    assert as_pairs(got) == want
 
     encoder = MentionEncoder()
     lms = [LabeledMention(m, "usedToTreat", "Rt") for m in got]
@@ -1238,30 +1265,148 @@ def test_shared_pairs_give_the_unshared_mentions_and_lines(tmp_path_factory, cor
         ) + "\n"
     path = tmp_path_factory.mktemp("pool") / "pool.jsonl"
     write_mentions(got, str(path), encoder)
-    assert read_mentions(str(path)) == want
+    assert as_pairs(read_mentions(str(path), FeatureTable())) == want
 
 
-def assert_equal_pairs_are_one_tuple(mentions):
-    pairs = [p for m in mentions for p in m.features]
-    first = {}
-    for p in pairs:
-        assert first.setdefault(p, p) is p
-    assert len(first) < len(pairs)  # some pair recurs
-
-
-def test_equal_pairs_are_one_tuple_within_a_build_and_a_read(
-    tmp_path, structured_docs, target_docs
-):
+def test_a_build_and_a_read_are_one_table(tmp_path, structured_docs, target_docs):
+    """Both graph corpora enumerate into one table, and the files one stage
+    reads are read into one, so every selection takes rows of one table."""
+    table, read_table = FeatureTable(), FeatureTable()
+    mentions = [m for docs in (structured_docs, target_docs)
+                for m in corpus_mentions(docs, FeatureConfig(), table)]
+    lms = [LabeledMention(m, "Symptom", "Ct") for m in mentions[::2]]
     encoder = MentionEncoder()
-    for docs in (structured_docs, target_docs):
-        mentions = corpus_mentions(docs, FeatureConfig())
-        assert_equal_pairs_are_one_tuple(mentions)
-        write_mentions(mentions, str(tmp_path / "pool.jsonl"), encoder)
-        assert_equal_pairs_are_one_tuple(read_mentions(str(tmp_path / "pool.jsonl")))
-        lms = [LabeledMention(m, "Symptom", "Ct") for m in mentions]
-        write_labeled_mentions(lms, str(tmp_path / "set.jsonl"), encoder)
-        read = read_labeled_mentions(str(tmp_path / "set.jsonl"))
-        assert_equal_pairs_are_one_tuple([lm.mention for lm in read])
+    write_mentions(mentions, str(tmp_path / "pool.jsonl"), encoder)
+    write_labeled_mentions(lms, str(tmp_path / "set.jsonl"), encoder)
+    read = read_mentions(str(tmp_path / "pool.jsonl"), read_table) + [
+        lm.mention for lm in read_labeled_mentions(str(tmp_path / "set.jsonl"), read_table)
+    ]
+    assert {m.features.table for m in mentions} == {table}
+    assert {m.features.table for m in read} == {read_table}
+    assert read_table.matrix[0] == table.matrix[0]  # one vocabulary, in name order
+    assert as_pairs(read) == as_pairs(mentions + [lm.mention for lm in lms])
+
+
+# names that are prefixes of one another, non-ASCII (an "é" precomposed and
+# one combining) and astral; each corpus also draws a name of its own
+_TABLE_NAMES = ["a", "ab", "abc", "tok=é", "tok=e\u0301", "İ", "\U0001f600", "\U0001f600x", "z"]
+
+
+@st.composite
+def two_corpus_tables(draw):
+    """Mentions of a structured and a target corpus enumerated into one
+    table, as `label_mentions` enumerates both graph corpora: each adds a
+    drawn list of names, a name maybe repeated. Beside each mention, its
+    oracle twin, whose features are the names counted into sorted
+    (name, count) pairs."""
+    table, mentions, oracles = FeatureTable(), [], []
+    for tag in ("structured", "target"):
+        own = st.sampled_from(_TABLE_NAMES + [f"only-{tag}"])
+        for i in range(draw(st.integers(1, 6))):
+            names = draw(st.lists(own, max_size=8))
+            m = Mention(f"{tag[0]}{i}", f"{tag[0]}doc", "drugx", "uses", "singleton", ("x",),
+                        table.add(names), tag)
+            mentions.append(m)
+            oracles.append(replace(m, features=tuple(sorted(Counter(names).items()))))
+    return mentions, oracles
+
+
+def assert_same_csr_hex(got, want):
+    assert got.shape == want.shape
+    assert got.indptr.tolist() == want.indptr.tolist()
+    assert got.indices.tolist() == want.indices.tolist()
+    assert [v.hex() for v in got.data.tolist()] == [v.hex() for v in want.data.tolist()]
+
+
+@given(two_corpus_tables(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_selections_of_one_table_equal_the_name_based_matrices(case, data):
+    """A graph spanning both corpora, the training set's feature filter and
+    design matrix, each selected from the table, equal those built from the
+    names."""
+    mentions, oracles = case
+    picks = data.draw(st.lists(st.integers(0, len(mentions) - 1), min_size=2, unique=True))
+    chosen, twins = [mentions[i] for i in picks], [oracles[i] for i in picks]
+
+    names, x = select_rows(chosen)
+    vocab, want = feature_matrix(twins)
+    assert names == vocab
+    assert_same_csr_hex(x, want)
+
+    with pytest.MonkeyPatch.context() as mp:  # the graph build on the names
+        mp.setattr(propagation, "select_rows", feature_matrix)
+        want_graph = build_graph_from_mentions(twins)
+    graph = build_graph_from_mentions(chosen)
+    assert (graph.mention_nodes, graph.feature_nodes) == (
+        want_graph.mention_nodes, want_graph.feature_nodes
+    )
+    assert_same_csr_hex(graph.adjacency, want_graph.adjacency)
+
+    # the first picks are positives of one relation, the rest negatives
+    k = data.draw(st.integers(1, len(picks) - 1))
+    config = TrainConfig(n=1, negatives=len(picks) - k)
+    built = training.build_training_set({"relA": chosen[:k]}, chosen[k:], set(), config)
+    assert built.feature_filter == feature_filter_dict_oracle(
+        [dict(m.features) for m in twins]
+    )
+    allowed = sorted(data.draw(st.sets(st.sampled_from(vocab))) if vocab else ())
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:  # the one matrix `train` fits
+        mp.setattr(training, "_sgd_hinge_batched", lambda x, rows, *_: seen.append(x) or (
+            np.zeros((len(rows), x.shape[1])), np.zeros(len(rows))))
+        training.train(TrainingSet({"relA": chosen[:k]}, built.negatives,
+                                   FeatureFilter(frozenset(allowed))),
+                       TrainConfig(calibration="raw_margin"), None)
+    (design,) = seen
+    order = [*twins[:k], *(oracles[mentions.index(m)] for m in built.negatives)]
+    vocab, counts = feature_matrix(order)
+    column = {f: j for j, f in enumerate(vocab)}
+    assert_same_csr_hex(design, counts[:, np.array([column[f] for f in allowed], dtype=np.intp)])
+
+
+@given(two_corpus_tables())
+@settings(max_examples=200, deadline=None)
+def test_lines_of_one_table_are_sorted_key_json_dumps(case):
+    mentions, oracles = case
+    encoder = MentionEncoder()
+    for m, twin in zip(mentions, oracles):
+        lm = LabeledMention(m, "usedToTreat", "Rt")
+        assert encoder.labeled_line(lm) == json.dumps(
+            labeled_mention_to_dict(replace(lm, mention=twin)), sort_keys=True
+        ) + "\n"
+        assert encoder.line(m) == json.dumps(mention_to_dict(twin), sort_keys=True) + "\n"
+
+
+@given(two_corpus_tables(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_table_read_from_the_six_files_selects_the_relation_graph_run_built(
+    tmp_path_factory, case, data
+):
+    """The four sets and two pools written as `mentions` writes them and read
+    back into one table, as a stage reads every file it needs, give the
+    relation graph that the table enumeration built gives."""
+    mentions, _ = case
+    pools = {tag: [m for m in mentions if m.corpus_tag == tag] for tag in ("structured", "target")}
+    sets = MentionSets()
+    for name in SET_NAMES:
+        pool = pools["structured" if name in ("Rs", "Cs") else "target"]
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=name == "Rs", unique=True))
+        labels = st.sampled_from(["relA", "relB"])
+        setattr(sets, name, [LabeledMention(m, data.draw(labels), name) for m in picks])
+    out = tmp_path_factory.mktemp("mentions")
+    encoder = MentionEncoder()
+    for name in SET_NAMES:
+        write_labeled_mentions(sets.get(name), str(out / f"{name}.jsonl"), encoder)
+    for tag, pool in pools.items():
+        write_mentions(pool, str(out / f"{tag}.jsonl"), encoder)
+
+    table, read = FeatureTable(), MentionSets()
+    for name in SET_NAMES:
+        setattr(read, name, read_labeled_mentions(str(out / f"{name}.jsonl"), table))
+    for tag in pools:
+        read_mentions(str(out / f"{tag}.jsonl"), table)
+    variant = VariantSpec.parse(data.draw(st.sampled_from(LEGAL_VARIANTS)))
+    assert_same_graph(build_graph(read, variant), build_graph(sets, variant))
 
 
 def raw(relations):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reldistill.corpus import ingest_corpus
-from reldistill.features import FeatureConfig, Mention
+from reldistill.features import FeatureConfig, FeatureTable, Mention
 from reldistill.kb import ConceptSeed
 from reldistill.mentions import (
     LabeledMention,
@@ -27,15 +27,17 @@ from reldistill.mentions import (
 )
 from reldistill.propagation import PropagationConfig
 
+from test_propagation import as_pairs, feature_row
+
 
 @pytest.fixture(scope="module")
 def structured_mentions(structured_docs):
-    return corpus_mentions(structured_docs, FeatureConfig())
+    return corpus_mentions(structured_docs, FeatureConfig(), FeatureTable())
 
 
 @pytest.fixture(scope="module")
 def target_mentions(target_docs):
-    return corpus_mentions(target_docs, FeatureConfig())
+    return corpus_mentions(target_docs, FeatureConfig(), FeatureTable())
 
 
 def make_mention(mid, surfaces, features, tag="target", section="overview", title="drugx"):
@@ -46,7 +48,7 @@ def make_mention(mid, surfaces, features, tag="target", section="overview", titl
         section_title=section,
         kind="singleton" if len(surfaces) == 1 else "list",
         item_surfaces=tuple(surfaces),
-        features=tuple(sorted(features.items())),
+        features=feature_row(features),
         corpus_tag=tag,
     )
 
@@ -54,7 +56,7 @@ def make_mention(mid, surfaces, features, tag="target", section="overview", titl
 class TestEnumeration:
     def test_lists_absorb_their_items(self, structured_docs):
         doc = structured_docs[0]
-        mentions = enumerate_mentions(doc, FeatureConfig(), {})
+        mentions = enumerate_mentions(doc, FeatureConfig(), FeatureTable())
         first_sentence = [m for m in mentions if m.mention_id.startswith("s1|s0|t0")]
         kinds = {m.kind for m in first_sentence}
         assert kinds == {"list", "singleton"}
@@ -71,9 +73,9 @@ class TestEnumeration:
     def test_shared_mention_id_is_refused(self, structured_docs):
         # ingest refuses a repeated doc_id; a document list built by hand does not
         doc = structured_docs[0]
-        first = min(m.mention_id for m in enumerate_mentions(doc, FeatureConfig(), {}))
+        first = min(m.mention_id for m in enumerate_mentions(doc, FeatureConfig(), FeatureTable()))
         with pytest.raises(ValueError, match=f"^two mentions share mention_id '{re.escape(first)}'$"):
-            corpus_mentions([doc, doc], FeatureConfig())
+            corpus_mentions([doc, doc], FeatureConfig(), FeatureTable())
 
 
 class TestDistantLabeling:
@@ -262,9 +264,9 @@ class TestSectionFilter:
 
 def test_labeled_mention_roundtrip(structured_mentions, triples, schema):
     rs = build_relation_mentions(structured_mentions, triples, schema, True)
-    pairs: dict = {}  # one table across the mentions, as the readers share it
-    for lm in rs:
-        assert labeled_mention_from_dict(labeled_mention_to_dict(lm), pairs) == lm
+    table = FeatureTable()  # one table across the mentions, as the readers share it
+    read = [labeled_mention_from_dict(labeled_mention_to_dict(lm), table) for lm in rs]
+    assert as_pairs(read) == as_pairs(rs)
 
 
 # Any code point, lone surrogates included, with the characters JSON escapes
@@ -287,7 +289,7 @@ def arbitrary_mentions(draw):
         section_title=draw(_text),
         kind=draw(_text),
         item_surfaces=tuple(draw(st.lists(_text, max_size=4))),
-        features=tuple(sorted(features.items())),
+        features=feature_row(features),
         corpus_tag=draw(_text),
     )
 
@@ -329,8 +331,10 @@ class TestMentionEncoder:
         assert (tmp_path / "pool.jsonl").read_text() == "".join(
             _oracle(mention_to_dict(m)) for m in structured_mentions
         )
-        assert read_labeled_mentions(str(tmp_path / "set.jsonl")) == lms
-        assert read_mentions(str(tmp_path / "pool.jsonl")) == structured_mentions
+        read_lms = read_labeled_mentions(str(tmp_path / "set.jsonl"), FeatureTable())
+        assert as_pairs(read_lms) == as_pairs(lms)
+        read = read_mentions(str(tmp_path / "pool.jsonl"), FeatureTable())
+        assert as_pairs(read) == as_pairs(structured_mentions)
 
 
 def test_doc_id_in_both_corpora_is_written_with_each_corpus_tag(
@@ -343,7 +347,9 @@ def test_doc_id_in_both_corpora_is_written_with_each_corpus_tag(
     shared = (data_dir / "structured.jsonl").read_text().splitlines()[0]
     target = tmp_path / "target.jsonl"
     target.write_text((data_dir / "target.jsonl").read_text() + shared + "\n")
-    target_mentions = corpus_mentions(ingest_corpus(str(target), "target"), FeatureConfig())
+    target_mentions = corpus_mentions(
+        ingest_corpus(str(target), "target"), FeatureConfig(), FeatureTable()
+    )
     sets = build_mention_sets(
         structured_mentions, target_mentions, triples, concept_seeds, schema, PropagationConfig()
     )

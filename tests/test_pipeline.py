@@ -17,6 +17,8 @@ from reldistill.pipeline import RunConfig
 from reldistill.propagation import PropagationConfig, build_graph, read_ranking
 from reldistill.synthetic import generate_benchmark
 
+from test_propagation import feature_row
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -152,7 +154,7 @@ def _labeled(mention_id: str, features: dict, source_set: str) -> LabeledMention
         section_title="overview",
         kind="singleton",
         item_surfaces=("x",),
-        features=tuple(sorted(features.items())),
+        features=feature_row(features),
         corpus_tag="structured" if source_set == "Rs" else "target",
     )
     return LabeledMention(mention, "sideEffect", source_set)

@@ -1,12 +1,13 @@
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reldistill.features import Mention
+from reldistill.features import FeatureTable, Mention
 from reldistill.mentions import LEGAL_VARIANTS, LabeledMention, MentionSets, VariantSpec
 from reldistill.propagation import (
     BipartiteGraph,
@@ -44,7 +45,35 @@ def assigned(ranking):
     return out
 
 
-def make_mention(mid, features, tag="target"):
+_shared = [FeatureTable()]
+
+
+def feature_row(features, table=None):
+    """A row of `table` counting `features`. By default the helpers' mentions
+    share one table, as a labeling run's do, until a selection seals it;
+    the next mention starts a new one."""
+    if table is None:
+        if "matrix" in vars(_shared[0]):  # sealed
+            _shared[0] = FeatureTable()
+        table = _shared[0]
+    return table.add_counts(features)
+
+
+def as_pairs(mentions):
+    """Each mention or labeled mention with its features as a tuple of
+    (name, count) pairs. A row equals only itself, so mentions of two
+    builds or reads compare this way, as do the oracles' mentions, which
+    hold such tuples."""
+
+    def pairs(m):
+        if isinstance(m, LabeledMention):
+            return replace(m, mention=pairs(m.mention))
+        return replace(m, features=tuple(m.features))
+
+    return list(map(pairs, mentions))
+
+
+def make_mention(mid, features, tag="target", table=None):
     return Mention(
         mention_id=mid,
         doc_id=mid.split("|")[0],
@@ -52,7 +81,7 @@ def make_mention(mid, features, tag="target"):
         section_title="overview",
         kind="singleton",
         item_surfaces=("x",),
-        features=tuple(sorted(features.items())),
+        features=feature_row(features, table),
         corpus_tag=tag,
     )
 
@@ -173,7 +202,7 @@ class TestBuildGraph:
         from reldistill.features import FeatureConfig
         from reldistill.mentions import build_relation_mentions, corpus_mentions
 
-        mentions = corpus_mentions(structured_docs, FeatureConfig())
+        mentions = corpus_mentions(structured_docs, FeatureConfig(), FeatureTable())
         rs = build_relation_mentions(mentions, triples, schema, True)
         sets = MentionSets(Rs=rs, Rt=[], Cs=[], Ct=[])
         graph = build_graph(sets, VariantSpec.parse({"Rs", "Rt"}))
@@ -404,15 +433,20 @@ def test_graph_build_and_walk_set_up_stay_within_memory_bounds():
     to the memory held before it, as multiples of the adjacency's bytes.
     Copies of the whole matrix (a COO of both triangles, the row-scaled
     adjacency and its transposed copy) measured 3.85 and 2.05 here; the
-    CSR built in place measures 2.6 and 0.81. Each bound sits midway."""
+    CSR built in place measured 2.6 and 0.81. Each bound sits midway. The
+    build also makes the first read of the mentions' feature table, as a
+    run's first graph does: its count matrix (0.53 of the adjacency) is
+    traced, while the lists it replaces were made before tracing started,
+    so the build measures 3.15."""
     rng = random.Random(3)
+    table = FeatureTable()  # unsealed: its first read is in the graph build, as in a labeling run
     mentions = [
         make_mention(f"m{i:04d}", {
             **{f"f{rng.randrange(400)}": rng.randint(1, 3) for _ in range(20)}, "u": 1,
-        })
+        }, table=table)
         for i in range(2000)
     ]
-    mentions.append(make_mention("zz", {"u": 2}))  # idf 0 only: no edge
+    mentions.append(make_mention("zz", {"u": 2}, table=table))  # idf 0 only: no edge
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

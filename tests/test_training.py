@@ -25,6 +25,7 @@ from reldistill.training import (
 )
 
 from test_kernels import filter_counts, margin_oracle, score_oracle, sgd_hinge_oracle
+from test_propagation import feature_row
 
 
 def make_mention(mid, features, tag="target"):
@@ -35,7 +36,7 @@ def make_mention(mid, features, tag="target"):
         section_title="overview",
         kind="singleton",
         item_surfaces=("x",),
-        features=tuple(sorted(features.items())),
+        features=feature_row(features),
         corpus_tag=tag,
     )
 
