@@ -18,11 +18,9 @@ ids are namespaced so no two rules can emit the same id:
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,6 +97,11 @@ class FeatureRow:
         names, x = self.table.matrix
         lo, hi = x.indptr[self.row : self.row + 2].tolist()
         return zip(map(names.__getitem__, x.indices[lo:hi].tolist()), x.data[lo:hi].tolist())
+
+    def __repr__(self) -> str:
+        if "matrix" not in vars(self.table):  # reading it would seal a table still taking rows
+            return f"FeatureRow(row={self.row} of an open table)"
+        return f"FeatureRow({tuple(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -216,26 +219,24 @@ class FeatureFilter:
     dropped_frequent: int = 0
 
 
-def build_feature_filter(training_names: Iterable[Iterable[str]]) -> FeatureFilter:
+def build_feature_filter(mentions: list[Mention]) -> FeatureFilter:
     """Drop document-frequency-1 features and the most frequent 5%.
 
-    Each item is one mention's distinct feature names (a feature dict
-    serves: iterating it gives its names), so frequency is document
-    frequency over mentions. The top cut removes ceil(0.05 * V) features
-    by df, ties broken by feature id.
+    A feature's document frequency is the number of `mentions` whose rows
+    of their one table hold its column; a row holds a column at most
+    once. The top cut removes ceil(0.05 * V) of the V columns by df, ties
+    in column order, which is name order.
     """
-    training_names = list(training_names)
-    if not training_names:
+    if not mentions:
         raise ValueError("cannot build a feature filter from zero mentions")
-    df = Counter(chain.from_iterable(training_names))
-    vocab_size = len(df)
-    n_top = -(-vocab_size * 5 // 100)  # ceil(0.05 * V)
-    by_freq = sorted(df.items(), key=lambda kv: (-kv[1], kv[0]))
-    frequent = {f for f, _ in by_freq[:n_top]}
-    singletons = {f for f, c in df.items() if c == 1}
-    allowed = frozenset(df.keys() - frequent - singletons)
+    names, x = select_rows(mentions)
+    df = np.bincount(x.indices, minlength=len(names))
+    n_top = -(-len(names) * 5 // 100)  # ceil(0.05 * V)
+    frequent = np.zeros(len(names), dtype=bool)
+    frequent[np.argsort(-df, kind="stable")[:n_top]] = True  # a stable sort: ties in name order
+    allowed = np.flatnonzero((df > 1) & ~frequent).tolist()
     return FeatureFilter(
-        allowed=allowed,
-        dropped_singletons=len(singletons - frequent),
-        dropped_frequent=len(frequent),
+        allowed=frozenset(map(names.__getitem__, allowed)),
+        dropped_singletons=int(np.count_nonzero((df == 1) & ~frequent)),
+        dropped_frequent=n_top,
     )

@@ -150,10 +150,7 @@ def build_training_set(
     shortfalls: dict[str, int] | None = None,
 ) -> TrainingSet:
     negatives = sample_negatives(pool, labeled_ids, config.n_negatives, config.rng_seed)
-    mentions = [m for ms in positives.values() for m in ms] + negatives
-    vocab, x = select_rows(mentions)
-    names, ends = list(map(vocab.__getitem__, x.indices.tolist())), x.indptr.tolist()
-    feature_filter = build_feature_filter(map(names.__getitem__, map(slice, ends, ends[1:])))
+    feature_filter = build_feature_filter([m for ms in positives.values() for m in ms] + negatives)
     return TrainingSet(
         positives=positives,
         negatives=negatives,
@@ -351,6 +348,12 @@ def train(
                 f"side: distillation found {len(pos)} of n={config.n} positives with "
                 f"strategy {config.strategy!r}; {n - len(pos)} negatives"
             )
+    # the largest denominator of `_sgd_hinge_batched`'s step sizes
+    if not math.isfinite(config.reg_lambda * (config.epochs * n + 1 / config.reg_lambda)):
+        raise ValueError(
+            f"reg_lambda {config.reg_lambda!r} makes the SGD step sizes overflow or vanish "
+            f"over {config.epochs} epochs of n={n} examples"
+        )
     # `mentions` is every training mention, so every allowed feature is a
     # column; a missing one is a KeyError, never a neighbouring column
     vocab, counts = select_rows(mentions)

@@ -493,7 +493,7 @@ def test_learner_separable_accuracy_and_objective():
            for i in range(10)]
     neg = [mk(f"n{i}", {"tok=bottle": 1, "bow=store": 1, f"bow=x{i % 3}": 1})
            for i in range(10)]
-    filt = build_feature_filter([m.feature_counts() for m in pos + neg])
+    filt = build_feature_filter(pos + neg)
     ts = TrainingSet(positives={"rel": pos}, negatives=neg, feature_filter=filt)
 
     acc_model = train(ts, TrainConfig(n=10, epochs=200, rng_seed=3), FeatureConfig())

@@ -638,6 +638,13 @@ class TestErrors:
             pytest.param("training", {"calibration": "sigmoid"}, "unknown calibration 'sigmoid'",
                          id="calibration"),
             pytest.param("training", {"reg_lambda": 0.0}, "reg_lambda must be > 0", id="reg_lambda"),
+            # every step size's denominator overflows; 1/5e-324 is already inf
+            pytest.param("training", {"reg_lambda": 1e308},
+                         "reg_lambda 1e+308 makes the SGD step sizes overflow or vanish over 50 "
+                         "epochs of n=", id="reg_lambda-overflow"),
+            pytest.param("training", {"reg_lambda": 5e-324},
+                         "reg_lambda 5e-324 makes the SGD step sizes overflow or vanish over 50 "
+                         "epochs of n=", id="reg_lambda-vanish"),
         ],
     )
     def test_out_of_range_feature_config(

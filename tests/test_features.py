@@ -6,12 +6,14 @@ from hypothesis import given, strategies as st
 from reldistill.corpus import CoordinateList, Sentence
 from reldistill.features import (
     FeatureConfig,
+    FeatureTable,
     build_feature_filter,
     extract_features,
 )
 
 from test_corpus import token
 from test_kernels import filter_counts
+from test_propagation import make_mention
 
 NAMESPACES = ("tok=", "pre=", "suf=", "bow=", "win-L", "win-R", "wbg-L", "wbg-R",
               "vrb=", "mod=", "path=")
@@ -120,27 +122,38 @@ class TestExtractFeatures:
             assert sum(f.startswith(ns) for ns in NAMESPACES) == 1
 
 
+def mentions_of(vectors):
+    """One mention per feature dict, each a row of one new table."""
+    table = FeatureTable()
+    return [make_mention(f"m{i}", vec, table=table) for i, vec in enumerate(vectors)]
+
+
 class TestFeatureFilter:
     def test_hand_case_v3(self):
         # a in 3 docs, b in 1, c in 2; V=3 so the top ceil(0.15)=1 goes too
         vectors = [{"a": 1, "b": 1}, {"a": 1, "c": 1}, {"a": 2, "c": 1}]
-        filt = build_feature_filter(vectors)
+        filt = build_feature_filter(mentions_of(vectors))
         assert filt.allowed == frozenset({"c"})
         assert filter_counts(filt, {"a": 1, "b": 2, "c": 3}) == {"c": 3}
 
     def test_no_singletons(self):
         vectors = [{"a": 1, "b": 1}, {"a": 1, "b": 1}]
-        filt = build_feature_filter(vectors)
-        # only the 5% cut applies: ceil(0.1) = 1 feature dropped
+        filt = build_feature_filter(mentions_of(vectors))
+        # only the 5% cut applies: ceil(0.1) = 1 feature dropped, the tie
+        # going to the first name
         assert filt.allowed == frozenset({"b"})
         assert filt.dropped_singletons == 0
 
     def test_single_vector_drops_everything(self):
-        assert build_feature_filter([{"a": 1, "b": 1}]).allowed == frozenset()
+        assert build_feature_filter(mentions_of([{"a": 1, "b": 1}])).allowed == frozenset()
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero mentions"):
             build_feature_filter([])
+
+    def test_rows_of_two_tables_rejected(self):
+        with pytest.raises(ValueError, match="several feature tables"):
+            build_feature_filter(mentions_of([{"a": 1}]) + mentions_of([{"a": 1}]))
 
     @given(
         st.lists(
@@ -150,16 +163,27 @@ class TestFeatureFilter:
         )
     )
     def test_duplicating_a_vector_never_undrops_singletons(self, vectors):
-        base = build_feature_filter(vectors)
-        dropped_singles = set()
-        from collections import Counter
-
-        df = Counter()
-        for v in vectors:
-            df.update(v.keys())
+        mentions = mentions_of(vectors)
+        base = build_feature_filter(mentions)
+        df = Counter(f for v in vectors for f in v)
         dropped_singles = {f for f, c in df.items() if c == 1} - base.allowed
-        extended = build_feature_filter(vectors + [vectors[0]])
+        extended = build_feature_filter(mentions + [mentions[0]])
         # a feature absent from the duplicated vector stays singleton
         for f in dropped_singles:
             if f not in vectors[0]:
                 assert f not in extended.allowed
+
+
+class TestFeatureRowRepr:
+    def test_sealed_row_shows_its_pairs(self):
+        table = FeatureTable()
+        row = table.add(["tok=b", "tok=a", "tok=b"])
+        assert table.matrix[0] == ["tok=a", "tok=b"]  # the first read seals the table
+        assert repr(row) == "FeatureRow((('tok=a', 1), ('tok=b', 2)))"
+
+    def test_repr_of_an_open_row_leaves_the_table_open(self):
+        table = FeatureTable()
+        first = table.add(["tok=a"])
+        assert repr(first) == "FeatureRow(row=0 of an open table)"
+        second = table.add(["tok=b"])  # the table still takes rows
+        assert (list(first), list(second)) == ([("tok=a", 1)], [("tok=b", 1)])

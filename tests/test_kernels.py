@@ -12,7 +12,7 @@ import json
 import math
 import tempfile
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from reldistill.features import (
     FeatureTable,
     Mention,
     _closest_ancestor_verb,
+    build_feature_filter,
     extract_features,
     select_rows,
 )
@@ -549,6 +550,22 @@ def relation_training_sets(draw):
     vocab = sorted({f for m in used for f, _ in m.features})
     allowed = draw(st.sets(st.sampled_from(vocab))) if vocab else set()
     return TrainingSet(positives, negatives, FeatureFilter(allowed=frozenset(allowed)))
+
+
+@st.composite
+def filter_vectors(draw):
+    """One feature dict per mention. The vocabulary holds 1 to 3 names, or
+    up to 45, where the top cut takes 1 to 3. Each name sits in a drawn
+    set of mentions, so dfs tie often and ties straddle the cut; names
+    such as `B1` < `a` < `é` check that ties fall in string order."""
+    n_names = draw(st.one_of(st.integers(1, 3), st.integers(4, 45)))
+    names = draw(st.lists(st.text("aB1_é", min_size=1, max_size=3),
+                          min_size=n_names, max_size=n_names, unique=True))
+    vectors = [{} for _ in range(draw(st.integers(1, 6)))]
+    for name in names:
+        for i in draw(st.sets(st.integers(0, len(vectors) - 1), min_size=1)):
+            vectors[i][name] = draw(st.integers(1, 3))
+    return vectors
 
 
 @st.composite
@@ -1163,6 +1180,40 @@ def test_training_set_filter_counts_names_as_the_dict_loop(training_set):
     assert built.feature_filter == feature_filter_dict_oracle(
         [m.feature_counts() for m in mentions]
     )
+
+
+def _straddling_tie(vectors):
+    """Whether two names of one df fall on either side of the top cut."""
+    df = Counter(f for vec in vectors for f in vec)
+    by_freq = sorted(df.values(), reverse=True)
+    n_top = -(-len(df) * 5 // 100)
+    return n_top < len(by_freq) and by_freq[n_top - 1] == by_freq[n_top]
+
+
+@given(filter_vectors())
+@example([{"c": 1, "b": 2, "a": 1}, {"a": 1, "b": 1, "c": 3}])  # V=3, a three-way tie: `a` goes
+@example(  # V=21: `x`, `y` and `z` tie for the top 2, which takes `x` and `y`
+    [{**{f"f{j:02d}": 1 for j in range(18)}, "z": 1, "y": 1, "x": 1} for _ in range(2)]
+    + [{"z": 2, "y": 1, "x": 3}]
+)
+@settings(max_examples=200, deadline=None)
+def test_feature_filter_counts_table_columns_as_the_dict_loop(vectors):
+    table = FeatureTable()
+    got = build_feature_filter([make_mention(f"m{i}", vec, table=table)
+                                for i, vec in enumerate(vectors)])
+    want = feature_filter_dict_oracle(vectors)
+    for field in fields(FeatureFilter):
+        got_value, want_value = getattr(got, field.name), getattr(want, field.name)
+        assert (type(got_value), got_value) == (type(want_value), want_value), field.name
+
+
+@pytest.mark.parametrize("condition", [
+    lambda vectors: len({f for vec in vectors for f in vec}) == 1,
+    lambda vectors: len({f for vec in vectors for f in vec}) == 3,
+    _straddling_tie,
+], ids=["V=1", "V=3", "straddling-tie"])
+def test_filter_vectors_reach_small_vocabularies_and_ties_at_the_cut(condition):
+    find(filter_vectors(), condition, settings=settings(max_examples=2000, database=None))
 
 
 def test_train_refuses_an_allowed_feature_no_mention_has(monkeypatch):

@@ -155,11 +155,10 @@ class TestSampleNegatives:
 
 class TestTrain:
     def _training_set(self, pos, neg):
-        vectors = [m.feature_counts() for m in pos + neg]
         return TrainingSet(
             positives={"rel": pos},
             negatives=neg,
-            feature_filter=build_feature_filter(vectors),
+            feature_filter=build_feature_filter(pos + neg),
         )
 
     def test_separable_accuracy_one(self, separable_mentions):
@@ -227,7 +226,7 @@ class TestTrain:
         ts = TrainingSet(
             positives={"rel": []},
             negatives=neg,
-            feature_filter=build_feature_filter([m.feature_counts() for m in neg]),
+            feature_filter=build_feature_filter(neg),
         )
         with pytest.raises(ValueError, match="rel"):
             train(ts, TrainConfig(), FeatureConfig())
@@ -299,11 +298,10 @@ class TestScore:
 @pytest.mark.parametrize("calibration", ["platt", "raw_margin"])
 def test_model_file_roundtrip(tmp_path, separable_mentions, calibration):
     pos, neg = separable_mentions
-    vectors = [m.feature_counts() for m in pos + neg]
     ts = TrainingSet(
         positives={"rel": pos},
         negatives=neg,
-        feature_filter=build_feature_filter(vectors),
+        feature_filter=build_feature_filter(pos + neg),
     )
     config = TrainConfig(n=8, epochs=60, rng_seed=5, calibration=calibration)
     model = train(ts, config, FeatureConfig())
